@@ -16,8 +16,8 @@ import sys
 from .cables import CableContext, describe_cable_fill, meridian_distance_cabled
 from .cover import double_branched_cover
 from .diagrams import oracle_cross_check, random_montesinos
-from .families import (DomainError, FamilySpec, Status, evaluate_filling,
-                       family_catalog, get_family, sweep_point_reports)
+from .families import (DomainError, FamilySpec, Status, family_catalog,
+                       get_family, grid_points, sweep_point_reports)
 from .links import link_determinant
 from .manifolds import (CableSpace, FiniteType, IndeterminateError,
                         classify_finite_type, h1)
@@ -67,25 +67,6 @@ def _family_ranges(args) -> tuple[FamilySpec, dict]:
         elif value is not None:
             raise _UsageError(f"family {spec.name} takes no parameter {name}")
     return spec, ranges
-
-
-def _points(spec: FamilySpec, ranges: dict) -> list[dict]:
-    points = []
-
-    def rec(index: int, acc: dict) -> None:
-        if index == len(spec.param_names):
-            if spec.in_domain(**acc):
-                points.append(dict(acc))
-            return
-        name = spec.param_names[index]
-        lo, hi = ranges[name]
-        for value in range(lo, hi + 1):
-            acc[name] = value
-            rec(index + 1, acc)
-            del acc[name]
-
-    rec(0, {})
-    return points
 
 
 def _params_text(spec: FamilySpec, params: dict) -> str:
@@ -173,8 +154,8 @@ def _cmd_family_fill(args, command: str) -> Report:
     r = parse_slope(args.slope)
     claim = spec.claim_at(r)
     rows = []
-    for params in _points(spec, ranges):
-        m = evaluate_filling(spec.name, params, r)
+    for params in grid_points(spec, ranges):
+        m = claim.build(**params)
         rows.append({"family": spec.name, "params": _params_text(spec, params),
                      "slope": format_slope(r), "formula": claim.formula,
                      "manifold": str(m)})
@@ -184,8 +165,6 @@ def _cmd_family_fill(args, command: str) -> Report:
                   ("family", "params", "slope", "formula", "manifold"))
 
 
-_STATUS_TEXT = {Status.PASS: "pass", Status.FAIL: "fail",
-                Status.INDETERMINATE: "indeterminate"}
 _REPORT_STATUS = {Status.PASS: STATUS_OK, Status.FAIL: STATUS_FAIL,
                   Status.INDETERMINATE: STATUS_INDETERMINATE}
 
@@ -201,7 +180,7 @@ def _cmd_family_verify(args, command: str) -> Report:
             rows.append({"family": spec.name,
                          "params": _params_text(spec, rep.params),
                          "check": check.kind, "detail": check.detail,
-                         "status": _STATUS_TEXT[check.status],
+                         "status": check.status.value,
                          "observed": check.observed})
     status = combine_status(_REPORT_STATUS[r.status] for r in reports)
     return Report(command, status, tuple(rows),
@@ -218,7 +197,7 @@ def _cmd_family_sweep(args, command: str) -> Report:
             counts[check.status] += 1
         rows.append({"family": spec.name,
                      "params": _params_text(spec, rep.params),
-                     "status": _STATUS_TEXT[rep.status],
+                     "status": rep.status.value,
                      "passed": counts[Status.PASS],
                      "failed": counts[Status.FAIL],
                      "indeterminate": counts[Status.INDETERMINATE]})

@@ -289,28 +289,6 @@ def _add_bottom(b: _Builder, t: _Tangle, count: int) -> None:
         t.sw, t.se = sw, se
 
 
-def _seed_horizontal(b: _Builder, count: int) -> _Tangle:
-    ne, nw, sw, se = b.crossing(_flag(_OVER_RIGHT, count))
-    t = _Tangle(nw=nw, ne=ne, sw=sw, se=se)
-    for _ in range(abs(count) - 1):
-        ne2, nw2, sw2, se2 = b.crossing(_flag(_OVER_RIGHT, count))
-        b.join(t.ne, nw2)
-        b.join(t.se, sw2)
-        t.ne, t.se = ne2, se2
-    return t
-
-
-def _seed_vertical(b: _Builder, count: int) -> _Tangle:
-    ne, nw, sw, se = b.crossing(_flag(_OVER_BOTTOM, count))
-    t = _Tangle(nw=nw, ne=ne, sw=sw, se=se)
-    for _ in range(abs(count) - 1):
-        ne2, nw2, sw2, se2 = b.crossing(_flag(_OVER_BOTTOM, count))
-        b.join(t.sw, nw2)
-        b.join(t.se, ne2)
-        t.sw, t.se = sw2, se2
-    return t
-
-
 def _rational_tangle(b: _Builder, terms: tuple[int, ...]) -> _Tangle:
     """Build the rational tangle of the continued fraction [a1, ..., an].
 
@@ -323,10 +301,11 @@ def _rational_tangle(b: _Builder, terms: tuple[int, ...]) -> _Tangle:
     n = len(terms)
     if n == 0 or any(a < 1 for a in terms[1:]) or terms[0] < 0 or terms[-1] < 1:
         raise ValueError(f"unsupported twist sequence {terms}")
-    if n % 2 == 1:
-        t = _seed_horizontal(b, terms[-1])
-    else:
-        t = _seed_vertical(b, terms[-1])
+    # The a_n batch starts from one crossing and twists on the rest.
+    right = n % 2 == 1
+    ne, nw, sw, se = b.crossing(_OVER_RIGHT if right else _OVER_BOTTOM)
+    t = _Tangle(nw=nw, ne=ne, sw=sw, se=se)
+    (_add_right if right else _add_bottom)(b, t, terms[-1] - 1)
     for k in range(n - 1, 0, -1):
         if k % 2 == 1:
             _add_right(b, t, terms[k - 1])

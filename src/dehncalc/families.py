@@ -12,8 +12,6 @@ three-valued outcome.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -442,11 +440,24 @@ def evaluate_filling(name: str, params: dict, r: Slope) -> Manifold:
     return spec.claim_at(r).build(**params)
 
 
-def _run_check(spec: FamilySpec, check: Check, params: dict) -> CheckResult:
+def _run_check(spec: FamilySpec, check: Check, params: dict,
+               built: dict[Slope, Manifold] | None = None) -> CheckResult:
+    """Run one check; ``built`` memoizes the point's fillings by slope.
+
+    A claim is built when a check first needs it.  A claim that fails to
+    build is not memoized, so every check that needs it raises.
+    """
+    built = {} if built is None else built
+
+    def fill(r: Slope) -> Manifold:
+        if r not in built:
+            built[r] = spec.claim_at(r).build(**params)
+        return built[r]
+
     if check.kind == "wellformed":
         try:
             for c in spec.claims:
-                c.build(**params)
+                fill(c.slope)
         except IllFormedClaimError as exc:
             return CheckResult("wellformed", "all claims build", Status.FAIL,
                                str(exc))
@@ -461,14 +472,14 @@ def _run_check(spec: FamilySpec, check: Check, params: dict) -> CheckResult:
 
     if check.kind == "reducible":
         (r,) = check.slopes
-        m = spec.claim_at(r).build(**params)
+        m = fill(r)
         detail = f"filling({format_slope(r)}) is reducible"
         status = Status.PASS if is_reducible(m) else Status.FAIL
         return CheckResult("reducible", detail, status, str(m))
 
     if check.kind == "finite_type":
         (r,) = check.slopes
-        m = spec.claim_at(r).build(**params)
+        m = fill(r)
         expected: FiniteType = check.expected  # type: ignore[assignment]
         observed = classify_finite_type(m)
         detail = f"classify(filling({format_slope(r)})) = {expected.value}"
@@ -483,8 +494,7 @@ def _run_check(spec: FamilySpec, check: Check, params: dict) -> CheckResult:
 
     if check.kind == "distinct":
         r1, r2 = check.slopes
-        m1 = spec.claim_at(r1).build(**params)
-        m2 = spec.claim_at(r2).build(**params)
+        m1, m2 = fill(r1), fill(r2)
         detail = f"filling({format_slope(r1)}) != filling({format_slope(r2)})"
         outcome = manifold_compare(m1, m2)
         if outcome is Comparison.DISTINCT:
@@ -512,22 +522,29 @@ def verify_family(name: str, params: dict) -> VerificationReport:
     """Run every applicable check of a family at one parameter point."""
     spec = get_family(name)
     _check_params(spec, params)
+    built: dict[Slope, Manifold] = {}
     results = []
     for check in spec.checks:
         if check.when is not None and not check.when(params):
             continue
-        results.append(_run_check(spec, check, params))
+        results.append(_run_check(spec, check, params, built))
     return VerificationReport(spec.name, dict(params),
                               _aggregate(r.status for r in results),
                               tuple(results))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DEHNCALC_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def grid_points(spec: FamilySpec,
+                ranges: dict[str, tuple[int, int]]) -> list[dict]:
+    """The in-domain points of an inclusive grid, ordered by parameter tuple."""
+    if set(ranges) != set(spec.param_names):
+        wanted = ", ".join(spec.param_names) or "none"
+        raise DomainError(
+            f"family {spec.name} takes parameters: {wanted}; got {sorted(ranges)}"
+        )
+    names = spec.param_names
+    grids = [range(ranges[n][0], ranges[n][1] + 1) for n in names]
+    points = (dict(zip(names, combo)) for combo in itertools.product(*grids))
+    return [params for params in points if spec.in_domain(**params)]
 
 
 def sweep_point_reports(
@@ -536,28 +553,10 @@ def sweep_point_reports(
     """Verify a family at every in-domain point of an inclusive grid.
 
     Out-of-domain grid points are skipped.  Results are ordered by
-    parameter tuple, independent of DEHNCALC_THREADS.
+    parameter tuple.
     """
-    spec = get_family(name)
-    if set(ranges) != set(spec.param_names):
-        wanted = ", ".join(spec.param_names) or "none"
-        raise DomainError(
-            f"family {spec.name} takes parameters: {wanted}; got {sorted(ranges)}"
-        )
-    names = spec.param_names
-    grids = [range(ranges[n][0], ranges[n][1] + 1) for n in names]
-    points = [dict(zip(names, combo))
-              for combo in itertools.product(*grids)
-              if spec.in_domain(**dict(zip(names, combo)))]
-
-    def run(params: dict) -> VerificationReport:
-        return verify_family(name, params)
-
-    workers = _worker_count()
-    if workers > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return tuple(pool.map(run, points))
-    return tuple(run(p) for p in points)
+    return tuple(verify_family(name, params)
+                 for params in grid_points(get_family(name), ranges))
 
 
 def sweep_verify(name: str, ranges: dict[str, tuple[int, int]]) -> SweepReport:

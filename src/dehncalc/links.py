@@ -144,12 +144,7 @@ class ConnSumLink(Link):
     parts: tuple[Link, ...]
 
     def __post_init__(self) -> None:
-        flat: list[Link] = []
-        for l in self.parts:
-            if isinstance(l, ConnSumLink):
-                flat.extend(l.parts)
-            elif not isinstance(l, Unknot):
-                flat.append(l)
+        flat = _flatten(self.parts)
         if len(flat) < 2:
             raise IllFormedClaimError(
                 "ConnSumLink needs >= 2 nontrivial parts; use link_connected_sum()"
@@ -161,17 +156,21 @@ class ConnSumLink(Link):
 
 
 def link_connected_sum(*parts: Link) -> Link:
+    flat = _flatten(parts)
+    if len(flat) < 2:
+        return flat[0] if flat else Unknot()
+    return ConnSumLink(tuple(flat))
+
+
+def _flatten(parts) -> list[Link]:
+    """Parts with nested sums spliced in and unknot parts dropped."""
     flat: list[Link] = []
     for l in parts:
         if isinstance(l, ConnSumLink):
             flat.extend(l.parts)
         elif not isinstance(l, Unknot):
             flat.append(l)
-    if not flat:
-        return Unknot()
-    if len(flat) == 1:
-        return flat[0]
-    return ConnSumLink(tuple(flat))
+    return flat
 
 
 def _link_key(l: Link):

@@ -21,7 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from math import gcd, prod
+from typing import ClassVar
 
 
 class IllFormedClaimError(ValueError):
@@ -46,39 +47,166 @@ _TAG_PROPS: dict[str, dict[str, bool]] = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Values of the shape facts: first homology and finite type
+
+
+@dataclass(frozen=True)
+class H1Result:
+    """|H1| when finite (free_rank = 0), otherwise the free rank with order None."""
+
+    order: int | None
+    free_rank: int = 0
+
+    @classmethod
+    def finite(cls, order: int) -> "H1Result":
+        return cls(order=order, free_rank=0)
+
+    @classmethod
+    def infinite(cls, free_rank: int) -> "H1Result":
+        return cls(order=None, free_rank=free_rank)
+
+    @property
+    def is_finite(self) -> bool:
+        return self.order is not None
+
+
+def _sfs_s2_h1_order(e: int, fibers: tuple[tuple[int, int], ...]) -> int:
+    """|e prod(alpha) + sum_i beta_i prod_{j != i} alpha_j|, 0 meaning infinite H1."""
+    total = e * prod(alpha for alpha, _ in fibers)
+    for i, (_, beta) in enumerate(fibers):
+        total += beta * prod(alpha for j, (alpha, _) in enumerate(fibers) if j != i)
+    return abs(total)
+
+
+class FiniteType(Enum):
+    CYCLIC = "cyclic"
+    DIHEDRAL = "dihedral"
+    TETRAHEDRAL = "tetrahedral"
+    OCTAHEDRAL = "octahedral"
+    ICOSAHEDRAL = "icosahedral"
+    NOT_FINITE = "not_finite"
+    UNKNOWN = "unknown"
+
+
+def spherical_triple_type(orders: tuple[int, int, int]) -> FiniteType:
+    """Finite type of a Seifert space over S^2 with the given three orders.
+
+    The triple is spherical iff 1/a + 1/b + 1/c > 1, and the solutions are
+    exactly (2, 2, n), (2, 3, 3), (2, 3, 4), (2, 3, 5) up to order.
+    """
+    a, b, c = sorted(orders)
+    if a == 2 and b == 2:
+        return FiniteType.DIHEDRAL
+    if (a, b) == (2, 3) and c in (3, 4, 5):
+        return {3: FiniteType.TETRAHEDRAL,
+                4: FiniteType.OCTAHEDRAL,
+                5: FiniteType.ICOSAHEDRAL}[c]
+    return FiniteType.NOT_FINITE
+
+
+def _s2_finite_type(orders: tuple[int, ...] | None) -> FiniteType:
+    """Finite type of a Seifert description over S^2 with these orders, if any."""
+    if orders is None or len(orders) != 3:
+        return FiniteType.NOT_FINITE
+    return spherical_triple_type(orders)  # type: ignore[arg-type]
+
+
+# ---------------------------------------------------------------------------
+# The shapes
+
+
 class Manifold:
-    """Base class; all concrete shapes are frozen dataclasses below."""
+    """Base class; all concrete shapes are frozen dataclasses below.
+
+    The facts are the class variables annotated here.  Each shape
+    declares every one in its own class: as a class keyword when the fact
+    is fixed for the shape, or as a property when it depends on the
+    shape's fields.  A fact is None where the description does not decide
+    it.
+    """
+
+    closed: ClassVar[bool | None]
+    # Known reducible: true exactly for connected sums and S1xS2.
+    reducible: ClassVar[bool | None]
+    # The description proves the manifold prime.
+    prime: ClassVar[bool]
+    # Contains an essential torus.
+    toroidal: ClassVar[bool | None]
+    # The normal form is a complete (unoriented) invariant.
+    rigid: ClassVar[bool]
+    # The boundary tori are incompressible (those of a solid torus are not).
+    incompressible_boundary: ClassVar[bool]
+    # S3, a lens space or S1xS2.
+    lens_like: ClassVar[bool]
+    # The >= 3 exceptional orders of a Seifert description over S^2.
+    s2_orders: ClassVar[tuple[int, ...] | None]
+    # First homology; None when the description does not determine it.
+    homology: ClassVar[H1Result | None]
+    finite_type: ClassVar[FiniteType]
+    # Orders the summands of a sum and the pieces of a torus union.
+    sort_key: ClassVar[tuple]
+
+    def __init_subclass__(cls, **facts) -> None:
+        super().__init_subclass__()
+        unknown = set(facts) - set(SHAPE_FACTS)
+        for name, value in facts.items():
+            setattr(cls, name, value)
+        missing = [f for f in SHAPE_FACTS if f not in vars(cls)]
+        if unknown or missing:
+            raise TypeError(f"{cls.__name__}: unknown facts {sorted(unknown)}, "
+                            f"undeclared facts {missing}")
 
     def __str__(self) -> str:  # pragma: no cover - overridden everywhere
         return type(self).__name__
 
 
+SHAPE_FACTS = tuple(Manifold.__annotations__)
+
+
 @dataclass(frozen=True)
-class S3(Manifold):
+class S3(Manifold, closed=True, reducible=False, prime=True, toroidal=False,
+         rigid=True, incompressible_boundary=False, lens_like=True,
+         s2_orders=None, homology=H1Result.finite(1),
+         finite_type=FiniteType.CYCLIC, sort_key=("S3", ())):
     def __str__(self) -> str:
         return "S3"
 
 
 @dataclass(frozen=True)
-class S1xS2(Manifold):
+class S1xS2(Manifold, closed=True, reducible=True, prime=True, toroidal=False,
+            rigid=True, incompressible_boundary=False, lens_like=True,
+            s2_orders=None, homology=H1Result.infinite(1),
+            finite_type=FiniteType.NOT_FINITE, sort_key=("S1xS2", ())):
     def __str__(self) -> str:
         return "S1xS2"
 
 
 @dataclass(frozen=True)
-class SolidTorus(Manifold):
+class SolidTorus(Manifold, closed=False, reducible=False, prime=True,
+                 toroidal=None, rigid=True, incompressible_boundary=False,
+                 lens_like=False, s2_orders=None,
+                 homology=H1Result.infinite(1),
+                 finite_type=FiniteType.NOT_FINITE,
+                 sort_key=("SolidTorus", ())):
     def __str__(self) -> str:
         return "ST"
 
 
 @dataclass(frozen=True)
-class T2xI(Manifold):
+class T2xI(Manifold, closed=False, reducible=False, prime=True, toroidal=None,
+           rigid=True, incompressible_boundary=True, lens_like=False,
+           s2_orders=None, homology=H1Result.infinite(2),
+           finite_type=FiniteType.NOT_FINITE, sort_key=("T2xI", ())):
     def __str__(self) -> str:
         return "T2xI"
 
 
 @dataclass(frozen=True)
-class ZxS1(Manifold):
+class ZxS1(Manifold, closed=False, reducible=False, prime=True, toroidal=None,
+           rigid=True, incompressible_boundary=True, lens_like=False,
+           s2_orders=None, homology=H1Result.infinite(3),
+           finite_type=FiniteType.NOT_FINITE, sort_key=("ZxS1", ())):
     """Product of a compact planar surface Z with S^1 (an exceptional filling)."""
 
     def __str__(self) -> str:
@@ -97,7 +225,9 @@ def lens_parameter_orbit(p: int, q: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Lens(Manifold):
+class Lens(Manifold, closed=True, reducible=False, prime=True, toroidal=False,
+           rigid=True, incompressible_boundary=False, lens_like=True,
+           s2_orders=None, finite_type=FiniteType.CYCLIC):
     """L(p, q), normalized on construction to the canonical unoriented form."""
 
     p: int
@@ -114,6 +244,9 @@ class Lens(Manifold):
             raise IllFormedClaimError(f"L({self.p},{self.q}) needs gcd(p, q) = 1")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", lens_parameter_orbit(p, q)[0])
+
+    homology = property(lambda self: H1Result.finite(self.p))
+    sort_key = property(lambda self: ("Lens", (self.p, self.q)))
 
     def __str__(self) -> str:
         return f"L({self.p},{self.q})"
@@ -138,13 +271,14 @@ def lens_homeomorphic(a: Manifold, b: Manifold) -> bool:
     min{+-q^{+-1} mod p}, homeomorphism is exactly normal-form equality.
     """
     for m in (a, b):
-        if not isinstance(m, (Lens, S3, S1xS2)):
+        if not getattr(m, "lens_like", False):
             raise ValueError(f"not a lens-space-like manifold: {m}")
     return a == b
 
 
 @dataclass(frozen=True)
-class SfsS2(Manifold):
+class SfsS2(Manifold, closed=True, reducible=False, prime=True, rigid=True,
+            incompressible_boundary=False, lens_like=False):
     """Seifert space over S^2 with exact invariants (e; beta1/alpha1, ...)."""
 
     e: int
@@ -175,6 +309,19 @@ class SfsS2(Manifold):
     def orders(self) -> tuple[int, ...]:
         return tuple(sorted(alpha for alpha, _ in self.fibers))
 
+    s2_orders = orders
+    finite_type = property(lambda self: _s2_finite_type(self.orders))
+    sort_key = property(lambda self: ("SfsS2", (self.e,) + self.fibers))
+
+    @property
+    def homology(self) -> H1Result:
+        order = _sfs_s2_h1_order(self.e, self.fibers)
+        return H1Result.finite(order) if order else H1Result.infinite(1)
+
+    @property
+    def toroidal(self) -> bool:
+        return len(self.fibers) >= 4 or not self.homology.is_finite
+
     def mirror(self) -> "SfsS2":
         return SfsS2(-self.e - len(self.fibers),
                      tuple((a, a - b) for a, b in self.fibers))
@@ -192,7 +339,8 @@ _MIN_ORDER_COUNT = {BASE_S2: 3, BASE_D2: 2, BASE_M2: 1}
 
 
 @dataclass(frozen=True)
-class SfsOrdersOnly(Manifold):
+class SfsOrdersOnly(Manifold, reducible=False, prime=True, rigid=False,
+                    lens_like=False, homology=None):
     """A Seifert space known only by base and exceptional-fiber orders."""
 
     base: str
@@ -210,6 +358,20 @@ class SfsOrdersOnly(Manifold):
                 "use sfs_orders()"
             )
         object.__setattr__(self, "orders", orders)
+
+    closed = property(lambda self: self.base == BASE_S2)
+    incompressible_boundary = property(
+        lambda self: self.base in (BASE_D2, BASE_M2))
+    s2_orders = property(
+        lambda self: self.orders if self.base == BASE_S2 else None)
+    finite_type = property(lambda self: _s2_finite_type(self.s2_orders))
+    sort_key = property(lambda self: ("SfsOrders:" + self.base, self.orders))
+
+    @property
+    def toroidal(self) -> bool | None:
+        # A spherical triple forces an atoroidal small Seifert space;
+        # otherwise the missing Euler number can flip the answer.
+        return None if self.finite_type is FiniteType.NOT_FINITE else False
 
     def __str__(self) -> str:
         return f"{self.base}({','.join(str(a) for a in self.orders)})"
@@ -243,7 +405,11 @@ def sfs_orders(base: str, orders: tuple[int, ...] | list[int]) -> Manifold:
 
 
 @dataclass(frozen=True)
-class CableSpace(Manifold):
+class CableSpace(Manifold, closed=False, reducible=False, prime=True,
+                 toroidal=None, rigid=True, incompressible_boundary=True,
+                 lens_like=False, s2_orders=None,
+                 homology=H1Result.infinite(2),
+                 finite_type=FiniteType.NOT_FINITE):
     """C(s, t): the exterior of an (s, t)-curve in a solid torus, t >= 2 strands."""
 
     s: int
@@ -255,38 +421,91 @@ class CableSpace(Manifold):
         if gcd(self.s, self.t) != 1:
             raise IllFormedClaimError(f"C({self.s},{self.t}) needs gcd(s, t) = 1")
 
+    sort_key = property(lambda self: ("Cable", (self.s, self.t)))
+
     def __str__(self) -> str:
         return f"C({self.s},{self.t})"
 
 
+def _tag_prop(name: str, unknown: bool | None = None) -> property:
+    return property(lambda self: _TAG_PROPS.get(self.label, {}).get(name, unknown))
+
+
 @dataclass(frozen=True)
-class OpaqueTag(Manifold):
+class OpaqueTag(Manifold, rigid=False, incompressible_boundary=False,
+                lens_like=False, s2_orders=None, homology=None):
     """A manifold known only through qualitative properties (see _TAG_PROPS)."""
 
     label: str
+
+    closed = _tag_prop("closed")
+    reducible = _tag_prop("reducible")
+    toroidal = _tag_prop("toroidal")
+    prime = _tag_prop("prime", False)
+    finite_type = property(lambda self: FiniteType.NOT_FINITE if self.toroidal
+                           else FiniteType.UNKNOWN)
+    sort_key = property(lambda self: ("Tag:" + self.label, ()))
 
     def __str__(self) -> str:
         return f"tag({self.label})"
 
 
+def _sum_fact(answers, decisive: bool) -> bool | None:
+    """A fact of a sum: one summand with the decisive answer settles it,
+    and so do all summands agreeing on the other answer."""
+    answers = list(answers)
+    if any(a is decisive for a in answers):
+        return decisive
+    if all(a is (not decisive) for a in answers):
+        return not decisive
+    return None
+
+
+def _flatten(summands) -> list[Manifold]:
+    """Summands with nested sums spliced in and S3 summands dropped."""
+    flat: list[Manifold] = []
+    for m in summands:
+        if isinstance(m, ConnSum):
+            flat.extend(m.summands)
+        elif not isinstance(m, S3):
+            flat.append(m)
+    return flat
+
+
 @dataclass(frozen=True)
-class ConnSum(Manifold):
+class ConnSum(Manifold, reducible=True, prime=False,
+              incompressible_boundary=False, lens_like=False, s2_orders=None,
+              finite_type=FiniteType.NOT_FINITE):
     """Connected sum, kept flat, S3-free, and sorted so equality is structural."""
 
     summands: tuple[Manifold, ...]
 
     def __post_init__(self) -> None:
-        flat: list[Manifold] = []
-        for m in self.summands:
-            if isinstance(m, ConnSum):
-                flat.extend(m.summands)
-            elif not isinstance(m, S3):
-                flat.append(m)
+        flat = _flatten(self.summands)
         if len(flat) < 2:
             raise IllFormedClaimError(
                 "ConnSum needs >= 2 nontrivial summands; use connected_sum()"
             )
-        object.__setattr__(self, "summands", tuple(sorted(flat, key=_sort_key)))
+        object.__setattr__(self, "summands",
+                           tuple(sorted(flat, key=lambda m: m.sort_key)))
+
+    closed = property(
+        lambda self: _sum_fact((m.closed for m in self.summands), False))
+    toroidal = property(
+        lambda self: _sum_fact((m.toroidal for m in self.summands), True))
+    rigid = property(lambda self: all(m.rigid for m in self.summands))
+    sort_key = property(
+        lambda self: ("ConnSum", tuple(m.sort_key for m in self.summands)))
+
+    @property
+    def homology(self) -> H1Result | None:
+        parts = [m.homology for m in self.summands]
+        if any(r is None for r in parts):
+            return None
+        rank = sum(r.free_rank for r in parts)
+        if rank:
+            return H1Result.infinite(rank)
+        return H1Result.finite(prod(r.order for r in parts))
 
     def __str__(self) -> str:
         return " # ".join(str(m) for m in self.summands)
@@ -294,21 +513,18 @@ class ConnSum(Manifold):
 
 def connected_sum(*summands: Manifold) -> Manifold:
     """Connected sum with S3 summands absorbed and singletons unwrapped."""
-    flat: list[Manifold] = []
-    for m in summands:
-        if isinstance(m, ConnSum):
-            flat.extend(m.summands)
-        elif not isinstance(m, S3):
-            flat.append(m)
-    if not flat:
-        return S3()
-    if len(flat) == 1:
-        return flat[0]
+    flat = _flatten(summands)
+    if len(flat) < 2:
+        return flat[0] if flat else S3()
     return ConnSum(tuple(flat))
 
 
 @dataclass(frozen=True)
-class TorusUnion(Manifold):
+class TorusUnion(Manifold, prime=False, toroidal=None, rigid=False,
+                 incompressible_boundary=False, lens_like=False,
+                 s2_orders=None, homology=None,
+                 finite_type=FiniteType.NOT_FINITE,
+                 closed=None):  # it may or may not use up all its boundary
     """A union of two or more pieces glued along boundary tori, gluing unspecified."""
 
     pieces: tuple[Manifold, ...]
@@ -316,7 +532,18 @@ class TorusUnion(Manifold):
     def __post_init__(self) -> None:
         if len(self.pieces) < 2:
             raise IllFormedClaimError("TorusUnion needs >= 2 pieces")
-        object.__setattr__(self, "pieces", tuple(sorted(self.pieces, key=_sort_key)))
+        object.__setattr__(self, "pieces",
+                           tuple(sorted(self.pieces, key=lambda m: m.sort_key)))
+
+    @property
+    def reducible(self) -> bool | None:
+        # Irreducible pieces glued along incompressible tori stay irreducible.
+        if all(m.incompressible_boundary for m in self.pieces):
+            return False
+        return None
+
+    sort_key = property(
+        lambda self: ("TorusUnion", tuple(m.sort_key for m in self.pieces)))
 
     def __str__(self) -> str:
         return f"U[{', '.join(str(m) for m in self.pieces)}]"
@@ -326,134 +553,21 @@ def torus_union(*pieces: Manifold) -> TorusUnion:
     return TorusUnion(tuple(pieces))
 
 
-def _sort_key(m: Manifold):
-    if isinstance(m, Lens):
-        return ("Lens", (m.p, m.q))
-    if isinstance(m, SfsS2):
-        return ("SfsS2", (m.e,) + m.fibers)
-    if isinstance(m, SfsOrdersOnly):
-        return ("SfsOrders:" + m.base, m.orders)
-    if isinstance(m, CableSpace):
-        return ("Cable", (m.s, m.t))
-    if isinstance(m, OpaqueTag):
-        return ("Tag:" + m.label, ())
-    if isinstance(m, ConnSum):
-        return ("ConnSum", tuple(_sort_key(s) for s in m.summands))
-    if isinstance(m, TorusUnion):
-        return ("TorusUnion", tuple(_sort_key(s) for s in m.pieces))
-    return (type(m).__name__, ())
-
-
 # ---------------------------------------------------------------------------
-# First homology
-
-
-@dataclass(frozen=True)
-class H1Result:
-    """|H1| when finite (free_rank = 0), otherwise the free rank with order None."""
-
-    order: int | None
-    free_rank: int = 0
-
-    @classmethod
-    def finite(cls, order: int) -> "H1Result":
-        return cls(order=order, free_rank=0)
-
-    @classmethod
-    def infinite(cls, free_rank: int) -> "H1Result":
-        return cls(order=None, free_rank=free_rank)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.order is not None
-
-
-def _sfs_s2_h1_order(e: int, fibers: tuple[tuple[int, int], ...]) -> int:
-    """|e prod(alpha) + sum_i beta_i prod_{j != i} alpha_j|, 0 meaning infinite H1."""
-    prod = 1
-    for alpha, _ in fibers:
-        prod *= alpha
-    total = e * prod
-    for i, (alpha, beta) in enumerate(fibers):
-        term = beta
-        for j, (alpha_j, _) in enumerate(fibers):
-            if j != i:
-                term *= alpha_j
-        total += term
-    return abs(total)
+# First homology, reducibility, finite-type classification
 
 
 def h1(m: Manifold) -> H1Result:
     """First homology for every exact shape; raises on partial descriptions."""
-    if isinstance(m, S3):
-        return H1Result.finite(1)
-    if isinstance(m, Lens):
-        return H1Result.finite(m.p)
-    if isinstance(m, S1xS2):
-        return H1Result.infinite(1)
-    if isinstance(m, SolidTorus):
-        return H1Result.infinite(1)
-    if isinstance(m, T2xI):
-        return H1Result.infinite(2)
-    if isinstance(m, CableSpace):
-        return H1Result.infinite(2)
-    if isinstance(m, ZxS1):
-        return H1Result.infinite(3)
-    if isinstance(m, SfsS2):
-        order = _sfs_s2_h1_order(m.e, m.fibers)
-        return H1Result.finite(order) if order else H1Result.infinite(1)
-    if isinstance(m, ConnSum):
-        parts = [h1(s) for s in m.summands]
-        rank = sum(r.free_rank for r in parts)
-        if rank:
-            return H1Result.infinite(rank)
-        order = 1
-        for r in parts:
-            order *= r.order  # type: ignore[operator]
-        return H1Result.finite(order)
-    raise IndeterminateError(f"h1 is not determined by {m}")
-
-
-def _h1_or_none(m: Manifold) -> H1Result | None:
-    try:
-        return h1(m)
-    except IndeterminateError:
-        return None
-
-
-# ---------------------------------------------------------------------------
-# Reducibility, finite-type classification
+    result = m.homology
+    if result is None:
+        raise IndeterminateError(f"h1 is not determined by {m}")
+    return result
 
 
 def is_reducible(m: Manifold) -> bool:
     """True exactly for connected sums and S1xS2; every other shape is prime."""
-    return isinstance(m, (ConnSum, S1xS2))
-
-
-class FiniteType(Enum):
-    CYCLIC = "cyclic"
-    DIHEDRAL = "dihedral"
-    TETRAHEDRAL = "tetrahedral"
-    OCTAHEDRAL = "octahedral"
-    ICOSAHEDRAL = "icosahedral"
-    NOT_FINITE = "not_finite"
-    UNKNOWN = "unknown"
-
-
-def spherical_triple_type(orders: tuple[int, int, int]) -> FiniteType:
-    """Finite type of a Seifert space over S^2 with the given three orders.
-
-    The triple is spherical iff 1/a + 1/b + 1/c > 1, and the solutions are
-    exactly (2, 2, n), (2, 3, 3), (2, 3, 4), (2, 3, 5) up to order.
-    """
-    a, b, c = sorted(orders)
-    if a == 2 and b == 2:
-        return FiniteType.DIHEDRAL
-    if (a, b) == (2, 3) and c in (3, 4, 5):
-        return {3: FiniteType.TETRAHEDRAL,
-                4: FiniteType.OCTAHEDRAL,
-                5: FiniteType.ICOSAHEDRAL}[c]
-    return FiniteType.NOT_FINITE
+    return m.reducible is True
 
 
 def classify_finite_type(m: Manifold) -> FiniteType:
@@ -464,26 +578,9 @@ def classify_finite_type(m: Manifold) -> FiniteType:
     no framing data is needed); the lens-type tag is the one genuinely
     unknown case.
     """
-    if isinstance(m, (S3, Lens)):
-        return FiniteType.CYCLIC
-    if isinstance(m, (S1xS2, ConnSum, TorusUnion, SolidTorus, T2xI, CableSpace, ZxS1)):
-        return FiniteType.NOT_FINITE
-    if isinstance(m, SfsS2):
-        orders = m.orders
-        if len(orders) != 3:
-            return FiniteType.NOT_FINITE
-        return spherical_triple_type(orders)  # type: ignore[arg-type]
-    if isinstance(m, SfsOrdersOnly):
-        if m.base != BASE_S2:
-            return FiniteType.NOT_FINITE
-        if len(m.orders) != 3:
-            return FiniteType.NOT_FINITE
-        return spherical_triple_type(m.orders)  # type: ignore[arg-type]
-    if isinstance(m, OpaqueTag):
-        if _TAG_PROPS.get(m.label, {}).get("toroidal"):
-            return FiniteType.NOT_FINITE
-        return FiniteType.UNKNOWN
-    raise TypeError(f"not a manifold: {m!r}")
+    if not isinstance(m, Manifold):
+        raise TypeError(f"not a manifold: {m!r}")
+    return m.finite_type
 
 
 # ---------------------------------------------------------------------------
@@ -496,92 +593,9 @@ class Comparison(Enum):
     INDETERMINATE = "indeterminate"
 
 
-_RIGID = (S3, Lens, SfsS2, S1xS2, SolidTorus, T2xI, CableSpace, ZxS1)
-
-
-def _is_rigid(m: Manifold) -> bool:
-    """Shapes whose normal form is a complete (unoriented) invariant."""
-    if isinstance(m, ConnSum):
-        return all(_is_rigid(s) for s in m.summands)
-    return isinstance(m, _RIGID)
-
-
-def _is_closed(m: Manifold) -> bool | None:
-    if isinstance(m, (S3, Lens, SfsS2, S1xS2)):
-        return True
-    if isinstance(m, (SolidTorus, T2xI, CableSpace, ZxS1)):
-        return False
-    if isinstance(m, ConnSum):
-        answers = [_is_closed(s) for s in m.summands]
-        if any(a is False for a in answers):
-            return False
-        if all(a is True for a in answers):
-            return True
-        return None
-    if isinstance(m, SfsOrdersOnly):
-        return m.base == BASE_S2
-    if isinstance(m, OpaqueTag):
-        return _TAG_PROPS.get(m.label, {}).get("closed")
-    return None  # a torus union may or may not use up all its boundary
-
-
-def _incompressible_boundary(m: Manifold) -> bool:
-    """Pieces whose boundary tori are incompressible (solid tori are not)."""
-    if isinstance(m, SfsOrdersOnly):
-        return m.base in (BASE_D2, BASE_M2)
-    return isinstance(m, (CableSpace, T2xI, ZxS1))
-
-
-def _is_reducible_known(m: Manifold) -> bool | None:
-    if isinstance(m, (ConnSum, S1xS2)):
-        return True
-    if isinstance(m, (S3, Lens, SfsS2, SolidTorus, T2xI, CableSpace, ZxS1,
-                      SfsOrdersOnly)):
-        return False
-    if isinstance(m, TorusUnion):
-        # Irreducible pieces glued along incompressible tori stay irreducible.
-        if all(_incompressible_boundary(piece) for piece in m.pieces):
-            return False
-        return None
-    if isinstance(m, OpaqueTag):
-        return _TAG_PROPS.get(m.label, {}).get("reducible")
-    return None
-
-
-def _known_prime(m: Manifold) -> bool:
-    """True when the description proves the manifold is prime."""
-    if isinstance(m, (S3, Lens, SfsS2, S1xS2, SolidTorus, T2xI, CableSpace,
-                      ZxS1, SfsOrdersOnly)):
-        return True
-    if isinstance(m, OpaqueTag):
-        return bool(_TAG_PROPS.get(m.label, {}).get("prime"))
-    return False
-
-
-def _is_toroidal(m: Manifold) -> bool | None:
-    """Presence of an essential torus, where the description decides it."""
-    if isinstance(m, (S3, Lens, S1xS2)):
-        return False
-    if isinstance(m, SfsS2):
-        return len(m.fibers) >= 4 or not h1(m).is_finite
-    if isinstance(m, SfsOrdersOnly):
-        if m.base == BASE_S2 and len(m.orders) == 3:
-            # A spherical triple forces an atoroidal small Seifert space;
-            # otherwise the missing Euler number can flip the answer.
-            if spherical_triple_type(m.orders) is not FiniteType.NOT_FINITE:  # type: ignore[arg-type]
-                return False
-            return None
-        return None
-    if isinstance(m, ConnSum):
-        answers = [_is_toroidal(s) for s in m.summands]
-        if any(a is True for a in answers):
-            return True
-        if all(a is False for a in answers):
-            return False
-        return None
-    if isinstance(m, OpaqueTag):
-        return _TAG_PROPS.get(m.label, {}).get("toroidal")
-    return None
+# Facts that are homeomorphism invariants: two descriptions that both
+# decide one of them, differently, are distinct.
+_INVARIANT_FACTS = ("closed", "reducible", "toroidal", "homology")
 
 
 def _compare_conn_sums(m1: ConnSum, m2: ConnSum) -> Comparison:
@@ -605,75 +619,57 @@ def manifold_compare(m1: Manifold, m2: Manifold) -> Comparison:
     whenever the missing data could change the answer.
     """
     if m1 == m2:
-        if _is_rigid(m1):
-            return Comparison.EQUAL
         # Identical partial descriptions may still denote different manifolds.
-        return Comparison.INDETERMINATE
+        return Comparison.EQUAL if m1.rigid else Comparison.INDETERMINATE
 
     if isinstance(m1, SfsS2) and isinstance(m2, SfsS2):
         return Comparison.EQUAL if m1.mirror() == m2 else Comparison.DISTINCT
 
-    if _is_rigid(m1) and _is_rigid(m2):
-        if isinstance(m1, ConnSum) and isinstance(m2, ConnSum):
+    sum1, sum2 = isinstance(m1, ConnSum), isinstance(m2, ConnSum)
+    if m1.rigid and m2.rigid:
+        if sum1 and sum2:
             return _compare_conn_sums(m1, m2)
         return Comparison.DISTINCT
 
     # One side (at least) is partial: run the invariant battery.
-    closed1, closed2 = _is_closed(m1), _is_closed(m2)
-    if closed1 is not None and closed2 is not None and closed1 != closed2:
-        return Comparison.DISTINCT
-    red1, red2 = _is_reducible_known(m1), _is_reducible_known(m2)
-    if red1 is not None and red2 is not None and red1 != red2:
-        return Comparison.DISTINCT
-    tor1, tor2 = _is_toroidal(m1), _is_toroidal(m2)
-    if tor1 is not None and tor2 is not None and tor1 != tor2:
-        return Comparison.DISTINCT
-    r1, r2 = _h1_or_none(m1), _h1_or_none(m2)
-    if r1 is not None and r2 is not None and r1 != r2:
-        return Comparison.DISTINCT
+    for fact in _INVARIANT_FACTS:
+        a, b = getattr(m1, fact), getattr(m2, fact)
+        if a is not None and b is not None and a != b:
+            return Comparison.DISTINCT
 
-    if isinstance(m1, ConnSum) and isinstance(m2, ConnSum):
+    if sum1 and sum2:
         return _compare_conn_sums(m1, m2)
-    if isinstance(m1, ConnSum) != isinstance(m2, ConnSum):
-        total, single = (m1, m2) if isinstance(m1, ConnSum) else (m2, m1)
+    if sum1 or sum2:
+        total, single = (m1, m2) if sum1 else (m2, m1)
         # A sum of >= 2 provably prime pieces cannot be a prime manifold.
-        if all(_known_prime(s) for s in total.summands) and _known_prime(single):
+        if single.prime and all(m.prime for m in total.summands):
             return Comparison.DISTINCT
         return Comparison.INDETERMINATE
+    return _compare_seifert(m1, m2)
 
-    orders1, orders2 = _seifert_s2_orders(m1), _seifert_s2_orders(m2)
+
+def _compare_seifert(m1: Manifold, m2: Manifold) -> Comparison:
+    """Two unequal descriptions, neither a sum and one at least partial,
+    compared by their Seifert data."""
+    orders1, orders2 = m1.s2_orders, m2.s2_orders
     if orders1 is not None and orders2 is not None:
         # Seifert spaces over S^2 with >= 3 fibers have a unique such
         # presentation, so the order multiset is a homeomorphism invariant.
         return Comparison.INDETERMINATE if orders1 == orders2 else Comparison.DISTINCT
-    if (orders1 is None) != (orders2 is None):
-        if isinstance(m1, (Lens, S3, S1xS2)) or isinstance(m2, (Lens, S3, S1xS2)):
-            # Lens-like spaces never fiber over S^2 with >= 3 exceptional fibers.
-            return Comparison.DISTINCT
+    if (orders1 is None) != (orders2 is None) and (m1.lens_like or m2.lens_like):
+        # Lens-like spaces never fiber over S^2 with >= 3 exceptional fibers.
+        return Comparison.DISTINCT
 
-    if isinstance(m1, SfsOrdersOnly) and isinstance(m2, SfsOrdersOnly):
-        if m1.base != m2.base or m1.orders != m2.orders:
+    for partial, other in ((m1, m2), (m2, m1)):
+        if isinstance(partial, SfsOrdersOnly) and (
+                isinstance(other, SfsOrdersOnly)
+                or other.rigid and other.closed is False):
             # Bounded pieces over D2/M2 with these order counts carry a
-            # unique Seifert structure, so base and orders must agree.
+            # unique Seifert structure, so two unequal ones differ, and so
+            # do such a piece and a rigid bounded atom (solid torus, T2xI,
+            # cable space, ZxS1).
             return Comparison.DISTINCT
-        return Comparison.INDETERMINATE
-    if isinstance(m1, SfsOrdersOnly) or isinstance(m2, SfsOrdersOnly):
-        partial, other = (m1, m2) if isinstance(m1, SfsOrdersOnly) else (m2, m1)
-        if isinstance(other, (SolidTorus, T2xI, CableSpace, ZxS1)):
-            # These atoms are Seifert pieces whose structure differs from
-            # any D2/M2 piece with the retained orders.
-            return Comparison.DISTINCT
-
     return Comparison.INDETERMINATE
-
-
-def _seifert_s2_orders(m: Manifold) -> tuple[int, ...] | None:
-    """The >= 3 exceptional orders of an S^2-base Seifert description, if that."""
-    if isinstance(m, SfsS2):
-        return m.orders
-    if isinstance(m, SfsOrdersOnly) and m.base == BASE_S2:
-        return m.orders
-    return None
 
 
 def manifold_equal(m1: Manifold, m2: Manifold) -> bool:

@@ -226,14 +226,6 @@ def test_byte_determinism_same_invocation(capsys):
     assert j1 == j2
 
 
-def test_byte_determinism_under_threads(capsys, monkeypatch):
-    argv = ["family-sweep", "dihedral", "--p", "3..8", "--q", "3..8"]
-    _, serial, _ = _run(capsys, argv)
-    monkeypatch.setenv("DEHNCALC_THREADS", "4")
-    _, threaded, _ = _run(capsys, argv)
-    assert serial == threaded
-
-
 def test_usage_errors_exit_two(capsys):
     for argv in (["nonesuch"],
                  ["distance", "0"],

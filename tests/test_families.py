@@ -1,13 +1,14 @@
 import pytest
 
-from dehncalc.families import (Check, Claim, DomainError, FamilySpec, Status,
-                               _run_check, evaluate_filling, family_catalog,
-                               get_family, scan_icosahedral_pairs,
-                               sweep_point_reports, sweep_verify,
-                               verify_family)
+from dehncalc.families import (FAMILIES, Check, Claim, DomainError,
+                               FamilySpec, Status, _run_check,
+                               evaluate_filling, family_catalog, get_family,
+                               scan_icosahedral_pairs, sweep_point_reports,
+                               sweep_verify, verify_family)
 from dehncalc.manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
-                                Lens, OpaqueTag, S1xS2, SolidTorus,
-                                TAG_TOROIDAL, TAG_TOROIDAL_IRREDUCIBLE, ZxS1,
+                                IllFormedClaimError, Lens, OpaqueTag, S1xS2,
+                                SolidTorus, TAG_TOROIDAL,
+                                TAG_TOROIDAL_IRREDUCIBLE, ZxS1,
                                 classify_finite_type, connected_sum,
                                 lens_homeomorphic, lens_space, sfs_orders,
                                 torus_union)
@@ -199,11 +200,7 @@ def test_sweep_octahedral_range():
     assert report.failed == 0 and report.indeterminate == 0
 
 
-def test_sweep_parallel_matches_serial(monkeypatch):
-    serial = sweep_verify("cyclic", {"p": (2, 6), "q": (4, 8)})
-    monkeypatch.setenv("DEHNCALC_THREADS", "4")
-    parallel = sweep_verify("cyclic", {"p": (2, 6), "q": (4, 8)})
-    assert parallel == serial
+def test_sweep_points_follow_grid_order():
     points = sweep_point_reports("cyclic", {"p": (2, 6), "q": (4, 8)})
     assert [r.params for r in points] == \
         [{"p": p, "q": q} for p in range(2, 7) for q in range(4, 9)]
@@ -234,3 +231,33 @@ def test_run_check_indeterminate_finite_type():
         checks=(Check("finite_type", (Slope(0),), FiniteType.CYCLIC),))
     result = _run_check(shrug, shrug.checks[0], {})
     assert result.status is Status.INDETERMINATE
+
+
+def test_verify_family_builds_each_claim_once(monkeypatch):
+    built = []
+    counted = FamilySpec(
+        name="counted", description="", param_names=(),
+        domain_doc="", in_domain=lambda: True,
+        claims=(Claim(Slope(0), "L(2,1) # L(3,1)",
+                      lambda: built.append("0") or connected_sum(
+                          lens_space(2, 1), lens_space(3, 1))),
+                Claim(INFINITY, "L(6,1)",
+                      lambda: built.append("1/0") or lens_space(6, 1))),
+        checks=(Check("wellformed"),
+                Check("reducible", (Slope(0),)),
+                Check("finite_type", (INFINITY,), FiniteType.CYCLIC),
+                Check("distinct", (Slope(0), INFINITY))))
+    monkeypatch.setitem(FAMILIES, "counted", counted)
+    assert verify_family("counted", {}).status is Status.PASS
+    assert sorted(built) == ["0", "1/0"]
+
+
+def test_ill_formed_claim_raises_from_later_checks(monkeypatch):
+    broken = FamilySpec(
+        name="broken", description="", param_names=(),
+        domain_doc="", in_domain=lambda: True,
+        claims=(Claim(Slope(0), "L(4,2)", lambda: Lens(4, 2)),),
+        checks=(Check("wellformed"), Check("reducible", (Slope(0),))))
+    monkeypatch.setitem(FAMILIES, "broken", broken)
+    with pytest.raises(IllFormedClaimError):
+        verify_family("broken", {})

@@ -3,9 +3,11 @@ from math import gcd
 
 import pytest
 
-from dehncalc.manifolds import (BASE_D2, BASE_M2, BASE_S2, CableSpace,
-                                Comparison, ConnSum, FiniteType, H1Result,
-                                IllFormedClaimError, IndeterminateError, Lens,
+from dehncalc import manifolds
+from dehncalc.manifolds import (BASE_D2, BASE_M2, BASE_S2, SHAPE_FACTS,
+                                CableSpace, Comparison, ConnSum, FiniteType,
+                                H1Result, IllFormedClaimError,
+                                IndeterminateError, Lens, Manifold,
                                 OpaqueTag, S3, S1xS2, SfsOrdersOnly, SfsS2,
                                 SolidTorus, T2xI, TAG_LENS_TYPE, TAG_TOROIDAL,
                                 TAG_TOROIDAL_IRREDUCIBLE, TorusUnion, ZxS1,
@@ -331,3 +333,27 @@ def test_printed_forms():
     assert str(torus_union(CableSpace(1, 2), sfs_orders(BASE_D2, (2, 3)))) == \
         "U[C(1,2), D2(2,3)]"
     assert str(OpaqueTag(TAG_TOROIDAL)) == "tag(toroidal)"
+
+
+# ---------------------------------------------------------------------------
+# Shape facts
+
+
+def _shapes(cls=Manifold):
+    for sub in cls.__subclasses__():
+        if sub.__module__ == manifolds.__name__:
+            yield sub
+            yield from _shapes(sub)
+
+
+def test_every_shape_declares_every_fact():
+    shapes = list(_shapes())
+    assert len(shapes) == 12
+    for shape in shapes:
+        assert [f for f in SHAPE_FACTS if f not in vars(shape)] == [], shape
+
+
+def test_shape_missing_a_fact_is_rejected():
+    with pytest.raises(TypeError, match="undeclared facts"):
+        class Half(Manifold, closed=True):
+            pass
