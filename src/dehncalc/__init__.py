@@ -23,12 +23,12 @@ from .manifolds import (BASE_D2, BASE_M2, BASE_S2, CableSpace, Comparison,
 from .links import (ConnSumLink, Link, MontesinosLink, TwoBridge, Unknot,
                     Unlink, link_connected_sum, link_determinant, montesinos,
                     numerator_closure, two_bridge, unlink)
-from .cover import double_branched_cover, tangle_to_filling_slope
+from .cover import double_branched_cover
 from .cables import (CableContext, CableFillResult, cable_fill,
                      describe_cable_fill, meridian_distance_cabled,
                      meridian_distance_squared, winding_bound)
 from .families import (Check, CheckResult, Claim, DomainError, Edge,
-                       FamilySpec, Status, SweepReport, VerificationReport,
+                       FamilySpec, SweepReport, VerificationReport,
                        evaluate_filling, family_catalog, get_family,
                        scan_icosahedral_pairs, sweep_point_reports,
                        sweep_verify, verify_family)
@@ -38,7 +38,8 @@ from .diagrams import (Checkerboard, CombinatorialMap, Crossing, OracleReport,
                        oracle_cross_check, random_montesinos,
                        two_bridge_diagram)
 from .parsing import ParseError, parse_link_expr, parse_manifold_expr
-from .reports import Report, SCHEMA_VERSION, combine_status, emit_report, exit_code
+from .reports import (Report, SCHEMA_VERSION, Status, combine_status,
+                      emit_report, exit_code)
 
 __version__ = "0.1.0"
 
@@ -55,7 +56,7 @@ __all__ = [
     "ConnSumLink", "Link", "MontesinosLink", "TwoBridge", "Unknot", "Unlink",
     "link_connected_sum", "link_determinant", "montesinos",
     "numerator_closure", "two_bridge", "unlink",
-    "double_branched_cover", "tangle_to_filling_slope",
+    "double_branched_cover",
     "CableContext", "CableFillResult", "cable_fill", "describe_cable_fill",
     "meridian_distance_cabled", "meridian_distance_squared", "winding_bound",
     "Check", "CheckResult", "Claim", "DomainError", "Edge", "FamilySpec",

@@ -16,14 +16,15 @@ import sys
 from .cables import CableContext, describe_cable_fill, meridian_distance_cabled
 from .cover import double_branched_cover
 from .diagrams import oracle_cross_check, random_montesinos
-from .families import (DomainError, FamilySpec, Status, family_catalog,
-                       get_family, grid_points, sweep_point_reports)
+from .families import (DomainError, FamilySpec, VerificationReport,
+                       family_catalog, get_family, grid_points,
+                       sweep_point_reports)
 from .links import link_determinant
 from .manifolds import (CableSpace, FiniteType, IndeterminateError,
                         classify_finite_type, h1)
 from .parsing import ParseError, parse_link_expr, parse_manifold_expr
-from .reports import (FORMATS, Report, STATUS_FAIL, STATUS_INDETERMINATE,
-                      STATUS_OK, combine_status, emit_report, exit_code)
+from .reports import (FORMATS, Report, Status, combine_status, emit_report,
+                      exit_code)
 from .slopes import distance, format_slope, parse_slope
 
 _RANGE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
@@ -90,15 +91,15 @@ def _cmd_distance(args, command: str) -> Report:
     r2 = parse_slope(args.r2)
     row = {"r1": format_slope(r1), "r2": format_slope(r2),
            "distance": distance(r1, r2)}
-    return Report(command, STATUS_OK, (row,), ("r1", "r2", "distance"))
+    return Report(command, Status.PASS, (row,))
 
 
 def _cmd_classify(args, command: str) -> Report:
     m = parse_manifold_expr(args.manifold)
     ft = classify_finite_type(m)
     row = {"manifold": str(m), "finite_type": ft.value, "h1_order": _h1_order(m)}
-    status = STATUS_INDETERMINATE if ft is FiniteType.UNKNOWN else STATUS_OK
-    return Report(command, status, (row,), ("manifold", "finite_type", "h1_order"))
+    status = Status.INDETERMINATE if ft is FiniteType.UNKNOWN else Status.PASS
+    return Report(command, status, (row,))
 
 
 def _cmd_cover(args, command: str) -> Report:
@@ -108,8 +109,7 @@ def _cmd_cover(args, command: str) -> Report:
     row = {"link": str(link), "manifold": str(m),
            "determinant": link_determinant(link),
            "h1_order": res.order, "h1_free_rank": res.free_rank}
-    return Report(command, STATUS_OK, (row,),
-                  ("link", "manifold", "determinant", "h1_order", "h1_free_rank"))
+    return Report(command, Status.PASS, (row,))
 
 
 def _cmd_cable(args, command: str) -> Report:
@@ -123,9 +123,7 @@ def _cmd_cable(args, command: str) -> Report:
            "pushforward_distance": meridian_distance_cabled(
                ctx.space.t, res.distance_from_cabling),
            "manifold": str(res.manifold), "extension": res.extension}
-    return Report(command, STATUS_OK, (row,),
-                  ("s", "t", "cabling_slope", "r", "distance_from_cabling",
-                   "pushforward_distance", "manifold", "extension"))
+    return Report(command, Status.PASS, (row,))
 
 
 def _cmd_family_list(args, command: str) -> Report:
@@ -144,9 +142,7 @@ def _cmd_family_list(args, command: str) -> Report:
                 for e in spec.edges),
             "description": spec.description,
         })
-    return Report(command, STATUS_OK, tuple(rows),
-                  ("name", "params", "domain", "claims", "designated_pair",
-                   "edges", "description"))
+    return Report(command, Status.PASS, tuple(rows))
 
 
 def _cmd_family_fill(args, command: str) -> Report:
@@ -161,19 +157,19 @@ def _cmd_family_fill(args, command: str) -> Report:
                      "manifold": str(m)})
     if not rows:
         raise _UsageError("no in-domain parameter points in the given ranges")
-    return Report(command, STATUS_OK, tuple(rows),
-                  ("family", "params", "slope", "formula", "manifold"))
+    return Report(command, Status.PASS, tuple(rows))
 
 
-_REPORT_STATUS = {Status.PASS: STATUS_OK, Status.FAIL: STATUS_FAIL,
-                  Status.INDETERMINATE: STATUS_INDETERMINATE}
-
-
-def _cmd_family_verify(args, command: str) -> Report:
+def _point_reports(args) -> tuple[FamilySpec, tuple[VerificationReport, ...]]:
     spec, ranges = _family_ranges(args)
     reports = sweep_point_reports(spec.name, ranges)
     if not reports:
         raise _UsageError("no in-domain parameter points in the given ranges")
+    return spec, reports
+
+
+def _cmd_family_verify(args, command: str) -> Report:
+    spec, reports = _point_reports(args)
     rows = []
     for rep in reports:
         for check in rep.checks:
@@ -182,14 +178,12 @@ def _cmd_family_verify(args, command: str) -> Report:
                          "check": check.kind, "detail": check.detail,
                          "status": check.status.value,
                          "observed": check.observed})
-    status = combine_status(_REPORT_STATUS[r.status] for r in reports)
-    return Report(command, status, tuple(rows),
-                  ("family", "params", "check", "detail", "status", "observed"))
+    status = combine_status(r.status for r in reports)
+    return Report(command, status, tuple(rows))
 
 
 def _cmd_family_sweep(args, command: str) -> Report:
-    spec, ranges = _family_ranges(args)
-    reports = sweep_point_reports(spec.name, ranges)
+    spec, reports = _point_reports(args)
     rows = []
     for rep in reports:
         counts = {Status.PASS: 0, Status.FAIL: 0, Status.INDETERMINATE: 0}
@@ -201,10 +195,8 @@ def _cmd_family_sweep(args, command: str) -> Report:
                      "passed": counts[Status.PASS],
                      "failed": counts[Status.FAIL],
                      "indeterminate": counts[Status.INDETERMINATE]})
-    status = combine_status(_REPORT_STATUS[r.status] for r in reports)
-    return Report(command, status, tuple(rows),
-                  ("family", "params", "status", "passed", "failed",
-                   "indeterminate"))
+    status = combine_status(r.status for r in reports)
+    return Report(command, status, tuple(rows))
 
 
 def _cmd_oracle(args, command: str) -> Report:
@@ -227,10 +219,8 @@ def _cmd_oracle(args, command: str) -> Report:
         rep = oracle_cross_check(link)
         any_mismatch = any_mismatch or not rep.match
         rows.append(rep.as_dict())
-    status = STATUS_FAIL if any_mismatch else STATUS_OK
-    return Report(command, status, tuple(rows),
-                  ("link", "crossings", "goeritz", "formula", "h1_order",
-                   "match"))
+    status = Status.FAIL if any_mismatch else Status.PASS
+    return Report(command, status, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .links import ConnSumLink, Link, MontesinosLink, TwoBridge, Unknot, Unlink
 from .manifolds import Lens, Manifold, S3, S1xS2, SfsS2, connected_sum
-from .slopes import Slope
 
 
 def double_branched_cover(l: Link) -> Manifold:
@@ -25,15 +24,3 @@ def double_branched_cover(l: Link) -> Manifold:
     if isinstance(l, ConnSumLink):
         return connected_sum(*(double_branched_cover(part) for part in l.parts))
     raise TypeError(f"not a link: {l!r}")
-
-
-def tangle_to_filling_slope(r: Slope) -> Slope:
-    """Slope dictionary between tangle replacements and Dehn fillings.
-
-    With the parametrizations used throughout this package the two slope
-    coordinates agree, so this map is the identity.  It exists so the
-    translation step is explicit rather than silent: a tangle-filling
-    claim at slope r corresponds to the Dehn filling at exactly this
-    slope upstairs.
-    """
-    return r

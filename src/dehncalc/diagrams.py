@@ -318,11 +318,7 @@ def two_bridge_diagram(p: int, q: int) -> CombinatorialMap:
     """Standard alternating 4-plat diagram of b(p, q), any coprime 0 < q < p."""
     if not 0 < q < p:
         raise ValueError(f"need 0 < q < p, got ({p}, {q})")
-    b = _Builder()
-    t = _rational_tangle(b, continued_fraction(Slope(p, q)))
-    b.join(t.nw, t.ne)
-    b.join(t.sw, t.se)
-    return b.finish()
+    return montesinos_diagram(0, (Slope(p, q),))
 
 
 def montesinos_diagram(e: int, branches: tuple[Slope, ...]) -> CombinatorialMap:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 from .manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
@@ -21,17 +20,12 @@ from .manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
                         S1xS2, TAG_TOROIDAL, TAG_TOROIDAL_IRREDUCIBLE, ZxS1,
                         classify_finite_type, connected_sum, is_reducible,
                         lens_space, manifold_compare, sfs_orders, torus_union)
+from .reports import Status, combine_status
 from .slopes import INFINITY, Slope, distance, format_slope
 
 
 class DomainError(ValueError):
     """Parameters are outside the family's domain of validity."""
-
-
-class Status(Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -103,10 +97,6 @@ class CheckResult:
     status: Status
     observed: str
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail,
-                "status": self.status.value, "observed": self.observed}
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -114,11 +104,6 @@ class VerificationReport:
     params: dict
     status: Status
     checks: tuple[CheckResult, ...]
-
-    def as_dict(self) -> dict:
-        return {"family": self.family, "params": dict(self.params),
-                "status": self.status.value,
-                "checks": [c.as_dict() for c in self.checks]}
 
 
 @dataclass(frozen=True)
@@ -130,13 +115,6 @@ class SweepReport:
     failed: int
     indeterminate: int
     failures: tuple[dict, ...] = field(default_factory=tuple)
-
-    def as_dict(self) -> dict:
-        return {"family": self.family,
-                "ranges": {k: list(v) for k, v in self.ranges.items()},
-                "points": self.points, "passed": self.passed,
-                "failed": self.failed, "indeterminate": self.indeterminate,
-                "failures": list(self.failures)}
 
 
 # ---------------------------------------------------------------------------
@@ -509,15 +487,6 @@ def _run_check(spec: FamilySpec, check: Check, params: dict,
     raise ValueError(f"unknown check kind {check.kind!r}")
 
 
-def _aggregate(statuses) -> Status:
-    statuses = list(statuses)
-    if any(s is Status.FAIL for s in statuses):
-        return Status.FAIL
-    if any(s is Status.INDETERMINATE for s in statuses):
-        return Status.INDETERMINATE
-    return Status.PASS
-
-
 def verify_family(name: str, params: dict) -> VerificationReport:
     """Run every applicable check of a family at one parameter point."""
     spec = get_family(name)
@@ -529,7 +498,7 @@ def verify_family(name: str, params: dict) -> VerificationReport:
             continue
         results.append(_run_check(spec, check, params, built))
     return VerificationReport(spec.name, dict(params),
-                              _aggregate(r.status for r in results),
+                              combine_status(r.status for r in results),
                               tuple(results))
 
 
@@ -588,14 +557,11 @@ def scan_icosahedral_pairs(bound: int = 10) -> dict[str, tuple[tuple[int, int], 
     icosahedral, discovered by classifying the claimed fillings over the
     window |p|, |q| <= bound rather than asserted."""
     spec = get_family("icosahedral_lee")
-    hits: dict[str, list[tuple[int, int]]] = {"0": [], "-1": []}
-    for p in range(-bound, bound + 1):
-        for q in range(-bound, bound + 1):
-            if not spec.in_domain(p=p, q=q):
-                continue
-            for slope_text in ("0", "-1"):
-                claim = spec.claim_at(Slope(int(slope_text)))
-                m = claim.build(p=p, q=q)
-                if classify_finite_type(m) is FiniteType.ICOSAHEDRAL:
-                    hits[slope_text].append((p, q))
+    claims = {text: spec.claim_at(Slope(int(text))) for text in ("0", "-1")}
+    hits: dict[str, list[tuple[int, int]]] = {text: [] for text in claims}
+    for params in grid_points(spec, {"p": (-bound, bound), "q": (-bound, bound)}):
+        for text, claim in claims.items():
+            m = claim.build(**params)
+            if classify_finite_type(m) is FiniteType.ICOSAHEDRAL:
+                hits[text].append((params["p"], params["q"]))
     return {k: tuple(sorted(v)) for k, v in hits.items()}

@@ -594,8 +594,10 @@ class Comparison(Enum):
 
 
 # Facts that are homeomorphism invariants: two descriptions that both
-# decide one of them, differently, are distinct.
-_INVARIANT_FACTS = ("closed", "reducible", "toroidal", "homology")
+# decide one of them, differently, are distinct.  Homology is not among
+# them: a description has one exactly when it is rigid, and the battery
+# runs only when one side is not.
+_INVARIANT_FACTS = ("closed", "reducible", "toroidal")
 
 
 def _compare_conn_sums(m1: ConnSum, m2: ConnSum) -> Comparison:

@@ -3,8 +3,8 @@
 Every command produces one Report: an echo of the command line, an
 overall status, and a list of flat result records.  Emission is
 deterministic byte for byte: JSON uses sorted keys and fixed
-indentation, TSV uses the column order declared by the verb, and both
-carry the mandatory schema_version.
+indentation, TSV orders columns as the keys of the rows first appear,
+and both carry the mandatory schema_version.
 
 TSV layout: three leading comment lines ("# schema_version", "# command"
 and "# status", each with a tab-separated value), then a header row
@@ -15,17 +15,23 @@ for missing/null values; booleans are "true"/"false".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import Enum
 
 SCHEMA_VERSION = "1"
 
-STATUS_OK = "ok"
-STATUS_FAIL = "fail"
-STATUS_INDETERMINATE = "indeterminate"
-
-_EXIT_CODES = {STATUS_OK: 0, STATUS_FAIL: 1, STATUS_INDETERMINATE: 3}
-
 FORMATS = ("json", "tsv")
+
+
+class Status(Enum):
+    """Outcome of a check, of a verification and of a whole command."""
+
+    PASS = "pass"
+    FAIL = "fail"
+    INDETERMINATE = "indeterminate"
+
+
+_EXIT_CODES = {Status.PASS: 0, Status.FAIL: 1, Status.INDETERMINATE: 3}
 
 
 @dataclass(frozen=True)
@@ -33,37 +39,29 @@ class Report:
     """One command's outcome: echo, overall status, and result rows."""
 
     command: str
-    status: str
+    status: Status
     results: tuple[dict, ...]
-    columns: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        if self.status not in _EXIT_CODES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if not self.columns and self.results:
-            cols: list[str] = []
-            for row in self.results:
-                for key in row:
-                    if key not in cols:
-                        cols.append(key)
-            object.__setattr__(self, "columns", tuple(cols))
+        if not isinstance(self.status, Status):
+            raise TypeError(f"report status must be a Status, got {self.status!r}")
 
 
-def combine_status(statuses) -> str:
-    """Aggregate row statuses: any fail wins, else any indeterminate."""
+def combine_status(statuses) -> Status:
+    """The worst status: any fail wins, else any indeterminate, else pass."""
     seen = set(statuses)
-    bad = seen - set(_EXIT_CODES)
+    bad = seen - _EXIT_CODES.keys()
     if bad:
-        raise ValueError(f"unknown statuses {sorted(bad)!r}")
-    if STATUS_FAIL in seen:
-        return STATUS_FAIL
-    if STATUS_INDETERMINATE in seen:
-        return STATUS_INDETERMINATE
-    return STATUS_OK
+        raise ValueError(f"unknown statuses {bad!r}")
+    if Status.FAIL in seen:
+        return Status.FAIL
+    if Status.INDETERMINATE in seen:
+        return Status.INDETERMINATE
+    return Status.PASS
 
 
-def exit_code(status: str) -> int:
-    """0 for ok, 1 for any failure, 3 for indeterminate-only outcomes."""
+def exit_code(status: Status) -> int:
+    """0 for pass, 1 for any failure, 3 for indeterminate-only outcomes."""
     return _EXIT_CODES[status]
 
 
@@ -80,22 +78,24 @@ def _cell(value) -> str:
 
 def emit_report(report: Report, fmt: str) -> str:
     """Render a report as JSON or TSV text (newline-terminated)."""
+    status = "ok" if report.status is Status.PASS else report.status.value
     if fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": report.command,
-            "status": report.status,
+            "status": status,
             "results": list(report.results),
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if fmt == "tsv":
+        columns = list(dict.fromkeys(key for row in report.results for key in row))
         lines = [
             f"# schema_version\t{SCHEMA_VERSION}",
             f"# command\t{_cell(report.command)}",
-            f"# status\t{report.status}",
-            "\t".join(report.columns),
+            f"# status\t{status}",
+            "\t".join(columns),
         ]
         for row in report.results:
-            lines.append("\t".join(_cell(row.get(c)) for c in report.columns))
+            lines.append("\t".join(_cell(row.get(c)) for c in columns))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -5,8 +5,7 @@ import pytest
 from dehncalc.cli import main
 from dehncalc.families import family_catalog
 from dehncalc.parsing import parse_manifold_expr
-from dehncalc.reports import (Report, SCHEMA_VERSION, STATUS_FAIL,
-                              STATUS_INDETERMINATE, STATUS_OK, combine_status,
+from dehncalc.reports import (Report, SCHEMA_VERSION, Status, combine_status,
                               emit_report, exit_code)
 from dehncalc.slopes import format_slope
 
@@ -22,8 +21,8 @@ def _run(capsys, argv):
 
 
 def test_emit_json_stable_key_order():
-    a = Report("cmd", STATUS_OK, ({"b": 1, "a": 2},))
-    b = Report("cmd", STATUS_OK, ({"a": 2, "b": 1},))
+    a = Report("cmd", Status.PASS, ({"b": 1, "a": 2},))
+    b = Report("cmd", Status.PASS, ({"a": 2, "b": 1},))
     assert emit_report(a, "json") == emit_report(b, "json")
     payload = json.loads(emit_report(a, "json"))
     assert payload["schema_version"] == SCHEMA_VERSION
@@ -32,29 +31,37 @@ def test_emit_json_stable_key_order():
 
 
 def test_emit_tsv_layout():
-    rep = Report("cmd", STATUS_OK,
-                 ({"x": 1, "y": None, "z": True}, {"x": 2, "y": "s", "z": False}),
-                 ("x", "y", "z"))
+    rep = Report("cmd", Status.PASS,
+                 ({"x": 1, "y": None, "z": True}, {"x": 2, "y": "s", "z": False},
+                  {"w": 3, "x": 4}))
     lines = emit_report(rep, "tsv").splitlines()
     assert lines[0] == "# schema_version\t1"
     assert lines[1] == "# command\tcmd"
     assert lines[2] == "# status\tok"
-    assert lines[3] == "x\ty\tz"
-    assert lines[4] == "1\t\ttrue"
-    assert lines[5] == "2\ts\tfalse"
+    assert lines[3] == "x\ty\tz\tw"
+    assert lines[4] == "1\t\ttrue\t"
+    assert lines[5] == "2\ts\tfalse\t"
+    assert lines[6] == "4\t\t\t3"
 
 
 def test_exit_code_partition():
-    assert exit_code(STATUS_OK) == 0
-    assert exit_code(STATUS_FAIL) == 1
-    assert exit_code(STATUS_INDETERMINATE) == 3
-    assert combine_status([STATUS_OK, STATUS_OK]) == STATUS_OK
-    assert combine_status([STATUS_OK, STATUS_INDETERMINATE]) == \
-        STATUS_INDETERMINATE
-    assert combine_status([STATUS_INDETERMINATE, STATUS_FAIL]) == STATUS_FAIL
-    assert combine_status([]) == STATUS_OK
+    assert exit_code(Status.PASS) == 0
+    assert exit_code(Status.FAIL) == 1
+    assert exit_code(Status.INDETERMINATE) == 3
+    assert combine_status([Status.PASS, Status.PASS]) is Status.PASS
+    assert combine_status([Status.PASS, Status.INDETERMINATE]) is \
+        Status.INDETERMINATE
+    assert combine_status([Status.INDETERMINATE, Status.FAIL]) is Status.FAIL
+    assert combine_status([]) is Status.PASS
     with pytest.raises(ValueError):
-        Report("cmd", "bogus", ())
+        combine_status([Status.PASS, "ok"])
+    with pytest.raises(TypeError):
+        Report("cmd", "ok", ())
+    for status, word in ((Status.PASS, "ok"), (Status.FAIL, "fail"),
+                         (Status.INDETERMINATE, "indeterminate")):
+        rep = Report("cmd", status, ({"x": 1},))
+        assert json.loads(emit_report(rep, "json"))["status"] == word
+        assert emit_report(rep, "tsv").splitlines()[2] == f"# status\t{word}"
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +200,35 @@ def test_family_sweep_tsv_rows(capsys):
     assert len(lines) == 4 + 9  # one row per parameter point
 
 
+_TSV_HEADERS = [
+    (["distance", "0", "inf"], "r1\tr2\tdistance"),
+    (["classify", "L(6,5)"], "manifold\tfinite_type\th1_order"),
+    (["cover", "b(7/3)"],
+     "link\tmanifold\tdeterminant\th1_order\th1_free_rank"),
+    (["cable", "--s", "1", "--t", "2", "--gamma", "0", "3"],
+     "s\tt\tcabling_slope\tr\tdistance_from_cabling\tpushforward_distance"
+     "\tmanifold\textension"),
+    (["family-list"],
+     "name\tparams\tdomain\tclaims\tdesignated_pair\tedges\tdescription"),
+    (["family-fill", "ew_prior", "0", "--p", "2..3"],
+     "family\tparams\tslope\tformula\tmanifold"),
+    (["family-verify", "bz_w6"],
+     "family\tparams\tcheck\tdetail\tstatus\tobserved"),
+    (["family-sweep", "octahedral", "--p", "3..4"],
+     "family\tparams\tstatus\tpassed\tfailed\tindeterminate"),
+    (["oracle", "b(7/3)", "mont(-1; 1/2, 1/3, 1/5)"],
+     "link\tcrossings\tgoeritz\tformula\th1_order\tmatch"),
+]
+
+
+@pytest.mark.parametrize("argv, header", _TSV_HEADERS,
+                         ids=[argv[0] for argv, _ in _TSV_HEADERS])
+def test_tsv_header_per_verb(capsys, argv, header):
+    code, out, _ = _run(capsys, argv + ["--format", "tsv"])
+    assert code == 0
+    assert out.splitlines()[3] == header
+
+
 def test_oracle_verb(capsys):
     code, out, _ = _run(capsys, ["oracle", "b(7/3)", "--sample", "5",
                                  "--seed", "11"])
@@ -241,7 +277,8 @@ def test_usage_errors_exit_two(capsys):
                  ["oracle"],
                  ["oracle", "unknot"],
                  ["oracle", "--batch", "/nonexistent/file"],
-                 ["family-sweep", "cyclic", "--p", "5..2", "--q", "4"]):
+                 ["family-sweep", "cyclic", "--p", "5..2", "--q", "4"],
+                 ["family-sweep", "cyclic", "--p", "2", "--q", "3"]):
         code, out, err = _run(capsys, argv)
         assert code == 2, argv
         assert out == ""

@@ -1,7 +1,7 @@
 import random
 from math import gcd
 
-from dehncalc.cover import double_branched_cover, tangle_to_filling_slope
+from dehncalc.cover import double_branched_cover
 from dehncalc.links import (link_connected_sum, link_determinant, montesinos,
                             two_bridge, unlink, Unknot)
 from dehncalc.manifolds import (Lens, S3, S1xS2, SfsS2, connected_sum, h1,
@@ -74,8 +74,3 @@ def test_h1_of_cover_is_determinant_random_assemblies():
             assert not res.is_finite
         else:
             assert res.order == det
-
-
-def test_tangle_to_filling_slope_is_identity():
-    for r in (Slope(0), Slope(1, 0), Slope(-7, 3), Slope(5, 2)):
-        assert tangle_to_filling_slope(r) == r

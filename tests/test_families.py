@@ -159,7 +159,7 @@ def test_verify_family_all_pass():
                          ("icosahedral_lee", {"p": 3, "q": -1}),
                          ("icosahedral_second", {})):
         report = verify_family(name, params)
-        assert report.status is Status.PASS, (name, report.as_dict())
+        assert report.status is Status.PASS, report
 
 
 def test_verify_icosahedral_lee_conditional_checks():

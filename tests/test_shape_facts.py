@@ -184,6 +184,13 @@ def test_single_shape_verdicts(m, expected):
     assert is_reducible(m) is reducible
 
 
+def test_homology_is_known_exactly_when_rigid():
+    # manifold_compare leaves homology out of its invariant battery on
+    # the strength of this.
+    for m in CORPUS:
+        assert m.rigid == (m.homology is not None), str(m)
+
+
 def test_corpus_tables_cover_the_corpus():
     assert len(EXPECTED_FACTS) == len(CORPUS)
     assert len(EXPECTED_MATRIX) == len(CORPUS)
