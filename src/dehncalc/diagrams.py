@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import compress
 from math import gcd
 
 from .cover import double_branched_cover
@@ -194,34 +195,80 @@ def goeritz_matrix(m: CombinatorialMap) -> list[list[int]]:
         if wi != wj:
             g[wi][wj] -= eta
             g[wj][wi] -= eta
-    for i in range(n):
-        g[i][i] = -sum(g[i][j] for j in range(n) if j != i)
+            g[wi][wi] += eta
+            g[wj][wj] += eta
     return g
 
 
 def exact_determinant(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
+    """Exact determinant of a square integer matrix by sparse elimination.
+
+    Each row is kept as a dict of its nonzeros and an integer scale, with
+    stored row = true row * scale, so all arithmetic stays in int.  Rows
+    become pivot rows in order of their initial nonzero count; the pivot
+    is the diagonal entry when it is nonzero and the smallest remaining
+    column otherwise.  Every other row t with entry x in the pivot column
+    becomes p * t - x * pivot_row, and is then divided, with its scale, by
+    their gcd.  The pivot rows form a triangular matrix, so the
+    determinant is sign(pivot permutation) * prod(p) / prod(scale).  That
+    quotient is kept as a reduced fraction num / den, so den ends as +-1.
+    """
+    n = len(rows)
+    store = [dict(compress(enumerate(row), row)) for row in rows]
+    holders: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(store):
+        for j in row:
+            holders[j].append(i)
+    scale = [1] * n
+    done = [False] * n
+    pivot_col = [0] * n
+    num = den = 1
+    for r in sorted(range(n), key=lambda i: len(store[i])):
+        pivot_row = store[r]
+        if not pivot_row:
+            return 0
+        c = r if r in pivot_row else min(pivot_row)
+        p = pivot_row.pop(c)
+        done[r] = True
+        pivot_col[r] = c
+        num *= p
+        den *= scale[r]
+        g = gcd(num, den)
+        num //= g
+        den //= g
+        # holders[c] may list a row twice, or a row whose entry cancelled.
+        for t in holders[c]:
+            target = store[t]
+            if done[t] or c not in target:
+                continue
+            x = target.pop(c)
+            target = {j: p * v for j, v in target.items()}
+            for j, v in pivot_row.items():
+                w = target.get(j)
+                if w is None:
+                    target[j] = -x * v
+                    holders[j].append(t)
+                elif w == x * v:
+                    del target[j]
+                else:
+                    target[j] = w - x * v
+            s = scale[t] * p
+            g = gcd(s, *target.values())
+            if g != 1:
+                target = {j: v // g for j, v in target.items()}
+                s //= g
+            store[t] = target
+            scale[t] = s
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    seen = [False] * n
+    for start in range(n):
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = pivot_col[i]
+            if i != start:
+                sign = -sign
+    return sign * num // den
 
 
 def goeritz_determinant(m: CombinatorialMap) -> int:

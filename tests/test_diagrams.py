@@ -2,6 +2,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dehncalc.diagrams import (CombinatorialMap, Crossing,
                                build_standard_diagram, checkerboard,
@@ -11,7 +13,33 @@ from dehncalc.diagrams import (CombinatorialMap, Crossing,
                                two_bridge_diagram)
 from dehncalc.links import (Unknot, link_connected_sum, link_determinant,
                             montesinos, two_bridge)
-from dehncalc.slopes import Slope
+from dehncalc.slopes import Slope, from_continued_fraction
+
+
+def _bareiss_determinant(rows: list[list[int]]) -> int:
+    """Dense Bareiss fraction-free determinant, the reference for
+    ``exact_determinant``."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def _kink() -> CombinatorialMap:
@@ -50,6 +78,10 @@ def test_two_bridge_spot_determinants():
     assert goeritz_determinant(two_bridge_diagram(50, 29)) == 50
     assert goeritz_determinant(two_bridge_diagram(99, 98)) == 99
     assert goeritz_determinant(two_bridge_diagram(7, 3)) == 7
+    r = from_continued_fraction([3] * 334)
+    diagram = two_bridge_diagram(r.p, r.q)
+    assert len(diagram.crossings) == 1002
+    assert goeritz_determinant(diagram) == r.p
 
 
 def test_montesinos_diagram_crossing_count_and_determinant():
@@ -105,10 +137,21 @@ def test_checkerboard_structure():
 
 def test_goeritz_matrix_symmetric_zero_row_sums():
     rng = random.Random(99)
+    diagrams = []
     for _ in range(15):
         p = rng.randint(3, 60)
         q = rng.choice([x for x in range(1, p) if gcd(x, p) == 1])
-        g = goeritz_matrix(two_bridge_diagram(p, q))
+        diagrams.append(two_bridge_diagram(p, q))
+    etas = set()
+    for _ in range(40):
+        link = random_montesinos(rng)
+        assert -3 <= link.e <= 3
+        diagram = montesinos_diagram(link.e, link.branches)
+        etas.update(eta for _, _, eta in checkerboard(diagram).incidences)
+        diagrams.append(diagram)
+    assert etas == {1, -1}
+    for diagram in diagrams:
+        g = goeritz_matrix(diagram)
         for i, row in enumerate(g):
             assert sum(row) == 0
             for j in range(len(g)):
@@ -136,6 +179,38 @@ def test_exact_determinant_small_cases():
     assert exact_determinant([[1, 2], [3, 4]]) == -2
     assert exact_determinant([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
     assert exact_determinant([[1, 2], [2, 4]]) == 0
+
+
+@st.composite
+def _square_matrices(draw) -> list[list[int]]:
+    """n x n matrices, n in 0..8, entries in -4..4, any share of zeros."""
+    n = draw(st.integers(0, 8))
+    cells = draw(st.lists(st.integers(-4, 4), min_size=n * n,
+                          max_size=n * n))
+    nonzero = draw(st.integers(0, n * n))
+    kept = set(draw(st.permutations(range(n * n)))[:nonzero])
+    return [[cells[i * n + j] if i * n + j in kept else 0 for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_square_matrices())
+@example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])  # singular, dependent rows
+@example([[0, 0, 0], [1, 2, 3], [4, 0, 1]])  # singular, zero row
+@example([[2, 3], [-1, 4]])  # non-symmetric
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # zero diagonal, 3-cycle
+@example([[0, 2, -1], [3, 0, 4], [-2, 1, 0]])  # zero diagonal, dense
+def test_exact_determinant_matches_bareiss(rows):
+    assert exact_determinant(rows) == _bareiss_determinant(rows)
+
+
+def test_exact_determinant_matches_bareiss_on_goeritz_minors():
+    rng = random.Random(2024)
+    for _ in range(200):
+        link = random_montesinos(rng, 11)
+        g = goeritz_matrix(montesinos_diagram(link.e, link.branches))
+        minor = [row[1:] for row in g[1:]]
+        assert exact_determinant(minor) == _bareiss_determinant(minor)
 
 
 def test_two_bridge_determinant_law():
