@@ -9,6 +9,7 @@ usage errors, and 3 on indeterminate-only outcomes.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import re
 import sys
@@ -227,7 +228,10 @@ def _cmd_oracle(args, command: str) -> Report:
 # Argument wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and each call starts from a fresh namespace."""
     shared = _Parser(add_help=False)
     shared.add_argument("--format", choices=FORMATS, default="json",
                         help="output format (default: json)")
@@ -306,6 +310,9 @@ def main(argv=None) -> int:
         return 2
     except (ParseError, DomainError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
         return 2
     sys.stdout.write(emit_report(report, args.format))
     return exit_code(report.status)

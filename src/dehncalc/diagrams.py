@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import compress
 from math import gcd
 
 from .cover import double_branched_cover
@@ -186,24 +185,31 @@ def checkerboard(m: CombinatorialMap) -> Checkerboard:
     return board
 
 
-def goeritz_matrix(m: CombinatorialMap) -> list[list[int]]:
-    """Full Goeritz matrix on the white faces (rows sum to zero)."""
+SparseRows = list[list[tuple[int, int]]]
+"""A square integer matrix as rows of (column, value) pairs, one pair per
+nonzero entry."""
+
+
+def goeritz_matrix(m: CombinatorialMap) -> SparseRows:
+    """Full Goeritz matrix on the white faces as sparse rows (the matrix
+    is symmetric and its rows sum to zero)."""
     board = checkerboard(m)
-    n = len(board.white)
-    g = [[0] * n for _ in range(n)]
+    g: list[dict[int, int]] = [{} for _ in board.white]
     for wi, wj, eta in board.incidences:
         if wi != wj:
-            g[wi][wj] -= eta
-            g[wj][wi] -= eta
-            g[wi][wi] += eta
-            g[wj][wj] += eta
-    return g
+            ri, rj = g[wi], g[wj]
+            ri[wj] = ri.get(wj, 0) - eta
+            rj[wi] = rj.get(wi, 0) - eta
+            ri[wi] = ri.get(wi, 0) + eta
+            rj[wj] = rj.get(wj, 0) + eta
+    return [[(j, v) for j, v in row.items() if v] for row in g]
 
 
-def exact_determinant(rows: list[list[int]]) -> int:
+def exact_determinant(rows: SparseRows) -> int:
     """Exact determinant of a square integer matrix by sparse elimination.
 
-    Each row is kept as a dict of its nonzeros and an integer scale, with
+    ``rows`` lists each row's nonzeros as (column, value) pairs.  Each row
+    is kept as a dict of its nonzeros and an integer scale, with
     stored row = true row * scale, so all arithmetic stays in int.  Rows
     become pivot rows in order of their initial nonzero count; the pivot
     is the diagonal entry when it is nonzero and the smallest remaining
@@ -214,7 +220,7 @@ def exact_determinant(rows: list[list[int]]) -> int:
     quotient is kept as a reduced fraction num / den, so den ends as +-1.
     """
     n = len(rows)
-    store = [dict(compress(enumerate(row), row)) for row in rows]
+    store = [{j: v for j, v in row if v} for row in rows]
     holders: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(store):
         for j in row:
@@ -272,9 +278,17 @@ def exact_determinant(rows: list[list[int]]) -> int:
 
 
 def goeritz_determinant(m: CombinatorialMap) -> int:
-    """|det| of the Goeritz matrix with one row and column deleted."""
+    """|det| of the Goeritz matrix with one row and column deleted.
+
+    The matrix is symmetric with zero row sums, so every first minor has
+    the same |det|.  The deleted face is the one with the most nonzeros
+    (the lowest index on ties): that hub row would otherwise take part in
+    every elimination step next to it and fill in the most.
+    """
     g = goeritz_matrix(m)
-    minor = [row[1:] for row in g[1:]]
+    hub = max(range(len(g)), key=lambda i: len(g[i]), default=0)
+    minor = [[(j - (j > hub), v) for j, v in row if j != hub]
+             for i, row in enumerate(g) if i != hub]
     return abs(exact_determinant(minor))
 
 

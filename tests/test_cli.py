@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dehncalc.cli import main
+from dehncalc.cli import _build_parser, main
 from dehncalc.families import family_catalog
 from dehncalc.parsing import parse_manifold_expr
 from dehncalc.reports import (Report, SCHEMA_VERSION, Status, combine_status,
@@ -283,6 +283,32 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2, argv
         assert out == ""
         assert err
+
+
+def test_deep_nesting_exits_two(capsys):
+    depth = 300
+    text = "U[" * depth + "ST" + ", ST]" * depth
+    code, out, err = _run(capsys, ["classify", text])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_cached_parser_keeps_no_state(capsys):
+    sequence = (["oracle", "--sample", "2", "--seed", "5"],
+                ["oracle", "--sample", "two"],
+                ["oracle", "--sample", "2"],
+                ["family-list", "--format", "tsv"],
+                ["family-list"])
+    in_one_process = [_run(capsys, argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        _build_parser.cache_clear()
+        fresh.append(_run(capsys, argv))
+    assert in_one_process == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0]
+    assert fresh[0][1] != fresh[2][1]
+    assert fresh[3][1] != fresh[4][1]
 
 
 def test_help_exits_zero(capsys):

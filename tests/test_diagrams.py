@@ -42,6 +42,18 @@ def _bareiss_determinant(rows: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def _sparse(dense: list[list[int]]) -> list[list[tuple[int, int]]]:
+    return [[(j, v) for j, v in enumerate(row) if v] for row in dense]
+
+
+def _dense(rows: list[list[tuple[int, int]]]) -> list[list[int]]:
+    out = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, v in row:
+            out[i][j] = v
+    return out
+
+
 def _kink() -> CombinatorialMap:
     m = CombinatorialMap([Crossing((0, 1, 2, 3), 0)], {0: 1, 1: 0, 2: 3, 3: 2})
     m.validate()
@@ -81,6 +93,10 @@ def test_two_bridge_spot_determinants():
     r = from_continued_fraction([3] * 334)
     diagram = two_bridge_diagram(r.p, r.q)
     assert len(diagram.crossings) == 1002
+    assert goeritz_determinant(diagram) == r.p
+    r = from_continued_fraction([3] * 1334)
+    diagram = two_bridge_diagram(r.p, r.q)
+    assert len(diagram.crossings) == 4002
     assert goeritz_determinant(diagram) == r.p
 
 
@@ -151,7 +167,12 @@ def test_goeritz_matrix_symmetric_zero_row_sums():
         diagrams.append(diagram)
     assert etas == {1, -1}
     for diagram in diagrams:
-        g = goeritz_matrix(diagram)
+        rows = goeritz_matrix(diagram)
+        for row in rows:
+            columns = [j for j, _ in row]
+            assert len(columns) == len(set(columns))
+            assert all(v for _, v in row)
+        g = _dense(rows)
         for i, row in enumerate(g):
             assert sum(row) == 0
             for j in range(len(g)):
@@ -163,22 +184,23 @@ def test_goeritz_deletion_invariance():
     for _ in range(10):
         p = rng.randint(3, 50)
         q = rng.choice([x for x in range(1, p) if gcd(x, p) == 1])
-        g = goeritz_matrix(two_bridge_diagram(p, q))
+        g = _dense(goeritz_matrix(two_bridge_diagram(p, q)))
         n = len(g)
         dets = set()
         for k in rng.sample(range(n), min(3, n)):
             minor = [[g[i][j] for j in range(n) if j != k]
                      for i in range(n) if i != k]
-            dets.add(abs(exact_determinant(minor)))
+            dets.add(abs(exact_determinant(_sparse(minor))))
         assert len(dets) == 1
 
 
 def test_exact_determinant_small_cases():
     assert exact_determinant([]) == 1
-    assert exact_determinant([[7]]) == 7
-    assert exact_determinant([[1, 2], [3, 4]]) == -2
-    assert exact_determinant([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
-    assert exact_determinant([[1, 2], [2, 4]]) == 0
+    assert exact_determinant([[(0, 7)]]) == 7
+    assert exact_determinant(_sparse([[1, 2], [3, 4]])) == -2
+    assert exact_determinant(_sparse([[2, 0, 0], [0, 3, 0], [0, 0, 5]])) == 30
+    assert exact_determinant(_sparse([[1, 2], [2, 4]])) == 0
+    assert exact_determinant([[(0, 0), (1, 1)], [(0, 1), (1, 0)]]) == -1
 
 
 @st.composite
@@ -201,16 +223,34 @@ def _square_matrices(draw) -> list[list[int]]:
 @example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # zero diagonal, 3-cycle
 @example([[0, 2, -1], [3, 0, 4], [-2, 1, 0]])  # zero diagonal, dense
 def test_exact_determinant_matches_bareiss(rows):
-    assert exact_determinant(rows) == _bareiss_determinant(rows)
+    assert exact_determinant(_sparse(rows)) == _bareiss_determinant(rows)
 
 
 def test_exact_determinant_matches_bareiss_on_goeritz_minors():
     rng = random.Random(2024)
     for _ in range(200):
         link = random_montesinos(rng, 11)
-        g = goeritz_matrix(montesinos_diagram(link.e, link.branches))
+        g = _dense(goeritz_matrix(montesinos_diagram(link.e, link.branches)))
         minor = [row[1:] for row in g[1:]]
-        assert exact_determinant(minor) == _bareiss_determinant(minor)
+        assert exact_determinant(_sparse(minor)) == \
+            _bareiss_determinant(minor)
+
+
+def test_hub_deleted_determinant_matches_dense_face_zero_minor():
+    rng = random.Random(31)
+    diagrams = []
+    for _ in range(100):
+        link = random_montesinos(rng)
+        diagrams.append(montesinos_diagram(link.e, link.branches))
+    for _ in range(50):
+        r = from_continued_fraction(
+            [rng.randint(1, 6) for _ in range(rng.randint(2, 8))])
+        diagrams.append(two_bridge_diagram(r.p, r.q))
+    for diagram in diagrams:
+        g = _dense(goeritz_matrix(diagram))
+        minor = [row[1:] for row in g[1:]]
+        assert goeritz_determinant(diagram) == \
+            abs(_bareiss_determinant(minor))
 
 
 def test_two_bridge_determinant_law():
