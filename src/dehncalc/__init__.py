@@ -32,7 +32,7 @@ from .families import (Check, CheckResult, Claim, DomainError, Edge,
                        evaluate_filling, family_catalog, get_family,
                        scan_icosahedral_pairs, sweep_point_reports,
                        sweep_verify, verify_family)
-from .diagrams import (Checkerboard, CombinatorialMap, Crossing, OracleReport,
+from .diagrams import (Checkerboard, CombinatorialMap, OracleReport,
                        build_standard_diagram, checkerboard,
                        goeritz_determinant, goeritz_matrix, montesinos_diagram,
                        oracle_cross_check, random_montesinos,
@@ -63,7 +63,7 @@ __all__ = [
     "Status", "SweepReport", "VerificationReport", "evaluate_filling",
     "family_catalog", "get_family", "scan_icosahedral_pairs",
     "sweep_point_reports", "sweep_verify", "verify_family",
-    "Checkerboard", "CombinatorialMap", "Crossing", "OracleReport",
+    "Checkerboard", "CombinatorialMap", "OracleReport",
     "build_standard_diagram", "checkerboard", "goeritz_determinant",
     "goeritz_matrix", "montesinos_diagram", "oracle_cross_check",
     "random_montesinos", "two_bridge_diagram",

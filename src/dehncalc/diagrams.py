@@ -1,17 +1,19 @@
 """Diagram-level determinant oracle, independent of the closed formulas.
 
-Link diagrams are stored as combinatorial maps: each crossing owns four
-darts listed counterclockwise starting at the north-east corner, and an
-involution pairs darts into edges.  Faces are recovered purely
-combinatorially as orbits of rho composed with the pairing, so nothing
-here trusts the tangle calculus: the standard diagrams are rebuilt from
-continued fractions crossing by crossing, checkerboard colored, and fed
-through the Goeritz matrix to an exact integer determinant.
+Link diagrams are stored as combinatorial maps on flat dart arrays.
+Crossing k owns darts 4k..4k+3, listed counterclockwise from the
+north-east corner (NE, NW, SW, SE), so the rotation rho that steps to the
+next dart of the same crossing is arithmetic: rho(d) = d - d % 4 +
+(d + 1) % 4.  An involution ``pairing`` joins darts into edges.  Faces
+are recovered purely combinatorially as orbits of rho composed with the
+pairing, so nothing here trusts the tangle calculus: the standard
+diagrams are rebuilt from continued fractions crossing by crossing,
+checkerboard colored, and fed through the Goeritz matrix to an exact
+integer determinant.
 
 Conventions (pinned by the b(p, q) determinant suite):
-  * crossing darts: positions 0..3 are NE, NW, SW, SE;
-  * the strand through darts 0 and 2 is the overstrand when over = 0,
-    the strand through darts 1 and 3 when over = 1;
+  * the strand through NE and SW (darts 4k and 4k+2) is the overstrand
+    when over = 0, the strand through NW and SE when over = 1;
   * positive twists use over = 0 for both horizontal (right) and
     vertical (bottom) batches, which yields the alternating 4-plats; a
     negative twist count flips the flag.
@@ -33,50 +35,37 @@ _OVER_RIGHT = 0
 _OVER_BOTTOM = 0
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """Four darts counterclockwise from NE, plus which diagonal is on top."""
-
-    darts: tuple[int, int, int, int]
-    over: int
-
-
 @dataclass
 class CombinatorialMap:
-    crossings: list[Crossing]
-    pairing: dict[int, int]
+    """A link diagram: ``crossings[k]`` is the over flag of crossing k,
+    which owns darts 4k..4k+3, and ``pairing[d]`` is the dart joined to
+    dart d."""
 
-    def darts(self) -> list[int]:
-        return [d for c in self.crossings for d in c.darts]
+    crossings: list[int]
+    pairing: list[int]
 
     def validate(self) -> None:
         """Check 4-regularity, the edge involution, connectivity, and the
         sphere Euler count F = V + 2."""
-        seen = set()
-        for c in self.crossings:
-            if len(c.darts) != 4 or c.over not in (0, 1):
-                raise ValueError(f"bad crossing {c}")
-            for d in c.darts:
-                if d in seen:
-                    raise ValueError(f"dart {d} appears twice")
-                seen.add(d)
-        if set(self.pairing) != seen:
-            raise ValueError("pairing domain does not match the darts")
-        for d, e in self.pairing.items():
-            if d == e or self.pairing[e] != d:
+        pairing = self.pairing
+        n = len(pairing)
+        if n != 4 * len(self.crossings):
+            raise ValueError(f"{n} darts for {len(self.crossings)} crossings")
+        if any(over not in (0, 1) for over in self.crossings):
+            raise ValueError("over flags must be 0 or 1")
+        for d, e in enumerate(pairing):
+            if not 0 <= e < n or e == d or pairing[e] != d:
                 raise ValueError("pairing is not a free involution")
-        if self.crossings:
-            rho = _rotation(self)
-            reached = {self.crossings[0].darts[0]}
-            frontier = list(reached)
-            while frontier:
-                d = frontier.pop()
-                for nxt in (rho[d], self.pairing[d]):
-                    if nxt not in reached:
-                        reached.add(nxt)
-                        frontier.append(nxt)
-            if reached != seen:
-                raise ValueError("diagram is not connected")
+        reached = bytearray(n)
+        frontier = [0] if n else []
+        while frontier:
+            d = frontier.pop()
+            for nxt in (d - d % 4 + (d + 1) % 4, pairing[d]):
+                if not reached[nxt]:
+                    reached[nxt] = 1
+                    frontier.append(nxt)
+        if not all(reached):
+            raise ValueError("diagram is not connected")
         n_faces = len(faces(self))
         if n_faces != len(self.crossings) + 2:
             raise ValueError(
@@ -85,33 +74,26 @@ class CombinatorialMap:
             )
 
 
-def _rotation(m: CombinatorialMap) -> dict[int, int]:
-    rho = {}
-    for c in m.crossings:
-        for i, d in enumerate(c.darts):
-            rho[d] = c.darts[(i + 1) % 4]
-    return rho
-
-
 def faces(m: CombinatorialMap) -> list[tuple[int, ...]]:
-    """Face orbits of the map, each a dart cycle, in deterministic order.
+    """Face orbits of d -> rho(pairing[d]), each a dart cycle starting at
+    its lowest dart, in order of that dart.
 
     The corner between consecutive darts (d_i, d_{i+1}) of a crossing
     belongs to the face whose orbit contains d_{i+1}.
     """
-    rho = _rotation(m)
-    sigma = m.pairing
+    pairing = m.pairing
+    visited = bytearray(len(pairing))
     out = []
-    visited: set[int] = set()
-    for start in sorted(rho):
-        if start in visited:
+    for start in range(len(pairing)):
+        if visited[start]:
             continue
         cycle = []
         d = start
-        while d not in visited:
-            visited.add(d)
+        while not visited[d]:
+            visited[d] = 1
             cycle.append(d)
-            d = rho[sigma[d]]
+            e = pairing[d]
+            d = e - e % 4 + (e + 1) % 4
         out.append(tuple(cycle))
     return out
 
@@ -135,53 +117,50 @@ class Checkerboard:
 
 def checkerboard(m: CombinatorialMap) -> Checkerboard:
     face_list = faces(m)
-    face_of = {}
+    pairing = m.pairing
+    face_of = [0] * len(pairing)
     for idx, cycle in enumerate(face_list):
         for d in cycle:
             face_of[d] = idx
 
-    colors: list[int | None] = [None] * len(face_list)
+    # Faces across an edge get opposite colors; a face the search from
+    # face 0 never reaches keeps color 0.
+    colors = [-1] * len(face_list)
     colors[0] = 0
     queue = [0]
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(face_list))}
-    for d, e in m.pairing.items():
-        if d < e:
-            adjacency[face_of[d]].add(face_of[e])
-            adjacency[face_of[e]].add(face_of[d])
     while queue:
         i = queue.pop()
-        for j in adjacency[i]:
-            if colors[j] is None:
-                colors[j] = 1 - colors[i]  # type: ignore[operator]
+        other = 1 - colors[i]
+        for d in face_list[i]:
+            j = face_of[pairing[d]]
+            if colors[j] < 0:
+                colors[j] = other
                 queue.append(j)
-            elif colors[j] == colors[i]:
+            elif colors[j] != other:
                 raise ValueError("diagram faces are not checkerboard colorable")
-    final_colors = [c if c is not None else 0 for c in colors]
+    colors = [c if c >= 0 else 0 for c in colors]
 
-    by_color = {0: [i for i, c in enumerate(final_colors) if c == 0],
-                1: [i for i, c in enumerate(final_colors) if c == 1]}
-    white_color = min((len(by_color[c]), c) for c in (0, 1))[1]
-    white = by_color[white_color]
-    white_index = {f: k for k, f in enumerate(white)}
+    white_color = 0 if colors.count(0) <= colors.count(1) else 1
+    white = [i for i, c in enumerate(colors) if c == white_color]
+    white_index = [0] * len(face_list)
+    for k, f in enumerate(white):
+        white_index[f] = k
 
-    board = Checkerboard(face_list, final_colors, white)
-    for c in m.crossings:
-        east = face_of[c.darts[0]]
-        north = face_of[c.darts[1]]
-        west = face_of[c.darts[2]]
-        south = face_of[c.darts[3]]
-        if (final_colors[north] != final_colors[south]
-                or final_colors[east] != final_colors[west]
-                or final_colors[north] == final_colors[east]):
+    board = Checkerboard(face_list, colors, white)
+    # Crossing k's corners are the faces of its darts 4k..4k+3.
+    for over, east, north, west, south in zip(
+            m.crossings, face_of[0::4], face_of[1::4], face_of[2::4],
+            face_of[3::4]):
+        if (colors[north] != colors[south] or colors[east] != colors[west]
+                or colors[north] == colors[east]):
             raise ValueError("corner colors do not alternate at a crossing")
-        over_sign = 1 if c.over == 0 else -1
-        if final_colors[east] == white_color:
-            pair, pair_sign = (east, west), 1
+        over_sign = 1 if over == 0 else -1
+        if colors[east] == white_color:
+            board.incidences.append(
+                (white_index[east], white_index[west], over_sign))
         else:
-            pair, pair_sign = (north, south), -1
-        board.incidences.append(
-            (white_index[pair[0]], white_index[pair[1]], over_sign * pair_sign)
-        )
+            board.incidences.append(
+                (white_index[north], white_index[south], -over_sign))
     return board
 
 
@@ -296,28 +275,6 @@ def goeritz_determinant(m: CombinatorialMap) -> int:
 # Standard diagrams from continued fractions
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.crossings: list[Crossing] = []
-        self.pairing: dict[int, int] = {}
-        self._next_dart = 0
-
-    def crossing(self, over: int) -> tuple[int, int, int, int]:
-        base = self._next_dart
-        self._next_dart += 4
-        darts = (base, base + 1, base + 2, base + 3)
-        self.crossings.append(Crossing(darts, over))
-        return darts
-
-    def join(self, d1: int, d2: int) -> None:
-        assert d1 not in self.pairing and d2 not in self.pairing
-        self.pairing[d1] = d2
-        self.pairing[d2] = d1
-
-    def finish(self) -> CombinatorialMap:
-        return CombinatorialMap(self.crossings, self.pairing)
-
-
 @dataclass
 class _Tangle:
     """Dangling boundary darts of a partial tangle."""
@@ -328,29 +285,48 @@ class _Tangle:
     se: int
 
 
+def _join(m: CombinatorialMap, d1: int, d2: int) -> None:
+    m.pairing[d1] = d2
+    m.pairing[d2] = d1
+
+
 def _flag(base: int, count: int) -> int:
     return base if count >= 0 else 1 - base
 
 
-def _add_right(b: _Builder, t: _Tangle, count: int) -> None:
-    over = _flag(_OVER_RIGHT, count)
-    for _ in range(abs(count)):
-        ne, nw, sw, se = b.crossing(over)
-        b.join(t.ne, nw)
-        b.join(t.se, sw)
-        t.ne, t.se = ne, se
+def _add_right(m: CombinatorialMap, t: _Tangle, count: int) -> None:
+    """Twist |count| crossings onto the east side: each crossing's NW and
+    SW darts join the NE and SE darts of the one before it.  The last
+    crossing's NE and SE entries are placeholders until they are joined."""
+    n = abs(count)
+    if not n:
+        return
+    first = len(m.pairing)
+    m.crossings += [_flag(_OVER_RIGHT, count)] * n
+    for c in range(first, first + 4 * n, 4):
+        m.pairing += (c + 5, c - 4, c - 1, c + 6)
+    _join(m, t.ne, first + 1)
+    _join(m, t.se, first + 2)
+    t.ne, t.se = len(m.pairing) - 4, len(m.pairing) - 1
 
 
-def _add_bottom(b: _Builder, t: _Tangle, count: int) -> None:
-    over = _flag(_OVER_BOTTOM, count)
-    for _ in range(abs(count)):
-        ne, nw, sw, se = b.crossing(over)
-        b.join(t.sw, nw)
-        b.join(t.se, ne)
-        t.sw, t.se = sw, se
+def _add_bottom(m: CombinatorialMap, t: _Tangle, count: int) -> None:
+    """Twist |count| crossings onto the south side: each crossing's NE and
+    NW darts join the SE and SW darts of the one before it.  The last
+    crossing's SW and SE entries are placeholders until they are joined."""
+    n = abs(count)
+    if not n:
+        return
+    first = len(m.pairing)
+    m.crossings += [_flag(_OVER_BOTTOM, count)] * n
+    for c in range(first, first + 4 * n, 4):
+        m.pairing += (c - 1, c - 2, c + 5, c + 4)
+    _join(m, t.se, first)
+    _join(m, t.sw, first + 1)
+    t.sw, t.se = len(m.pairing) - 2, len(m.pairing) - 1
 
 
-def _rational_tangle(b: _Builder, terms: tuple[int, ...]) -> _Tangle:
+def _rational_tangle(m: CombinatorialMap, terms: tuple[int, ...]) -> _Tangle:
     """Build the rational tangle of the continued fraction [a1, ..., an].
 
     Twist batches are applied from a_n down to a_1, alternating bottom
@@ -362,16 +338,19 @@ def _rational_tangle(b: _Builder, terms: tuple[int, ...]) -> _Tangle:
     n = len(terms)
     if n == 0 or any(a < 1 for a in terms[1:]) or terms[0] < 0 or terms[-1] < 1:
         raise ValueError(f"unsupported twist sequence {terms}")
-    # The a_n batch starts from one crossing and twists on the rest.
+    # The a_n batch starts from one crossing, its four darts dangling, and
+    # twists on the rest.
     right = n % 2 == 1
-    ne, nw, sw, se = b.crossing(_OVER_RIGHT if right else _OVER_BOTTOM)
-    t = _Tangle(nw=nw, ne=ne, sw=sw, se=se)
-    (_add_right if right else _add_bottom)(b, t, terms[-1] - 1)
+    ne = len(m.pairing)
+    m.crossings.append(_OVER_RIGHT if right else _OVER_BOTTOM)
+    m.pairing += (-1, -1, -1, -1)
+    t = _Tangle(nw=ne + 1, ne=ne, sw=ne + 2, se=ne + 3)
+    (_add_right if right else _add_bottom)(m, t, terms[-1] - 1)
     for k in range(n - 1, 0, -1):
         if k % 2 == 1:
-            _add_right(b, t, terms[k - 1])
+            _add_right(m, t, terms[k - 1])
         else:
-            _add_bottom(b, t, terms[k - 1])
+            _add_bottom(m, t, terms[k - 1])
     return t
 
 
@@ -384,22 +363,22 @@ def two_bridge_diagram(p: int, q: int) -> CombinatorialMap:
 
 def montesinos_diagram(e: int, branches: tuple[Slope, ...]) -> CombinatorialMap:
     """Numerator closure of the branch tangles side by side plus e twists."""
-    b = _Builder()
+    m = CombinatorialMap([], [])
     t: _Tangle | None = None
     for r in branches:
-        branch = _rational_tangle(b, continued_fraction(r))
+        branch = _rational_tangle(m, continued_fraction(r))
         if t is None:
             t = branch
         else:
-            b.join(t.ne, branch.nw)
-            b.join(t.se, branch.sw)
+            _join(m, t.ne, branch.nw)
+            _join(m, t.se, branch.sw)
             t.ne, t.se = branch.ne, branch.se
     if t is None:
         raise ValueError("montesinos diagram needs at least one branch")
-    _add_right(b, t, e)
-    b.join(t.nw, t.ne)
-    b.join(t.sw, t.se)
-    return b.finish()
+    _add_right(m, t, e)
+    _join(m, t.nw, t.ne)
+    _join(m, t.sw, t.se)
+    return m
 
 
 def build_standard_diagram(l: Link) -> CombinatorialMap:

@@ -105,6 +105,9 @@ def spherical_triple_type(orders: tuple[int, int, int]) -> FiniteType:
     return FiniteType.NOT_FINITE
 
 
+_EUCLIDEAN_TRIPLES = ((2, 3, 6), (2, 4, 4), (3, 3, 3))
+
+
 def _s2_finite_type(orders: tuple[int, ...] | None) -> FiniteType:
     """Finite type of a Seifert description over S^2 with these orders, if any."""
     if orders is None or len(orders) != 3:
@@ -320,7 +323,12 @@ class SfsS2(Manifold, closed=True, reducible=False, prime=True, rigid=True,
 
     @property
     def toroidal(self) -> bool:
-        return len(self.fibers) >= 4 or not self.homology.is_finite
+        """Four or more fibers give a vertical essential torus.  With three,
+        only a Euclidean base with e0 = 0 (infinite H1) is toroidal, as a
+        torus bundle; a hyperbolic base with e0 = 0 is H2 x R and
+        atoroidal (Scott 1983)."""
+        return len(self.fibers) >= 4 or (
+            self.orders in _EUCLIDEAN_TRIPLES and not self.homology.is_finite)
 
     def mirror(self) -> "SfsS2":
         return SfsS2(-self.e - len(self.fibers),

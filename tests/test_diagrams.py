@@ -5,12 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dehncalc.diagrams import (CombinatorialMap, Crossing,
-                               build_standard_diagram, checkerboard,
-                               exact_determinant, faces, goeritz_determinant,
-                               goeritz_matrix, montesinos_diagram,
-                               oracle_cross_check, random_montesinos,
-                               two_bridge_diagram)
+from dehncalc.diagrams import (CombinatorialMap, build_standard_diagram,
+                               checkerboard, exact_determinant, faces,
+                               goeritz_determinant, goeritz_matrix,
+                               montesinos_diagram, oracle_cross_check,
+                               random_montesinos, two_bridge_diagram)
 from dehncalc.links import (Unknot, link_connected_sum, link_determinant,
                             montesinos, two_bridge)
 from dehncalc.slopes import Slope, from_continued_fraction
@@ -55,7 +54,7 @@ def _dense(rows: list[list[tuple[int, int]]]) -> list[list[int]]:
 
 
 def _kink() -> CombinatorialMap:
-    m = CombinatorialMap([Crossing((0, 1, 2, 3), 0)], {0: 1, 1: 0, 2: 3, 3: 2})
+    m = CombinatorialMap([0], [1, 0, 3, 2])
     m.validate()
     return m
 
@@ -115,18 +114,20 @@ def test_build_standard_diagram_dispatch():
 
 
 def test_validate_rejects_broken_maps():
-    with pytest.raises(ValueError):
-        CombinatorialMap([Crossing((0, 1, 2, 3), 0)],
-                         {0: 0, 1: 1, 2: 3, 3: 2}).validate()
-    two_kinks = CombinatorialMap(
-        [Crossing((0, 1, 2, 3), 0), Crossing((4, 5, 6, 7), 0)],
-        {0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4, 6: 7, 7: 6})
-    with pytest.raises(ValueError):
-        two_kinks.validate()
-    torus_map = CombinatorialMap([Crossing((0, 1, 2, 3), 0)],
-                                 {0: 2, 2: 0, 1: 3, 3: 1})
-    with pytest.raises(ValueError):
-        torus_map.validate()
+    broken = [
+        ([0], [1, 0, 3], "3 darts for 1 crossings"),
+        ([0], [1, 0, 3, 2, 5, 4, 7, 6], "8 darts for 1 crossings"),
+        ([2], [1, 0, 3, 2], "over flags"),
+        ([0], [0, 1, 3, 2], "free involution"),  # darts paired with themselves
+        ([0], [1, 0, 3, -1], "free involution"),  # a dangling dart
+        ([0], [1, 0, 5, 4], "free involution"),  # past the last dart
+        ([0], [1, 2, 3, 0], "free involution"),  # not an involution
+        ([0, 0], [1, 0, 3, 2, 5, 4, 7, 6], "not connected"),  # two kinks
+        ([0], [2, 3, 0, 1], "not a sphere"),  # one face: a torus
+    ]
+    for crossings, pairing, reason in broken:
+        with pytest.raises(ValueError, match=reason):
+            CombinatorialMap(crossings, pairing).validate()
 
 
 def test_faces_deterministic():
@@ -149,6 +150,81 @@ def test_checkerboard_structure():
         for wi, wj, eta in board.incidences:
             assert 0 <= wi < n_white and 0 <= wj < n_white
             assert eta in (1, -1)
+
+
+@st.composite
+def _links(draw):
+    """A two-bridge link from 2-8 continued-fraction terms in 1..6, or a
+    Montesinos link with 3-4 branches of alpha up to 13 and e in -4..4."""
+    if draw(st.booleans()):
+        r = from_continued_fraction(
+            draw(st.lists(st.integers(1, 6), min_size=2, max_size=8)))
+        return two_bridge(r.p, r.q)
+    branches = []
+    for _ in range(draw(st.integers(3, 4))):
+        alpha = draw(st.integers(2, 13))
+        beta = draw(st.sampled_from(
+            [b for b in range(1, alpha) if gcd(b, alpha) == 1]))
+        branches.append(Slope(beta, alpha))
+    return montesinos(draw(st.integers(-4, 4)), branches)
+
+
+def _quarter_turn(m: CombinatorialMap, turned: set[int]) -> CombinatorialMap:
+    """The same diagram with each crossing in ``turned`` relabelled a
+    quarter turn (its old NW dart becomes its NE dart) and its over flag
+    flipped, since its overstrand now runs through the other diagonal."""
+    def new(d):
+        return d - d % 4 + (d - 1) % 4 if d // 4 in turned else d
+
+    pairing = [0] * len(m.pairing)
+    for d, e in enumerate(m.pairing):
+        pairing[new(d)] = new(e)
+    return CombinatorialMap(
+        [1 - over if k in turned else over
+         for k, over in enumerate(m.crossings)], pairing)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_links(), st.randoms(use_true_random=False))
+def test_diagram_laws(link, rnd):
+    """The map laws, read off the dart contract alone: crossing k owns
+    darts 4k..4k+3 and rho steps to the next of them."""
+    m = build_standard_diagram(link)
+    m.validate()
+    n = 4 * len(m.crossings)
+    assert len(m.pairing) == n
+
+    def rho(d):
+        return 4 * (d // 4) + (d + 1) % 4
+
+    cycles = faces(m)
+    assert sorted(d for cycle in cycles for d in cycle) == list(range(n))
+    for cycle in cycles:
+        for i, d in enumerate(cycle):
+            assert cycle[(i + 1) % len(cycle)] == rho(m.pairing[d])
+    assert len(cycles) == len(m.crossings) + 2
+
+    board = checkerboard(m)
+    assert board.face_list == cycles
+    color = {d: board.colors[i] for i, cycle in enumerate(cycles)
+             for d in cycle}
+    for d in range(n):
+        assert color[d] != color[m.pairing[d]]
+    for k in range(len(m.crossings)):
+        corners = [color[d] for d in range(4 * k, 4 * k + 4)]
+        assert corners in ([0, 1, 0, 1], [1, 0, 1, 0])
+    white_color = board.colors[board.white[0]]
+    assert board.white == [i for i, c in enumerate(board.colors)
+                           if c == white_color]
+    assert 2 * len(board.white) <= len(cycles)
+
+    assert goeritz_determinant(m) == link_determinant(link)
+    # Turning crossings changes which corner pair is white there, and so
+    # the sign rule, but not the link.
+    turned = _quarter_turn(
+        m, {k for k in range(len(m.crossings)) if rnd.random() < 0.5})
+    turned.validate()
+    assert goeritz_determinant(turned) == link_determinant(link)
 
 
 def test_goeritz_matrix_symmetric_zero_row_sums():

@@ -85,6 +85,18 @@ def test_sfs_s2_normalization():
         SfsS2(0, ((2, 1), (3, 1)))
 
 
+def test_sfs_s2_toroidal():
+    # e0 = 0 over a hyperbolic triple: H2 x R, atoroidal.
+    assert not SfsS2(-1, ((5, 1), (5, 1), (5, 3))).toroidal
+    # e0 = 0 over each Euclidean triple: a torus bundle.
+    for fibers in (((3, 1), (3, 1), (3, 1)), ((2, 1), (4, 1), (4, 1)),
+                   ((2, 1), (3, 1), (6, 1))):
+        assert SfsS2(-1, fibers).toroidal
+    # e0 != 0 over a Euclidean triple: Nil geometry, atoroidal.
+    assert not SfsS2(-2, ((3, 1), (3, 1), (3, 1))).toroidal
+    assert SfsS2(0, ((2, 1), (3, 1), (5, 1), (7, 1))).toroidal
+
+
 def test_sfs_mirror_involution():
     rng = random.Random(33)
     for _ in range(100):
