@@ -187,15 +187,13 @@ def _cmd_family_sweep(args, command: str) -> Report:
     spec, reports = _point_reports(args)
     rows = []
     for rep in reports:
-        counts = {Status.PASS: 0, Status.FAIL: 0, Status.INDETERMINATE: 0}
-        for check in rep.checks:
-            counts[check.status] += 1
+        statuses = [check.status for check in rep.checks]
         rows.append({"family": spec.name,
                      "params": _params_text(spec, rep.params),
                      "status": rep.status.value,
-                     "passed": counts[Status.PASS],
-                     "failed": counts[Status.FAIL],
-                     "indeterminate": counts[Status.INDETERMINATE]})
+                     "passed": statuses.count(Status.PASS),
+                     "failed": statuses.count(Status.FAIL),
+                     "indeterminate": statuses.count(Status.INDETERMINATE)})
     status = combine_status(r.status for r in reports)
     return Report(command, status, tuple(rows))
 

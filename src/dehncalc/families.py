@@ -78,6 +78,12 @@ class FamilySpec:
     checks: tuple[Check, ...]
     designated_pair: tuple[Slope, Slope] | None = None
     edges: tuple[Edge, ...] = ()
+    # The checks compiled once into (when, run) pairs; see _compile_check.
+    plan: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plan", tuple(
+            (check.when, _compile_check(self, check)) for check in self.checks))
 
     def claim_at(self, r: Slope) -> Claim:
         for c in self.claims:
@@ -115,6 +121,82 @@ class SweepReport:
     failed: int
     indeterminate: int
     failures: tuple[dict, ...] = field(default_factory=tuple)
+
+
+def _compile_check(spec: FamilySpec, check: Check):
+    """One check as ``run(fill)``, where ``fill(i)`` is the point's filling
+    at claim position i.  The kind, the detail text, the claim positions
+    and a distance check's whole result depend on the family alone, so
+    they are settled here; an unknown kind, or an unclaimed slope that a
+    check would build, raises ``ValueError``.
+    """
+    slot = lambda r: spec.claims.index(spec.claim_at(r))
+    # Bound once: each ``Status.X`` goes through the enum's metaclass.
+    passed, failed, unsure = Status.PASS, Status.FAIL, Status.INDETERMINATE
+
+    if check.kind == "wellformed":
+        slots = range(len(spec.claims))
+        ok = CheckResult("wellformed", "all claims build", passed, "ok")
+
+        def run(fill):
+            try:
+                for i in slots:
+                    fill(i)
+            except IllFormedClaimError as exc:
+                return CheckResult("wellformed", "all claims build", failed, str(exc))
+            return ok
+        return run
+
+    if check.kind == "distance":
+        r1, r2 = check.slopes
+        detail = f"distance({format_slope(r1)}, {format_slope(r2)}) = {check.expected}"
+        d = distance(r1, r2)
+        result = CheckResult("distance", detail,
+                             passed if d == check.expected else failed, str(d))
+        return lambda fill: result
+
+    if check.kind == "reducible":
+        (r,) = check.slopes
+        i = slot(r)
+        detail = f"filling({format_slope(r)}) is reducible"
+
+        def run(fill):
+            m = fill(i)
+            return CheckResult("reducible", detail,
+                               passed if is_reducible(m) else failed, str(m))
+        return run
+
+    if check.kind == "finite_type":
+        (r,) = check.slopes
+        i = slot(r)
+        expected, unknown = check.expected, FiniteType.UNKNOWN
+        detail = f"classify(filling({format_slope(r)})) = {expected.value}"
+
+        def run(fill):
+            m = fill(i)
+            observed = classify_finite_type(m)
+            status = (unsure if observed is unknown else
+                      passed if observed is expected else failed)
+            return CheckResult("finite_type", detail, status,
+                               f"{m} -> {observed.value}")
+        return run
+
+    if check.kind == "distinct":
+        r1, r2 = check.slopes
+        i1, i2 = slot(r1), slot(r2)
+        detail = f"filling({format_slope(r1)}) != filling({format_slope(r2)})"
+        distinct, equal = Comparison.DISTINCT, Comparison.EQUAL
+
+        def run(fill):
+            m1, m2 = fill(i1), fill(i2)
+            outcome = manifold_compare(m1, m2)
+            status = (passed if outcome is distinct else
+                      failed if outcome is equal else unsure)
+            return CheckResult("distinct", detail, status,
+                               f"{m1} vs {m2}: {outcome.value}")
+        return run
+
+    raise ValueError(f"family {spec.name}: unknown check kind {check.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -418,88 +500,28 @@ def evaluate_filling(name: str, params: dict, r: Slope) -> Manifold:
     return spec.claim_at(r).build(**params)
 
 
-def _run_check(spec: FamilySpec, check: Check, params: dict,
-               built: dict[Slope, Manifold] | None = None) -> CheckResult:
-    """Run one check; ``built`` memoizes the point's fillings by slope.
-
-    A claim is built when a check first needs it.  A claim that fails to
-    build is not memoized, so every check that needs it raises.
-    """
-    built = {} if built is None else built
-
-    def fill(r: Slope) -> Manifold:
-        if r not in built:
-            built[r] = spec.claim_at(r).build(**params)
-        return built[r]
-
-    if check.kind == "wellformed":
-        try:
-            for c in spec.claims:
-                fill(c.slope)
-        except IllFormedClaimError as exc:
-            return CheckResult("wellformed", "all claims build", Status.FAIL,
-                               str(exc))
-        return CheckResult("wellformed", "all claims build", Status.PASS, "ok")
-
-    if check.kind == "distance":
-        r1, r2 = check.slopes
-        detail = f"distance({format_slope(r1)}, {format_slope(r2)}) = {check.expected}"
-        d = distance(r1, r2)
-        status = Status.PASS if d == check.expected else Status.FAIL
-        return CheckResult("distance", detail, status, str(d))
-
-    if check.kind == "reducible":
-        (r,) = check.slopes
-        m = fill(r)
-        detail = f"filling({format_slope(r)}) is reducible"
-        status = Status.PASS if is_reducible(m) else Status.FAIL
-        return CheckResult("reducible", detail, status, str(m))
-
-    if check.kind == "finite_type":
-        (r,) = check.slopes
-        m = fill(r)
-        expected: FiniteType = check.expected  # type: ignore[assignment]
-        observed = classify_finite_type(m)
-        detail = f"classify(filling({format_slope(r)})) = {expected.value}"
-        if observed is FiniteType.UNKNOWN:
-            status = Status.INDETERMINATE
-        elif observed is expected:
-            status = Status.PASS
-        else:
-            status = Status.FAIL
-        return CheckResult("finite_type", detail, status,
-                           f"{m} -> {observed.value}")
-
-    if check.kind == "distinct":
-        r1, r2 = check.slopes
-        m1, m2 = fill(r1), fill(r2)
-        detail = f"filling({format_slope(r1)}) != filling({format_slope(r2)})"
-        outcome = manifold_compare(m1, m2)
-        if outcome is Comparison.DISTINCT:
-            status = Status.PASS
-        elif outcome is Comparison.EQUAL:
-            status = Status.FAIL
-        else:
-            status = Status.INDETERMINATE
-        return CheckResult("distinct", detail, status,
-                           f"{m1} vs {m2}: {outcome.value}")
-
-    raise ValueError(f"unknown check kind {check.kind!r}")
-
-
 def verify_family(name: str, params: dict) -> VerificationReport:
-    """Run every applicable check of a family at one parameter point."""
+    """Run every applicable check of a family at one parameter point.
+
+    Each claim is built on first use and memoized by position; one that
+    fails to build is not memoized, so every check needing it raises.
+    """
     spec = get_family(name)
     _check_params(spec, params)
-    built: dict[Slope, Manifold] = {}
-    results = []
-    for check in spec.checks:
-        if check.when is not None and not check.when(params):
-            continue
-        results.append(_run_check(spec, check, params, built))
+    claims = spec.claims
+    built: list[Manifold | None] = [None] * len(claims)
+
+    def fill(i: int) -> Manifold:
+        m = built[i]
+        if m is None:
+            m = built[i] = claims[i].build(**params)
+        return m
+
+    results = tuple([run(fill) for when, run in spec.plan
+                     if when is None or when(params)])
     return VerificationReport(spec.name, dict(params),
-                              combine_status(r.status for r in results),
-                              tuple(results))
+                              combine_status([r.status for r in results]),
+                              results)
 
 
 def grid_points(spec: FamilySpec,

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
+from dehncalc.cli import main
 from dehncalc.families import (FAMILIES, Check, Claim, DomainError,
-                               FamilySpec, Status, _run_check,
-                               evaluate_filling, family_catalog, get_family,
+                               FamilySpec, Status, evaluate_filling,
+                               family_catalog, get_family, grid_points,
                                scan_icosahedral_pairs, sweep_point_reports,
                                sweep_verify, verify_family)
 from dehncalc.manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
@@ -10,9 +13,9 @@ from dehncalc.manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
                                 SolidTorus, TAG_TOROIDAL,
                                 TAG_TOROIDAL_IRREDUCIBLE, ZxS1,
                                 classify_finite_type, connected_sum,
-                                lens_homeomorphic, lens_space, sfs_orders,
-                                torus_union)
-from dehncalc.slopes import INFINITY, Slope, distance
+                                is_reducible, lens_homeomorphic, lens_space,
+                                sfs_orders, torus_union)
+from dehncalc.slopes import INFINITY, Slope, distance, format_slope
 
 
 _EXPECTED_NAMES = ("cyclic", "ew_prior", "bz_w6", "dihedral",
@@ -211,26 +214,50 @@ def test_icosahedral_pair_scan_is_exact():
     assert hits == {"0": ((-4, -1), (3, -1)), "-1": ((-3, 1), (4, 1))}
 
 
-def test_run_check_reports_failures():
+def test_run_check_reports_failures(monkeypatch):
     broken = FamilySpec(
         name="broken", description="", param_names=(),
         domain_doc="", in_domain=lambda: True,
         claims=(Claim(Slope(0), "L(4,2)", lambda: Lens(4, 2)),),
         checks=(Check("wellformed"),))
-    result = _run_check(broken, broken.checks[0], {})
+    monkeypatch.setitem(FAMILIES, "broken", broken)
+    (result,) = verify_family("broken", {}).checks
     assert result.status is Status.FAIL
     assert "gcd" in result.observed
 
 
-def test_run_check_indeterminate_finite_type():
+def test_run_check_indeterminate_finite_type(monkeypatch):
     shrug = FamilySpec(
         name="shrug", description="", param_names=(),
         domain_doc="", in_domain=lambda: True,
         claims=(Claim(Slope(0), "tag(lens-type)",
                       lambda: OpaqueTag("lens-type")),),
         checks=(Check("finite_type", (Slope(0),), FiniteType.CYCLIC),))
-    result = _run_check(shrug, shrug.checks[0], {})
+    monkeypatch.setitem(FAMILIES, "shrug", shrug)
+    (result,) = verify_family("shrug", {}).checks
     assert result.status is Status.INDETERMINATE
+
+
+def _spec_with(check: Check) -> FamilySpec:
+    return FamilySpec(
+        name="malformed", description="", param_names=(),
+        domain_doc="", in_domain=lambda: True,
+        claims=(Claim(Slope(0), "L(2,1)", lambda: lens_space(2, 1)),),
+        checks=(Check("wellformed"), check))
+
+
+def test_spec_rejects_unknown_check_kind():
+    with pytest.raises(ValueError, match="unknown check kind 'reducable'"):
+        _spec_with(Check("reducable", (Slope(0),)))
+
+
+def test_spec_rejects_check_on_unclaimed_slope():
+    with pytest.raises(ValueError, match="no claim at slope inf"):
+        _spec_with(Check("finite_type", (INFINITY,), FiniteType.CYCLIC))
+    with pytest.raises(ValueError, match="no claim at slope 3"):
+        _spec_with(Check("distinct", (Slope(0), Slope(3))))
+    # A distance check builds nothing, so it may name an unclaimed slope.
+    assert _spec_with(Check("distance", (Slope(0), Slope(3)), 3)).checks
 
 
 def test_verify_family_builds_each_claim_once(monkeypatch):
@@ -261,3 +288,73 @@ def test_ill_formed_claim_raises_from_later_checks(monkeypatch):
     monkeypatch.setitem(FAMILIES, "broken", broken)
     with pytest.raises(IllFormedClaimError):
         verify_family("broken", {})
+
+
+# Small windows of every family.  _PIN_SHA256 is the sha256 of the
+# family verbs' stdout over them; Python 3.10 and 3.11 give the same bytes.
+_PIN_WINDOWS = {
+    "cyclic": ("--p", "2..6", "--q", "4..8"),
+    "ew_prior": ("--p", "2..6"),
+    "dihedral": ("--p", "2..6", "--q", "4..8"),
+    "dihedral_aux_Np": ("--p", "2..6"),
+    "octahedral": ("--p", "2..6"),
+    "octahedral_aux_Np": ("--p", "2..6"),
+    "icosahedral_lee": ("--p", "-3..3", "--q", "-3..3"),
+}
+_PIN_SHA256 = \
+    "f21b9ca514279f927879fda5e8174366676934f4e62ef4f5139c3f231cfefba5"
+
+
+def test_family_verbs_bytes_pinned(capsys):
+    digest = hashlib.sha256()
+    for spec in family_catalog():
+        window = _PIN_WINDOWS.get(spec.name, ())
+        argvs = [["family-verify", spec.name, *window, "--format", "tsv"],
+                 ["family-sweep", spec.name, *window, "--format", "json"]]
+        argvs += [["family-fill", spec.name, format_slope(c.slope), *window]
+                  for c in spec.claims]
+        for argv in argvs:
+            assert main(argv) == 0, argv
+            digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == _PIN_SHA256
+
+
+_FINITE_TYPES = frozenset({FiniteType.CYCLIC, FiniteType.DIHEDRAL,
+                           FiniteType.TETRAHEDRAL, FiniteType.OCTAHEDRAL,
+                           FiniteType.ICOSAHEDRAL})
+
+# |p|, |q| <= 30 wherever the domain allows.
+_LAW_WINDOWS = {
+    "cyclic": {"p": (2, 30), "q": (4, 30)},
+    "ew_prior": {"p": (2, 30)},
+    "bz_w6": {},
+    "dihedral": {"p": (3, 30), "q": (3, 30)},
+    "tetrahedral": {},
+    "octahedral": {"p": (3, 30)},
+    "icosahedral_lee": {"p": (-30, 30), "q": (-30, 30)},
+    "icosahedral_second": {},
+}
+
+
+def test_catalog_distance_laws():
+    # Every family but the _aux tangle exteriors has a hyperbolic exterior,
+    # where a reducible and a finite filling lie at distance 1
+    # (Boyer-Gordon-Zhang) and two reducible fillings at distance at most 1
+    # (Gordon-Luecke).  A violation is a bug in the catalog.
+    assert sorted(_LAW_WINDOWS) == sorted(
+        spec.name for spec in family_catalog() if "_aux" not in spec.name)
+    points = 0
+    for name, ranges in _LAW_WINDOWS.items():
+        spec = get_family(name)
+        for params in grid_points(spec, ranges):
+            points += 1
+            built = [(c.slope, c.build(**params)) for c in spec.claims]
+            reducible = [r for r, m in built if is_reducible(m)]
+            finite = [r for r, m in built
+                      if classify_finite_type(m) in _FINITE_TYPES]
+            for r in reducible:
+                for s in finite:
+                    assert distance(r, s) == 1, (name, params, r, s)
+                for s in reducible:
+                    assert distance(r, s) <= 1, (name, params, r, s)
+    assert points == 5103
