@@ -18,7 +18,7 @@ from typing import Callable
 from .manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
                         Comparison, IllFormedClaimError, Manifold, OpaqueTag,
                         S1xS2, TAG_TOROIDAL, TAG_TOROIDAL_IRREDUCIBLE, ZxS1,
-                        classify_finite_type, connected_sum, is_reducible,
+                        classify_finite_type, connected_sum,
                         lens_space, manifold_compare, sfs_orders, torus_union)
 from .reports import Status, combine_status
 from .slopes import INFINITY, Slope, distance, format_slope
@@ -162,8 +162,10 @@ def _compile_check(spec: FamilySpec, check: Check):
 
         def run(fill):
             m = fill(i)
-            return CheckResult("reducible", detail,
-                               passed if is_reducible(m) else failed, str(m))
+            known = m.reducible
+            status = (unsure if known is None else
+                      passed if known else failed)
+            return CheckResult("reducible", detail, status, str(m))
         return run
 
     if check.kind == "finite_type":

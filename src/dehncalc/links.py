@@ -9,14 +9,23 @@ normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
+from typing import ClassVar
 
-from .manifolds import IllFormedClaimError, lens_parameter_orbit, _sfs_s2_h1_order
+from .manifolds import (IllFormedClaimError, Lens, Manifold, S3, S1xS2, SfsS2,
+                        _sfs_s2_h1_order, connected_sum, normalize_lens_pair)
 from .slopes import Slope
 
 
 class Link:
-    """Base class for link descriptions."""
+    """Base class for link descriptions.  Each shape declares the facts
+    annotated here in its own class: as a class attribute when the fact is
+    fixed for the shape, or as a property when it depends on its fields."""
+
+    # Multiplicative under connected sum; 0 means infinite H1 of the cover.
+    determinant: ClassVar[int]
+    cover: ClassVar[Manifold]  # the double cover of S^3 branched over the link
+    sort_key: ClassVar[tuple]  # orders the parts of a sum
 
     def __str__(self) -> str:  # pragma: no cover - overridden everywhere
         return type(self).__name__
@@ -24,6 +33,10 @@ class Link:
 
 @dataclass(frozen=True)
 class Unknot(Link):
+    determinant = 1
+    cover = S3()
+    sort_key = ("Unknot", ())
+
     def __str__(self) -> str:
         return "unknot"
 
@@ -35,6 +48,11 @@ class Unlink(Link):
     def __post_init__(self) -> None:
         if self.components < 2:
             raise IllFormedClaimError("Unlink needs >= 2 components; use unlink()")
+
+    determinant = 0
+    cover = property(lambda self: connected_sum(
+        *(S1xS2() for _ in range(self.components - 1))))
+    sort_key = property(lambda self: ("Unlink", (self.components,)))
 
     def __str__(self) -> str:
         return f"unlink({self.components})"
@@ -54,16 +72,11 @@ class TwoBridge(Link):
     q: int
 
     def __post_init__(self) -> None:
-        p = abs(self.p)
-        if p < 2:
-            raise IllFormedClaimError(
-                f"b({self.p},{self.q}) is degenerate; use two_bridge() for |p| <= 1"
-            )
-        q = self.q % p
-        if gcd(p, q) != 1:
-            raise IllFormedClaimError(f"b({self.p},{self.q}) needs gcd(p, q) = 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", lens_parameter_orbit(p, q)[0])
+        normalize_lens_pair(self, "b", "two_bridge")
+
+    determinant = property(lambda self: self.p)
+    cover = property(lambda self: Lens(self.p, self.q))
+    sort_key = property(lambda self: ("TwoBridge", (self.p, self.q)))
 
     def __str__(self) -> str:
         return f"b({self.p}/{self.q})"
@@ -128,6 +141,12 @@ class MontesinosLink(Link):
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "branches", tuple(normalized))
 
+    # The branches as Seifert fibers (alpha, beta), already in SfsS2 order.
+    fibers = property(lambda self: tuple((r.q, r.p) for r in self.branches))
+    determinant = property(lambda self: _sfs_s2_h1_order(self.e, self.fibers))
+    cover = property(lambda self: SfsS2(self.e, self.fibers))
+    sort_key = property(lambda self: ("Montesinos", (self.e,) + self.fibers))
+
     def __str__(self) -> str:
         parts = ", ".join(str(r) for r in self.branches)
         return f"mont({self.e}; {parts})"
@@ -149,7 +168,13 @@ class ConnSumLink(Link):
             raise IllFormedClaimError(
                 "ConnSumLink needs >= 2 nontrivial parts; use link_connected_sum()"
             )
-        object.__setattr__(self, "parts", tuple(sorted(flat, key=_link_key)))
+        object.__setattr__(self, "parts",
+                           tuple(sorted(flat, key=lambda l: l.sort_key)))
+
+    determinant = property(lambda self: prod(l.determinant for l in self.parts))
+    cover = property(lambda self: connected_sum(*(l.cover for l in self.parts)))
+    sort_key = property(
+        lambda self: ("ConnSum", tuple(l.sort_key for l in self.parts)))
 
     def __str__(self) -> str:
         return " + ".join(str(l) for l in self.parts)
@@ -173,31 +198,8 @@ def _flatten(parts) -> list[Link]:
     return flat
 
 
-def _link_key(l: Link):
-    if isinstance(l, TwoBridge):
-        return ("TwoBridge", (l.p, l.q))
-    if isinstance(l, MontesinosLink):
-        return ("Montesinos", (l.e,) + tuple((r.q, r.p) for r in l.branches))
-    if isinstance(l, Unlink):
-        return ("Unlink", (l.components,))
-    if isinstance(l, ConnSumLink):
-        return ("ConnSum", tuple(_link_key(x) for x in l.parts))
-    return (type(l).__name__, ())
-
-
 def link_determinant(l: Link) -> int:
     """The link determinant, multiplicative under connected sum."""
-    if isinstance(l, Unknot):
-        return 1
-    if isinstance(l, Unlink):
-        return 0
-    if isinstance(l, TwoBridge):
-        return l.p
-    if isinstance(l, MontesinosLink):
-        return _sfs_s2_h1_order(l.e, tuple((r.q, r.p) for r in l.branches))
-    if isinstance(l, ConnSumLink):
-        det = 1
-        for part in l.parts:
-            det *= link_determinant(part)
-        return det
-    raise TypeError(f"not a link: {l!r}")
+    if not isinstance(l, Link):
+        raise TypeError(f"not a link: {l!r}")
+    return l.determinant

@@ -227,6 +227,21 @@ def lens_parameter_orbit(p: int, q: int) -> tuple[int, ...]:
     return tuple(sorted({q, p - q, inv, p - inv}))
 
 
+def normalize_lens_pair(shape, name: str, builder: str) -> None:
+    """Fold a frozen shape's (p, q) into the unoriented lens normal form;
+    name and builder word the errors, as in "L(4,2) needs gcd(p, q) = 1"."""
+    p = abs(shape.p)
+    if p < 2:
+        raise IllFormedClaimError(
+            f"{name}({shape.p},{shape.q}) is degenerate; use {builder}() for |p| <= 1"
+        )
+    q = shape.q % p
+    if gcd(p, q) != 1:
+        raise IllFormedClaimError(f"{name}({shape.p},{shape.q}) needs gcd(p, q) = 1")
+    object.__setattr__(shape, "p", p)
+    object.__setattr__(shape, "q", lens_parameter_orbit(p, q)[0])
+
+
 @dataclass(frozen=True)
 class Lens(Manifold, closed=True, reducible=False, prime=True, toroidal=False,
            rigid=True, incompressible_boundary=False, lens_like=True,
@@ -237,16 +252,7 @@ class Lens(Manifold, closed=True, reducible=False, prime=True, toroidal=False,
     q: int
 
     def __post_init__(self) -> None:
-        p = abs(self.p)
-        if p < 2:
-            raise IllFormedClaimError(
-                f"L({self.p},{self.q}) is degenerate; use lens_space() for |p| <= 1"
-            )
-        q = self.q % p
-        if gcd(p, q) != 1:
-            raise IllFormedClaimError(f"L({self.p},{self.q}) needs gcd(p, q) = 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", lens_parameter_orbit(p, q)[0])
+        normalize_lens_pair(self, "L", "lens_space")
 
     homology = property(lambda self: H1Result.finite(self.p))
     sort_key = property(lambda self: ("Lens", (self.p, self.q)))

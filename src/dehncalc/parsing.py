@@ -44,54 +44,43 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(r"\s*(-?\d+|[A-Za-z][A-Za-z0-9_-]*|[(),;/#+\[\]])")
+_SPACE = re.compile(r"\s*")
 
 
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-
-    def skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.at = 0  # where the last token read began
 
     def next(self) -> str:
-        self.skip_space()
         m = _TOKEN.match(self.text, self.pos)
         if not m:
-            if self.pos >= len(self.text):
-                raise ParseError("unexpected end of input", self.pos)
-            raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
-        self.pos = m.end()
+            at = _SPACE.match(self.text, self.pos).end()
+            if at == len(self.text):
+                raise ParseError("unexpected end of input", at)
+            raise ParseError(f"unexpected character {self.text[at]!r}", at)
+        self.at, self.pos = m.start(1), m.end()
         return m.group(1)
 
     def expect(self, token: str) -> None:
-        self.skip_space()
-        at = self.pos
         got = self.next()
         if got != token:
-            raise ParseError(f"expected {token!r}, got {got!r}", at)
+            raise ParseError(f"expected {token!r}, got {got!r}", self.at)
 
     def accept(self, token: str) -> bool:
-        self.skip_space()
-        saved = self.pos
-        try:
-            got = self.next()
-        except ParseError:
+        m = _TOKEN.match(self.text, self.pos)
+        if m is None or m.group(1) != token:
             return False
-        if got == token:
-            return True
-        self.pos = saved
-        return False
+        self.at, self.pos = m.start(1), m.end()
+        return True
 
     def integer(self) -> int:
-        self.skip_space()
-        at = self.pos
         got = self.next()
         try:
             return int(got)
         except ValueError:
-            raise ParseError(f"expected an integer, got {got!r}", at) from None
+            raise ParseError(f"expected an integer, got {got!r}", self.at) from None
 
     def fraction(self) -> Slope:
         p = self.integer()
@@ -99,19 +88,34 @@ class _Scanner:
             return Slope(p, self.integer())
         return Slope(p, 1)
 
+    def separated(self, read, sep: str) -> list:
+        """read (sep read)*"""
+        found = [read(self)]
+        while self.accept(sep):
+            found.append(read(self))
+        return found
+
     def done(self) -> None:
-        self.skip_space()
+        self.pos = _SPACE.match(self.text, self.pos).end()
         if self.pos < len(self.text):
             raise ParseError(f"trailing input {self.text[self.pos:]!r}", self.pos)
 
 
 def _int_args(s: _Scanner) -> list[int]:
     s.expect("(")
-    args = [s.integer()]
-    while s.accept(","):
-        args.append(s.integer())
+    args = s.separated(_Scanner.integer, ",")
     s.expect(")")
     return args
+
+
+def _seifert_args(s: _Scanner) -> tuple[int, list[Slope]]:
+    """'(' int ';' frac (',' frac)* ')', shared by SFS and mont."""
+    s.expect("(")
+    e = s.integer()
+    s.expect(";")
+    fractions = s.separated(_Scanner.fraction, ",")
+    s.expect(")")
+    return e, fractions
 
 
 _FIXED_MANIFOLDS = {
@@ -124,9 +128,8 @@ _FIXED_MANIFOLDS = {
 
 
 def _manifold_atom(s: _Scanner) -> Manifold:
-    s.skip_space()
-    at = s.pos
     head = s.next()
+    at = s.at
     if head in _FIXED_MANIFOLDS:
         return _FIXED_MANIFOLDS[head]()
     if head == "L":
@@ -142,37 +145,25 @@ def _manifold_atom(s: _Scanner) -> Manifold:
             raise ParseError("C takes exactly two parameters", at)
         return CableSpace(args[0], args[1])
     if head == "SFS":
-        s.expect("(")
-        e = s.integer()
-        s.expect(";")
-        fibers = [s.fraction()]
-        while s.accept(","):
-            fibers.append(s.fraction())
-        s.expect(")")
+        e, fibers = _seifert_args(s)
         return SfsS2(e, tuple((f.q, f.p) for f in fibers))
     if head == "tag":
         s.expect("(")
-        s.skip_space()
-        label_at = s.pos
         label = s.next()
         if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_-]*", label):
-            raise ParseError(f"expected a tag label, got {label!r}", label_at)
+            raise ParseError(f"expected a tag label, got {label!r}", s.at)
         s.expect(")")
         return OpaqueTag(label)
     if head == "U":
         s.expect("[")
-        pieces = [_manifold_sum(s)]
-        while s.accept(","):
-            pieces.append(_manifold_sum(s))
+        pieces = s.separated(_manifold_sum, ",")
         s.expect("]")
         return torus_union(*pieces)
     raise ParseError(f"unknown manifold {head!r}", at)
 
 
 def _manifold_sum(s: _Scanner) -> Manifold:
-    parts = [_manifold_atom(s)]
-    while s.accept("#"):
-        parts.append(_manifold_atom(s))
+    parts = s.separated(_manifold_atom, "#")
     return connected_sum(*parts) if len(parts) > 1 else parts[0]
 
 
@@ -185,9 +176,8 @@ def parse_manifold_expr(text: str) -> Manifold:
 
 
 def _link_atom(s: _Scanner) -> Link:
-    s.skip_space()
-    at = s.pos
     head = s.next()
+    at = s.at
     if head == "unknot":
         return Unknot()
     if head == "unlink":
@@ -203,22 +193,13 @@ def _link_atom(s: _Scanner) -> Link:
             return unlink(2)
         return two_bridge(f.p, f.q)
     if head == "mont":
-        s.expect("(")
-        e = s.integer()
-        s.expect(";")
-        branches = [s.fraction()]
-        while s.accept(","):
-            branches.append(s.fraction())
-        s.expect(")")
-        return montesinos(e, branches)
+        return montesinos(*_seifert_args(s))
     raise ParseError(f"unknown link {head!r}", at)
 
 
 def parse_link_expr(text: str) -> Link:
     """Parse a link expression into its normalized value."""
     s = _Scanner(text)
-    parts = [_link_atom(s)]
-    while s.accept("+"):
-        parts.append(_link_atom(s))
+    parts = s.separated(_link_atom, "+")
     s.done()
     return link_connected_sum(*parts) if len(parts) > 1 else parts[0]

@@ -238,6 +238,23 @@ def test_run_check_indeterminate_finite_type(monkeypatch):
     assert result.status is Status.INDETERMINATE
 
 
+def test_run_check_indeterminate_reducible(monkeypatch):
+    # Neither description decides reducibility, so the check cannot fail.
+    shrug = FamilySpec(
+        name="shrug", description="", param_names=(),
+        domain_doc="", in_domain=lambda: True,
+        claims=(Claim(Slope(0), "tag(lens-type)",
+                      lambda: OpaqueTag("lens-type")),
+                Claim(INFINITY, "U[ST, ST]",
+                      lambda: torus_union(SolidTorus(), SolidTorus()))),
+        checks=(Check("reducible", (Slope(0),)),
+                Check("reducible", (INFINITY,))))
+    monkeypatch.setitem(FAMILIES, "shrug", shrug)
+    report = verify_family("shrug", {})
+    assert [c.status for c in report.checks] == [Status.INDETERMINATE] * 2
+    assert report.status is Status.INDETERMINATE
+
+
 def _spec_with(check: Check) -> FamilySpec:
     return FamilySpec(
         name="malformed", description="", param_names=(),

@@ -1,12 +1,14 @@
 import random
-from math import gcd
+from itertools import permutations
+from math import gcd, prod
 
 import pytest
 
 from dehncalc.links import (ConnSumLink, TwoBridge, Unknot,
                             Unlink, link_connected_sum, link_determinant,
                             montesinos, numerator_closure, two_bridge, unlink)
-from dehncalc.manifolds import IllFormedClaimError
+from dehncalc.cover import double_branched_cover
+from dehncalc.manifolds import IllFormedClaimError, connected_sum
 from dehncalc.slopes import INFINITY, Slope
 
 
@@ -109,3 +111,15 @@ def test_printed_forms():
     assert str(link_connected_sum(two_bridge(4, 1), two_bridge(3, 1))) == \
         "b(3/1) + b(4/1)"
     assert str(unlink(3)) == "unlink(3)"
+    # A sum of every kind of part prints one form, and its cover and
+    # determinant are those of its parts, whatever order they come in.
+    parts = (unlink(2), two_bridge(5, 2), two_bridge(3, 1),
+             montesinos(-1, [Slope(1, 2), Slope(1, 3), Slope(1, 5)]))
+    for order in permutations(parts):
+        mixed = link_connected_sum(*order)
+        assert str(mixed) == \
+            "mont(-1; 1/2, 1/3, 1/5) + b(3/1) + b(5/2) + unlink(2)"
+        assert double_branched_cover(mixed) == \
+            connected_sum(*map(double_branched_cover, order))
+        assert link_determinant(mixed) == \
+            prod(map(link_determinant, order)) == 0

@@ -1,7 +1,10 @@
 import random
+import re
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dehncalc.links import link_connected_sum, montesinos, two_bridge, unlink
 from dehncalc.manifolds import (BASE_D2, BASE_M2, BASE_S2, CableSpace,
@@ -41,19 +44,49 @@ def test_manifold_compound():
         connected_sum(SolidTorus(), Lens(2, 1))
 
 
+def _assert_parse_errors(parse, table):
+    for text, message, position in table:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.position) == \
+            (f"{message} (at position {position})", position), text
+
+
+# Every error site of the manifold grammar: input, message, position.
+_MANIFOLD_ERRORS = [
+    ("", "unexpected end of input", 0),
+    ("   ", "unexpected end of input", 3),
+    ("L(3,1)#", "unexpected end of input", 7),
+    ("U[ST", "unexpected end of input", 4),
+    ("$", "unexpected character '$'", 0),
+    ("L(3,1) # $", "unexpected character '$'", 9),
+    ("L(3;1)", "expected ')', got ';'", 3),
+    ("SFS(1)", "expected ';', got ')'", 5),
+    ("SFS 1", "expected '(', got '1'", 4),
+    ("U[ST, ST)", "expected ']', got ')'", 8),
+    ("L(x,1)", "expected an integer, got 'x'", 2),
+    ("L(3, )", "expected an integer, got ')'", 5),
+    ("SFS(1; 1/2, x)", "expected an integer, got 'x'", 12),
+    ("SFS(1; 1/ 2, 1/3, 1/)", "expected an integer, got ')'", 20),
+    ("S2(2,3,5) junk", "trailing input 'junk'", 10),
+    ("L(3,1) L(4,1)", "trailing input 'L(4,1)'", 7),
+    ("L(3,1)  $ ", "trailing input '$ '", 8),
+    ("tag()", "expected a tag label, got ')'", 4),
+    ("tag( 1)", "expected a tag label, got '1'", 5),
+    ("tag(()", "expected a tag label, got '('", 4),
+    ("L(4)", "L takes exactly two parameters", 0),
+    ("  L( 1, 2, 3 )", "L takes exactly two parameters", 2),
+    ("ST # C(1)", "C takes exactly two parameters", 5),
+    ("C(1,2,3)", "C takes exactly two parameters", 0),
+    ("Q3", "unknown manifold 'Q3'", 0),
+    ("  Q3", "unknown manifold 'Q3'", 2),
+    ("U[ST,]", "unknown manifold ']'", 5),
+    ("b(3/1)", "unknown manifold 'b'", 0),
+]
+
+
 def test_manifold_syntax_errors_carry_position():
-    with pytest.raises(ParseError) as err:
-        parse_manifold_expr("L(3,1)#")
-    assert err.value.position == 7
-    with pytest.raises(ParseError) as err:
-        parse_manifold_expr("L(3;1)")
-    assert err.value.position == 3
-    with pytest.raises(ParseError) as err:
-        parse_manifold_expr("S2(2,3,5) junk")
-    assert err.value.position == 10
-    for bad in ("", "Q3", "L(4)", "U[ST", "SFS(1)", "tag()", "L(3,1) L(4,1)"):
-        with pytest.raises(ParseError):
-            parse_manifold_expr(bad)
+    _assert_parse_errors(parse_manifold_expr, _MANIFOLD_ERRORS)
 
 
 def test_manifold_semantic_errors():
@@ -83,11 +116,29 @@ def test_link_expressions():
         link_connected_sum(two_bridge(3, 1), two_bridge(4, 1))
 
 
+# Every error site of the link grammar: input, message, position.
+_LINK_ERRORS = [
+    ("", "unexpected end of input", 0),
+    ("b(7/3) +", "unexpected end of input", 8),
+    ("mont(0; 1/2, 1/3, 1/5", "unexpected end of input", 21),
+    ("b(7/3)+ %", "unexpected character '%'", 8),
+    ("b 7", "expected '(', got '7'", 2),
+    ("mont(1 1/2)", "expected ';', got '1'", 7),
+    ("b(7/3]", "expected ')', got ']'", 5),
+    ("b(7/x)", "expected an integer, got 'x'", 4),
+    ("b(7/)", "expected an integer, got ')'", 4),
+    ("unlink()", "expected an integer, got ')'", 7),
+    ("b(7/3) b", "trailing input 'b'", 7),
+    ("unknot # unknot", "trailing input '# unknot'", 7),
+    ("unlink(2,3)", "unlink takes exactly one parameter", 0),
+    ("b(3) + unlink( 2 , 3 )", "unlink takes exactly one parameter", 7),
+    ("braid(3)", "unknown link 'braid'", 0),
+    ("b(3) +  L(3,1)", "unknown link 'L'", 8),
+]
+
+
 def test_link_errors():
-    with pytest.raises(ParseError):
-        parse_link_expr("braid(3)")
-    with pytest.raises(ParseError):
-        parse_link_expr("b(7/3) +")
+    _assert_parse_errors(parse_link_expr, _LINK_ERRORS)
     with pytest.raises(IllFormedClaimError):
         parse_link_expr("mont(0; 1/2, 1/3)")
     with pytest.raises(IllFormedClaimError):
@@ -131,22 +182,92 @@ def test_print_parse_round_trip_random():
         assert parse_manifold_expr(str(m)) == m
 
 
+def _random_link(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        p = rng.randint(2, 70)
+        q = rng.choice([x for x in range(1, p) if gcd(x, p) == 1])
+        return two_bridge(p, q)
+    if kind == 1:
+        branches = []
+        for _ in range(3):
+            a = rng.randint(2, 9)
+            b = rng.choice([x for x in range(1, a) if gcd(x, a) == 1])
+            branches.append(Slope(b, a))
+        return montesinos(rng.randint(-3, 3), branches)
+    return link_connected_sum(two_bridge(3, 1), two_bridge(rng.randint(2, 20), 1))
+
+
 def test_link_print_parse_round_trip():
     rng = random.Random(4)
     for _ in range(100):
-        kind = rng.randrange(3)
-        if kind == 0:
-            p = rng.randint(2, 70)
-            q = rng.choice([x for x in range(1, p) if gcd(x, p) == 1])
-            link = two_bridge(p, q)
-        elif kind == 1:
-            branches = []
-            for _ in range(3):
-                a = rng.randint(2, 9)
-                b = rng.choice([x for x in range(1, a) if gcd(x, a) == 1])
-                branches.append(Slope(b, a))
-            link = montesinos(rng.randint(-3, 3), branches)
-        else:
-            link = link_connected_sum(two_bridge(3, 1),
-                                      two_bridge(rng.randint(2, 20), 1))
+        link = _random_link(rng)
         assert parse_link_expr(str(link)) == link
+
+
+_MANIFOLD_WORDS = ["S3", "S1xS2", "ST", "T2xI", "ZxS1", "L", "S2", "D2", "M2",
+                   "C", "SFS", "tag", "U", "lens-type", "toroidal"]
+_LINK_WORDS = ["unknot", "unlink", "b", "mont"]
+# Punctuation of both grammars, then characters neither grammar accepts.
+_SYMBOLS = ["(", ")", ",", ";", "/", "#", "+", "[", "]",
+            "$", "-", "*", "\u00e9", "\t", "\u00a0"]
+
+
+_PRINTED_TOKEN = re.compile(r"-?\d+|[A-Za-z][A-Za-z0-9_-]*|\S")
+
+
+def _edit(tokens, edits):
+    tokens = list(tokens)
+    for i, op, token in edits:
+        i %= len(tokens) + 1
+        if op == "insert":
+            tokens.insert(i, token)
+        elif i < len(tokens):
+            tokens[i:i + 1] = [token] if op == "replace" else []
+    return tokens
+
+
+def _texts(words, random_value):
+    """Up to 24 tokens, each followed by nothing or a space: drawn from
+    the grammar's alphabet plus stray characters, or read off a printed
+    random value with up to two tokens deleted, replaced or inserted."""
+    token = st.one_of(st.sampled_from(words + _SYMBOLS),
+                      st.integers(-3, 12).map(str))
+    printed = st.randoms(use_true_random=False).map(
+        lambda rng: _PRINTED_TOKEN.findall(str(random_value(rng))))
+    edits = st.lists(st.tuples(st.integers(0, 24),
+                               st.sampled_from(["delete", "replace", "insert"]),
+                               token), max_size=2)
+    tokens = st.one_of(st.lists(token, max_size=24),
+                       st.builds(_edit, printed, edits)
+                       .filter(lambda ts: len(ts) <= 24))
+    spaces = st.lists(st.sampled_from(["", " "]), min_size=24, max_size=24)
+    return st.builds(lambda ts, sp: "".join(t + s for t, s in zip(ts, sp)),
+                     tokens, spaces)
+
+
+def _assert_parses_or_rejects(parse, text):
+    """A value whose printed form re-parses to it, or a ValueError; a
+    syntax error points inside the text."""
+    try:
+        value = parse(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text), (text, exc)
+        return
+    except ValueError as exc:
+        assert isinstance(exc, IllFormedClaimError) or \
+            str(exc) == "slope 0/0 is not defined", (text, exc)
+        return
+    assert parse(str(value)) == value, text
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_texts(_MANIFOLD_WORDS, _random_manifold))
+def test_manifold_grammar_fuzz(text):
+    _assert_parses_or_rejects(parse_manifold_expr, text)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_texts(_LINK_WORDS, _random_link))
+def test_link_grammar_fuzz(text):
+    _assert_parses_or_rejects(parse_link_expr, text)
