@@ -72,7 +72,10 @@ def _family_ranges(args) -> tuple[FamilySpec, dict]:
 
 
 def _params_text(spec: FamilySpec, params: dict) -> str:
-    return ",".join(f"{n}={params[n]}" for n in spec.param_names)
+    return ",".join([f"{n}={params[n]}" for n in spec.param_names])
+
+
+_STATUS_WORDS = {status: status.value for status in Status}
 
 
 def _h1_order(m) -> int | None:
@@ -173,11 +176,11 @@ def _cmd_family_verify(args, command: str) -> Report:
     spec, reports = _point_reports(args)
     rows = []
     for rep in reports:
+        params = _params_text(spec, rep.params)
         for check in rep.checks:
-            rows.append({"family": spec.name,
-                         "params": _params_text(spec, rep.params),
+            rows.append({"family": spec.name, "params": params,
                          "check": check.kind, "detail": check.detail,
-                         "status": check.status.value,
+                         "status": _STATUS_WORDS[check.status],
                          "observed": check.observed})
     status = combine_status(r.status for r in reports)
     return Report(command, status, tuple(rows))
@@ -190,7 +193,7 @@ def _cmd_family_sweep(args, command: str) -> Report:
         statuses = [check.status for check in rep.checks]
         rows.append({"family": spec.name,
                      "params": _params_text(spec, rep.params),
-                     "status": rep.status.value,
+                     "status": _STATUS_WORDS[rep.status],
                      "passed": statuses.count(Status.PASS),
                      "failed": statuses.count(Status.FAIL),
                      "indeterminate": statuses.count(Status.INDETERMINATE)})
@@ -303,6 +306,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         report = args.handler(args, " ".join(["dehncalc"] + argv))
+        text = emit_report(report, args.format)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -312,7 +316,7 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
         return 2
-    sys.stdout.write(emit_report(report, args.format))
+    sys.stdout.write(text)
     return exit_code(report.status)
 
 

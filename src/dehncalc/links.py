@@ -85,13 +85,11 @@ class TwoBridge(Link):
 def two_bridge(p: int, q: int) -> Link:
     """b(p, q) with the degenerate cases folded in: b(0, 1) is the 2-unlink
     and b(+-1, q) is the unknot."""
+    if abs(p) >= 2:
+        return TwoBridge(p, q)
     if gcd(p, q) != 1:
         raise IllFormedClaimError(f"b({p},{q}) needs gcd(p, q) = 1")
-    if p == 0:
-        return Unlink(2)
-    if abs(p) == 1:
-        return Unknot()
-    return TwoBridge(p, q)
+    return Unknot() if p else Unlink(2)
 
 
 def numerator_closure(r: Slope) -> Link:

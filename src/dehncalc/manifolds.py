@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
+from operator import attrgetter
 from typing import ClassVar
 
 
@@ -165,6 +166,15 @@ class Manifold:
 
 
 SHAPE_FACTS = tuple(Manifold.__annotations__)
+_sort_key = attrgetter("sort_key")
+
+
+def _normal_form(cls, **fields) -> Manifold:
+    """A shape from fields already in its normal form, skipping the checks
+    and rewrites of its __post_init__."""
+    shape = object.__new__(cls)
+    shape.__dict__.update(fields)
+    return shape
 
 
 @dataclass(frozen=True)
@@ -236,10 +246,13 @@ def normalize_lens_pair(shape, name: str, builder: str) -> None:
             f"{name}({shape.p},{shape.q}) is degenerate; use {builder}() for |p| <= 1"
         )
     q = shape.q % p
-    if gcd(p, q) != 1:
-        raise IllFormedClaimError(f"{name}({shape.p},{shape.q}) needs gcd(p, q) = 1")
+    try:
+        inv = pow(q, -1, p)
+    except ValueError:  # q is not a unit mod p
+        raise IllFormedClaimError(
+            f"{name}({shape.p},{shape.q}) needs gcd(p, q) = 1") from None
     object.__setattr__(shape, "p", p)
-    object.__setattr__(shape, "q", lens_parameter_orbit(p, q)[0])
+    object.__setattr__(shape, "q", min(q, p - q, inv, p - inv))
 
 
 @dataclass(frozen=True)
@@ -263,13 +276,11 @@ class Lens(Manifold, closed=True, reducible=False, prime=True, toroidal=False,
 
 def lens_space(p: int, q: int) -> Manifold:
     """L(p, q) with the degenerate cases folded in: L(0, 1) = S1xS2, L(+-1, q) = S3."""
+    if abs(p) >= 2:
+        return Lens(p, q)
     if gcd(p, q) != 1:
         raise IllFormedClaimError(f"L({p},{q}) needs gcd(p, q) = 1")
-    if p == 0:
-        return S1xS2()
-    if abs(p) == 1:
-        return S3()
-    return Lens(p, q)
+    return S3() if p else S1xS2()
 
 
 def lens_homeomorphic(a: Manifold, b: Manifold) -> bool:
@@ -408,14 +419,16 @@ def sfs_orders(base: str, orders: tuple[int, ...] | list[int]) -> Manifold:
             raise IllFormedClaimError("exceptional fiber of order 0")
         if a > 1:
             cleaned.append(a)
-    cleaned.sort()
     if base == BASE_S2 and len(cleaned) < 3:
         return OpaqueTag(TAG_LENS_TYPE)
     if base == BASE_D2 and len(cleaned) < 2:
         return SolidTorus()
     if base == BASE_M2 and not cleaned:
         return SfsOrdersOnly(BASE_D2, (2, 2))
-    return SfsOrdersOnly(base, tuple(cleaned))
+    if base not in _MIN_ORDER_COUNT:
+        raise IllFormedClaimError(f"unknown base {base!r}")
+    cleaned.sort()
+    return _normal_form(SfsOrdersOnly, base=base, orders=tuple(cleaned))
 
 
 @dataclass(frozen=True)
@@ -475,15 +488,16 @@ def _sum_fact(answers, decisive: bool) -> bool | None:
     return None
 
 
-def _flatten(summands) -> list[Manifold]:
-    """Summands with nested sums spliced in and S3 summands dropped."""
+def _summands(parts) -> tuple[Manifold, ...]:
+    """Summands with nested sums spliced in, S3 summands dropped, sorted."""
     flat: list[Manifold] = []
-    for m in summands:
+    for m in parts:
         if isinstance(m, ConnSum):
             flat.extend(m.summands)
         elif not isinstance(m, S3):
             flat.append(m)
-    return flat
+    flat.sort(key=_sort_key)
+    return tuple(flat)
 
 
 @dataclass(frozen=True)
@@ -495,13 +509,12 @@ class ConnSum(Manifold, reducible=True, prime=False,
     summands: tuple[Manifold, ...]
 
     def __post_init__(self) -> None:
-        flat = _flatten(self.summands)
-        if len(flat) < 2:
+        summands = _summands(self.summands)
+        if len(summands) < 2:
             raise IllFormedClaimError(
                 "ConnSum needs >= 2 nontrivial summands; use connected_sum()"
             )
-        object.__setattr__(self, "summands",
-                           tuple(sorted(flat, key=lambda m: m.sort_key)))
+        object.__setattr__(self, "summands", summands)
 
     closed = property(
         lambda self: _sum_fact((m.closed for m in self.summands), False))
@@ -527,10 +540,10 @@ class ConnSum(Manifold, reducible=True, prime=False,
 
 def connected_sum(*summands: Manifold) -> Manifold:
     """Connected sum with S3 summands absorbed and singletons unwrapped."""
-    flat = _flatten(summands)
+    flat = _summands(summands)
     if len(flat) < 2:
         return flat[0] if flat else S3()
-    return ConnSum(tuple(flat))
+    return _normal_form(ConnSum, summands=flat)
 
 
 @dataclass(frozen=True)
@@ -546,8 +559,7 @@ class TorusUnion(Manifold, prime=False, toroidal=None, rigid=False,
     def __post_init__(self) -> None:
         if len(self.pieces) < 2:
             raise IllFormedClaimError("TorusUnion needs >= 2 pieces")
-        object.__setattr__(self, "pieces",
-                           tuple(sorted(self.pieces, key=lambda m: m.sort_key)))
+        object.__setattr__(self, "pieces", tuple(sorted(self.pieces, key=_sort_key)))
 
     @property
     def reducible(self) -> bool | None:

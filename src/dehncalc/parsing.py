@@ -32,7 +32,7 @@ from .manifolds import (BASE_D2, BASE_M2, BASE_S2, CableSpace, Manifold,
                         OpaqueTag, S3, S1xS2, SfsS2, SolidTorus, T2xI,
                         ZxS1, connected_sum, lens_space,
                         sfs_orders, torus_union)
-from .slopes import Slope
+from .slopes import Slope, int_limit_error
 
 
 class ParseError(ValueError):
@@ -80,7 +80,8 @@ class _Scanner:
         try:
             return int(got)
         except ValueError:
-            raise ParseError(f"expected an integer, got {got!r}", self.at) from None
+            message = int_limit_error(got) or f"expected an integer, got {got!r}"
+            raise ParseError(message, self.at) from None
 
     def fraction(self) -> Slope:
         p = self.integer()

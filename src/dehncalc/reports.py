@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 SCHEMA_VERSION = "1"
 
@@ -64,37 +66,71 @@ def exit_code(status: Status) -> int:
     return _EXIT_CODES[status]
 
 
-def _cell(value) -> str:
+# The rows of a JSON report, encoded in one call of the C encoder with
+# the item separator of a row's keys under json.dumps(indent=2).  JSON
+# escapes every control character, so the only newlines in its output are
+# separators, and a flat row cannot hold the row break "},\n      {".
+_encode_rows = json.JSONEncoder(sort_keys=True,
+                                separators=(",\n      ", ": ")).encode
+_ROW_BREAK = "},\n      {"
+_FLAT = frozenset((str, int, bool, type(None)))
+
+
+def _json_rows(rows: tuple[dict, ...]) -> str:
+    """The "results" list as json.dumps(indent=2) lays it out in a report."""
+    if not _FLAT.issuperset(map(type, chain.from_iterable(map(dict.values, rows)))):
+        bad = next(v for row in rows for v in row.values() if type(v) not in _FLAT)
+        raise ValueError(f"value not representable in a flat row: {bad!r}")
+    if not rows:
+        return "[]"
+    rows_text = _encode_rows(rows)[2:-2].split(_ROW_BREAK)
+    return "[\n    " + ",\n    ".join(
+        "{\n      " + text + "\n    }" if text else "{}" for text in rows_text
+    ) + "\n  ]"
+
+
+def _tsv_text(value) -> str:
+    """A cell that is not a str."""
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if type(value) is bool:
         return "true" if value else "false"
-    text = str(value)
-    if "\t" in text or "\n" in text:
-        raise ValueError(f"value not representable in TSV: {value!r}")
-    return text
+    if type(value) is int:
+        return str(value)
+    raise ValueError(f"value not representable in TSV: {value!r}")
+
+
+def _tsv_line(cells: list) -> str:
+    line = "\t".join([c if type(c) is str else _tsv_text(c) for c in cells])
+    # A tab inside a cell shows as a tab beyond the separators.
+    if "\n" in line or line.count("\t") > max(len(cells) - 1, 0):
+        bad = next(c for c in cells
+                   if type(c) is str and ("\t" in c or "\n" in c))
+        raise ValueError(f"value not representable in TSV: {bad!r}")
+    return line
 
 
 def emit_report(report: Report, fmt: str) -> str:
-    """Render a report as JSON or TSV text (newline-terminated)."""
+    """Render a report as JSON or TSV text (newline-terminated).
+
+    JSON is byte for byte json.dumps(payload, sort_keys=True, indent=2).
+    Rows are flat records of str, int, bool and None; any other value,
+    and a tab or newline in a TSV cell, raises ValueError."""
     status = "ok" if report.status is Status.PASS else report.status.value
     if fmt == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": report.command,
-            "status": status,
-            "results": list(report.results),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return (f'{{\n  "command": {encode_basestring_ascii(report.command)},'
+                f'\n  "results": {_json_rows(report.results)},'
+                f'\n  "schema_version": "{SCHEMA_VERSION}",'
+                f'\n  "status": "{status}"\n}}\n')
     if fmt == "tsv":
-        columns = list(dict.fromkeys(key for row in report.results for key in row))
+        columns = list(dict.fromkeys(chain.from_iterable(report.results)))
         lines = [
             f"# schema_version\t{SCHEMA_VERSION}",
-            f"# command\t{_cell(report.command)}",
+            _tsv_line(["# command", report.command]),
             f"# status\t{status}",
             "\t".join(columns),
         ]
         for row in report.results:
-            lines.append("\t".join(_cell(row.get(c)) for c in columns))
+            lines.append(_tsv_line(list(map(row.get, columns))))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

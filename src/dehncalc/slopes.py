@@ -8,8 +8,12 @@ floating point.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from math import gcd
+
+_DECIMAL = re.compile(r"([+-]?)(\d+)")
 
 
 @dataclass(frozen=True)
@@ -86,17 +90,30 @@ def apply_unimodular(matrix: tuple[tuple[int, int], tuple[int, int]], r: Slope) 
     return Slope(a * r.p + b * r.q, c * r.p + d * r.q)
 
 
+def int_limit_error(text: str) -> str | None:
+    """Why int(text) fails when text is a decimal integer with more digits
+    than the interpreter converts (sys.get_int_max_str_digits); else None."""
+    m = _DECIMAL.fullmatch(text)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
+    if m is None or not 0 < limit < len(m.group(2)):
+        return None
+    return (f"integer {m.group(1)}{m.group(2)[:8]}... has {len(m.group(2))} "
+            f"digits, more than the limit of {limit}")
+
+
 def parse_slope(text: str) -> Slope:
     """Parse 'p/q', a bare integer, or 'inf' into a slope."""
     s = text.strip()
     if s == "inf":
         return INFINITY
+    num, slash, den = s.partition("/")
+    parts = (num.strip(), den.strip()) if slash else (s,)
     try:
-        if "/" in s:
-            num, _, den = s.partition("/")
-            return Slope(int(num.strip()), int(den.strip()))
-        return Slope(int(s))
+        return Slope(*map(int, parts))
     except ValueError as exc:
+        for part in parts:
+            if too_long := int_limit_error(part):
+                raise ValueError(f"bad slope: {too_long}") from None
         raise ValueError(f"bad slope {text!r}: {exc}") from exc
 
 

@@ -314,3 +314,28 @@ def test_cached_parser_keeps_no_state(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("char, escaped", [("\t", "\\t"), ("\n", "\\n")])
+def test_unrepresentable_tsv_echo_exits_two(capsys, char, escaped):
+    argv = ["classify", f"L(3,1){char}"]
+    code, out, err = _run(capsys, argv + ["--format", "tsv"])
+    assert (code, out) == (2, "")
+    assert err == ("error: value not representable in TSV: "
+                   f"{f'dehncalc classify L(3,1){char} --format tsv'!r}\n")
+    # JSON escapes both characters, so the same echo is fine there.
+    code, out, err = _run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == (
+        '{\n'
+        f'  "command": "dehncalc classify L(3,1){escaped} --format json",\n'
+        '  "results": [\n'
+        '    {\n'
+        '      "finite_type": "cyclic",\n'
+        '      "h1_order": 3,\n'
+        '      "manifold": "L(3,1)"\n'
+        '    }\n'
+        '  ],\n'
+        '  "schema_version": "1",\n'
+        '  "status": "ok"\n'
+        '}\n')

@@ -2,8 +2,11 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dehncalc import manifolds
+from dehncalc.links import TwoBridge, two_bridge
 from dehncalc.manifolds import (BASE_D2, BASE_M2, BASE_S2, SHAPE_FACTS,
                                 CableSpace, Comparison, ConnSum, FiniteType,
                                 H1Result, IllFormedClaimError,
@@ -57,6 +60,32 @@ def test_lens_space_degenerate_factory():
         lens_space(4, 2)
     with pytest.raises(IllFormedClaimError):
         Lens(1, 0)
+
+
+_LENS_INTS = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**60, 10**60))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_LENS_INTS, _LENS_INTS)
+def test_lens_normal_form_is_orbit_minimum(p, q):
+    if abs(p) < 2:
+        with pytest.raises(IllFormedClaimError) as err:
+            Lens(p, q)
+        assert str(err.value) == \
+            f"L({p},{q}) is degenerate; use lens_space() for |p| <= 1"
+    elif gcd(p, q) == 1:
+        least = lens_parameter_orbit(abs(p), q)[0]
+        assert (Lens(p, q).p, Lens(p, q).q) == (abs(p), least)
+        assert (TwoBridge(p, q).p, TwoBridge(p, q).q) == (abs(p), least)
+        assert lens_space(p, q) == Lens(p, q)
+    if gcd(p, q) != 1:
+        builders = [(lens_space, "L"), (two_bridge, "b")]
+        if abs(p) >= 2:
+            builders += [(Lens, "L"), (TwoBridge, "b")]
+        for build, name in builders:
+            with pytest.raises(IllFormedClaimError) as err:
+                build(p, q)
+            assert str(err.value) == f"{name}({p},{q}) needs gcd(p, q) = 1"
 
 
 def test_lens_homeomorphic():

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from math import gcd
 
 import pytest
@@ -12,7 +13,7 @@ from dehncalc.manifolds import (BASE_D2, BASE_M2, BASE_S2, CableSpace,
                                 S1xS2, SfsS2, SolidTorus, T2xI, ZxS1,
                                 connected_sum, sfs_orders, torus_union)
 from dehncalc.parsing import ParseError, parse_link_expr, parse_manifold_expr
-from dehncalc.slopes import Slope
+from dehncalc.slopes import Slope, parse_slope
 
 
 def test_manifold_atoms():
@@ -271,3 +272,25 @@ def test_manifold_grammar_fuzz(text):
 @given(_texts(_LINK_WORDS, _random_link))
 def test_link_grammar_fuzz(text):
     _assert_parses_or_rejects(parse_link_expr, text)
+
+
+def test_overlong_integer_names_its_length():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    nines = "9" * (limit + 1)
+    too_long = f"has {limit + 1} digits, more than the limit of {limit}"
+    _assert_parse_errors(parse_link_expr, [
+        (f"b({nines}/2)", f"integer 99999999... {too_long}", 2),
+        (f"b(3 / -{nines})", f"integer -99999999... {too_long}", 6),
+    ])
+    _assert_parse_errors(parse_manifold_expr, [
+        (f"L(3,1) # L({nines},2)", f"integer 99999999... {too_long}", 11),
+    ])
+    for text in (nines, f"{nines}/2", f" 1 / -{nines}"):
+        with pytest.raises(ValueError) as err:
+            parse_slope(text)
+        sign = "-" if "-" in text else ""
+        assert str(err.value) == f"bad slope: integer {sign}99999999... {too_long}"
+    # One digit fewer is an integer like any other.
+    assert parse_manifold_expr(f"L({nines[1:]},2)").p == int(nines[1:])
