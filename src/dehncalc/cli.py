@@ -17,22 +17,21 @@ import sys
 from .cables import CableContext, describe_cable_fill, meridian_distance_cabled
 from .cover import double_branched_cover
 from .diagrams import oracle_cross_check, random_montesinos
-from .families import (DomainError, FamilySpec, VerificationReport,
-                       family_catalog, get_family, grid_points,
-                       sweep_point_reports)
+from .families import (Claim, FamilySpec, family_catalog, get_family,
+                       grid_points, verify_family)
 from .links import link_determinant
-from .manifolds import (CableSpace, FiniteType, IndeterminateError,
-                        classify_finite_type, h1)
-from .parsing import ParseError, parse_link_expr, parse_manifold_expr
+from .manifolds import CableSpace, FiniteType, classify_finite_type, h1
+from .parsing import parse_link_expr, parse_manifold_expr
 from .reports import (FORMATS, Report, Status, combine_status, emit_report,
                       exit_code)
-from .slopes import distance, format_slope, parse_slope
+from .slopes import distance, format_slope, int_limit_error, parse_slope
 
-_RANGE = re.compile(r"^(-?\d+)(?:\.\.(-?\d+))?$")
+_RANGE = re.compile(r"(-?\d+)(?:\.\.(-?\d+))?")
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(argparse.ArgumentTypeError):
+    """Bad argv.  When an option's type function raises it, argparse
+    prefixes the message with the option's name."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,29 +45,50 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _integer(text: str) -> int:
+    """An integer option or range end, read by int()'s rules; one longer
+    than the int-string limit is named by its digit count, as in
+    expressions, and not echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(int_limit_error(text.strip())
+                          or f"invalid int value: {text!r}") from None
+
+
 def _parse_range(text: str) -> tuple[int, int]:
-    m = _RANGE.match(text)
+    m = _RANGE.fullmatch(text)
     if not m:
         raise _UsageError(f"expected N or A..B, got {text!r}")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) is not None else lo
+    lo = _integer(m.group(1))
+    hi = lo if m.group(2) is None else _integer(m.group(2))
     if hi < lo:
         raise _UsageError(f"empty range {text!r}")
     return lo, hi
 
 
-def _family_ranges(args) -> tuple[FamilySpec, dict]:
+def _family_points(args) -> tuple[FamilySpec, Claim | None, list[dict]]:
+    """The family named on argv, its claim at the slope argument (None
+    for verbs without one) and the in-domain points of its --p/--q grid.
+
+    Faults are reported in this order: the family, its parameter
+    options, the slope, and last a grid with no in-domain point.
+    """
     spec = get_family(args.family)
     ranges: dict[str, tuple[int, int]] = {}
     for name in ("p", "q"):
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if name in spec.param_names:
             if value is None:
                 raise _UsageError(f"family {spec.name} needs --{name}")
             ranges[name] = _parse_range(value)
         elif value is not None:
             raise _UsageError(f"family {spec.name} takes no parameter {name}")
-    return spec, ranges
+    claim = spec.claim_at(parse_slope(args.slope)) if "slope" in args else None
+    points = grid_points(spec, ranges)
+    if not points:
+        raise _UsageError("no in-domain parameter points in the given ranges")
+    return spec, claim, points
 
 
 def _params_text(spec: FamilySpec, params: dict) -> str:
@@ -76,14 +96,6 @@ def _params_text(spec: FamilySpec, params: dict) -> str:
 
 
 _STATUS_WORDS = {status: status.value for status in Status}
-
-
-def _h1_order(m) -> int | None:
-    try:
-        res = h1(m)
-    except IndeterminateError:
-        return None
-    return res.order
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +113,9 @@ def _cmd_distance(args, command: str) -> Report:
 def _cmd_classify(args, command: str) -> Report:
     m = parse_manifold_expr(args.manifold)
     ft = classify_finite_type(m)
-    row = {"manifold": str(m), "finite_type": ft.value, "h1_order": _h1_order(m)}
+    hom = m.homology  # None when the description does not decide H1
+    row = {"manifold": str(m), "finite_type": ft.value,
+           "h1_order": None if hom is None else hom.order}
     status = Status.INDETERMINATE if ft is FiniteType.UNKNOWN else Status.PASS
     return Report(command, status, (row,))
 
@@ -150,30 +164,18 @@ def _cmd_family_list(args, command: str) -> Report:
 
 
 def _cmd_family_fill(args, command: str) -> Report:
-    spec, ranges = _family_ranges(args)
-    r = parse_slope(args.slope)
-    claim = spec.claim_at(r)
-    rows = []
-    for params in grid_points(spec, ranges):
-        m = claim.build(**params)
-        rows.append({"family": spec.name, "params": _params_text(spec, params),
-                     "slope": format_slope(r), "formula": claim.formula,
-                     "manifold": str(m)})
-    if not rows:
-        raise _UsageError("no in-domain parameter points in the given ranges")
-    return Report(command, Status.PASS, tuple(rows))
-
-
-def _point_reports(args) -> tuple[FamilySpec, tuple[VerificationReport, ...]]:
-    spec, ranges = _family_ranges(args)
-    reports = sweep_point_reports(spec.name, ranges)
-    if not reports:
-        raise _UsageError("no in-domain parameter points in the given ranges")
-    return spec, reports
+    spec, claim, points = _family_points(args)
+    slope = format_slope(claim.slope)
+    rows = tuple([{"family": spec.name, "params": _params_text(spec, params),
+                   "slope": slope, "formula": claim.formula,
+                   "manifold": str(claim.build(**params))}
+                  for params in points])
+    return Report(command, Status.PASS, rows)
 
 
 def _cmd_family_verify(args, command: str) -> Report:
-    spec, reports = _point_reports(args)
+    spec, _, points = _family_points(args)
+    reports = [verify_family(spec.name, params) for params in points]
     rows = []
     for rep in reports:
         params = _params_text(spec, rep.params)
@@ -187,7 +189,8 @@ def _cmd_family_verify(args, command: str) -> Report:
 
 
 def _cmd_family_sweep(args, command: str) -> Report:
-    spec, reports = _point_reports(args)
+    spec, _, points = _family_points(args)
+    reports = [verify_family(spec.name, params) for params in points]
     rows = []
     for rep in reports:
         statuses = [check.status for check in rep.checks]
@@ -260,8 +263,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cable", parents=[shared],
                        help="fill the outer boundary of a cable space")
-    p.add_argument("--s", type=int, required=True, help="cable parameter s")
-    p.add_argument("--t", type=int, required=True, help="cable parameter t")
+    p.add_argument("--s", type=_integer, required=True, help="cable parameter s")
+    p.add_argument("--t", type=_integer, required=True, help="cable parameter t")
     p.add_argument("--gamma", required=True, help="cabling slope")
     p.add_argument("r", help="filling slope")
     p.set_defaults(handler=_cmd_cable)
@@ -286,9 +289,9 @@ def _build_parser() -> _Parser:
                        help="cross-check link determinants two ways")
     p.add_argument("links", nargs="*", metavar="LINK")
     p.add_argument("--batch", help="file with one link expression per line")
-    p.add_argument("--sample", type=int, default=0,
+    p.add_argument("--sample", type=_integer, default=0,
                    help="number of random Montesinos links to add")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for --sample")
+    p.add_argument("--seed", type=_integer, default=0, help="RNG seed for --sample")
     p.set_defaults(handler=_cmd_oracle)
 
     return parser
@@ -296,21 +299,16 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         report = args.handler(args, " ".join(["dehncalc"] + argv))
         text = emit_report(report, args.format)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, DomainError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError, DomainError, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -205,10 +205,6 @@ def _compile_check(spec: FamilySpec, check: Check):
 # The family tables
 
 
-def _slope(p: int, q: int = 1) -> Slope:
-    return Slope(p, q)
-
-
 _CYCLIC = FamilySpec(
     name="cyclic",
     description="Twist family whose 0-filling is a lens sum and whose "
@@ -217,22 +213,22 @@ _CYCLIC = FamilySpec(
     domain_doc="p >= 2, q >= 4",
     in_domain=lambda p, q: p >= 2 and q >= 4,
     claims=(
-        Claim(_slope(0), "L(p,1) # L(q-2,1)",
+        Claim(Slope(0), "L(p,1) # L(q-2,1)",
               lambda p, q: connected_sum(lens_space(p, 1), lens_space(q - 2, 1))),
         Claim(INFINITY, "L((3p+2)(-2q+1)+6, (3p+2)q-3)",
               lambda p, q: lens_space((3 * p + 2) * (-2 * q + 1) + 6,
                                       (3 * p + 2) * q - 3)),
-        Claim(_slope(-1), "tag(toroidal_irreducible_nonSFS)",
+        Claim(Slope(-1), "tag(toroidal_irreducible_nonSFS)",
               lambda p, q: OpaqueTag(TAG_TOROIDAL_IRREDUCIBLE)),
     ),
     checks=(
         Check("wellformed"),
-        Check("distance", (_slope(0), INFINITY), 1),
-        Check("reducible", (_slope(0),)),
+        Check("distance", (Slope(0), INFINITY), 1),
+        Check("reducible", (Slope(0),)),
         Check("finite_type", (INFINITY,), FiniteType.CYCLIC),
-        Check("distinct", (INFINITY, _slope(-1))),
+        Check("distinct", (INFINITY, Slope(-1))),
     ),
-    designated_pair=(_slope(0), INFINITY),
+    designated_pair=(Slope(0), INFINITY),
 )
 
 _EW_PRIOR = FamilySpec(
@@ -243,18 +239,18 @@ _EW_PRIOR = FamilySpec(
     domain_doc="p >= 2",
     in_domain=lambda p: p >= 2,
     claims=(
-        Claim(_slope(0), "L((p-1)(p+3)+1, p+3)",
+        Claim(Slope(0), "L((p-1)(p+3)+1, p+3)",
               lambda p: lens_space((p - 1) * (p + 3) + 1, p + 3)),
         Claim(Slope(1, 3), "L(3,1) # L(2,1)",
               lambda p: connected_sum(lens_space(3, 1), lens_space(2, 1))),
     ),
     checks=(
         Check("wellformed"),
-        Check("distance", (Slope(1, 3), _slope(0)), 1),
+        Check("distance", (Slope(1, 3), Slope(0)), 1),
         Check("reducible", (Slope(1, 3),)),
-        Check("finite_type", (_slope(0),), FiniteType.CYCLIC),
+        Check("finite_type", (Slope(0),), FiniteType.CYCLIC),
     ),
-    designated_pair=(Slope(1, 3), _slope(0)),
+    designated_pair=(Slope(1, 3), Slope(0)),
     edges=(Edge("bz_w6", "at p = 2 the 0-filling L(6,5) is the same lens "
                          "space as the infinity-filling L(6,1) there"),),
 )
@@ -267,17 +263,17 @@ _BZ_W6 = FamilySpec(
     domain_doc="no parameters",
     in_domain=lambda: True,
     claims=(
-        Claim(_slope(1), "L(3,1) # L(2,1)",
+        Claim(Slope(1), "L(3,1) # L(2,1)",
               lambda: connected_sum(lens_space(3, 1), lens_space(2, 1))),
         Claim(INFINITY, "L(6,1)", lambda: lens_space(6, 1)),
     ),
     checks=(
         Check("wellformed"),
-        Check("distance", (_slope(1), INFINITY), 1),
-        Check("reducible", (_slope(1),)),
+        Check("distance", (Slope(1), INFINITY), 1),
+        Check("reducible", (Slope(1),)),
         Check("finite_type", (INFINITY,), FiniteType.CYCLIC),
     ),
-    designated_pair=(_slope(1), INFINITY),
+    designated_pair=(Slope(1), INFINITY),
 )
 
 _DIHEDRAL = FamilySpec(
@@ -288,7 +284,7 @@ _DIHEDRAL = FamilySpec(
     domain_doc="p >= 3, q >= 3",
     in_domain=lambda p, q: p >= 3 and q >= 3,
     claims=(
-        Claim(_slope(0), "L(p,1) # L(2q+1,1)",
+        Claim(Slope(0), "L(p,1) # L(2q+1,1)",
               lambda p, q: connected_sum(lens_space(p, 1),
                                          lens_space(2 * q + 1, 1))),
         Claim(INFINITY, "S2(2,2,2pq-p-2)",
@@ -296,11 +292,11 @@ _DIHEDRAL = FamilySpec(
     ),
     checks=(
         Check("wellformed"),
-        Check("distance", (_slope(0), INFINITY), 1),
-        Check("reducible", (_slope(0),)),
+        Check("distance", (Slope(0), INFINITY), 1),
+        Check("reducible", (Slope(0),)),
         Check("finite_type", (INFINITY,), FiniteType.DIHEDRAL),
     ),
-    designated_pair=(_slope(0), INFINITY),
+    designated_pair=(Slope(0), INFINITY),
 )
 
 _DIHEDRAL_AUX = FamilySpec(
@@ -313,17 +309,17 @@ _DIHEDRAL_AUX = FamilySpec(
     claims=(
         Claim(INFINITY, "D2(2,p+2)",
               lambda p: sfs_orders(BASE_D2, (2, p + 2))),
-        Claim(_slope(0), "U[C(1,2), D2(2,p)]",
+        Claim(Slope(0), "U[C(1,2), D2(2,p)]",
               lambda p: torus_union(CableSpace(1, 2),
                                     sfs_orders(BASE_D2, (2, p)))),
-        Claim(_slope(1), "D2(2,p-2)",
+        Claim(Slope(1), "D2(2,p-2)",
               lambda p: sfs_orders(BASE_D2, (2, p - 2))),
-        Claim(_slope(2), "ZxS1", lambda p: ZxS1()),
+        Claim(Slope(2), "ZxS1", lambda p: ZxS1()),
     ),
     checks=(
         Check("wellformed"),
-        Check("distinct", (INFINITY, _slope(1))),
-        Check("distance", (_slope(0), _slope(2)), 2),
+        Check("distinct", (INFINITY, Slope(1))),
+        Check("distance", (Slope(0), Slope(2)), 2),
     ),
     edges=(Edge("dihedral", "the closed members are the 1/q fillings of "
                             "this exterior", slope_text="1/q"),),
@@ -337,22 +333,22 @@ _TETRAHEDRAL = FamilySpec(
     domain_doc="no parameters",
     in_domain=lambda: True,
     claims=(
-        Claim(_slope(0), "L(3,1) # L(3,1)",
+        Claim(Slope(0), "L(3,1) # L(3,1)",
               lambda: connected_sum(lens_space(3, 1), lens_space(3, 1))),
         Claim(INFINITY, "S2(2,3,3)",
               lambda: sfs_orders(BASE_S2, (2, 3, 3))),
-        Claim(_slope(1), "S2(2,2,7)",
+        Claim(Slope(1), "S2(2,2,7)",
               lambda: sfs_orders(BASE_S2, (2, 2, 7))),
     ),
     checks=(
         Check("wellformed"),
-        Check("distance", (_slope(0), INFINITY), 1),
-        Check("reducible", (_slope(0),)),
+        Check("distance", (Slope(0), INFINITY), 1),
+        Check("reducible", (Slope(0),)),
         Check("finite_type", (INFINITY,), FiniteType.TETRAHEDRAL),
-        Check("finite_type", (_slope(1),), FiniteType.DIHEDRAL),
-        Check("distinct", (INFINITY, _slope(1))),
+        Check("finite_type", (Slope(1),), FiniteType.DIHEDRAL),
+        Check("distinct", (INFINITY, Slope(1))),
     ),
-    designated_pair=(_slope(0), INFINITY),
+    designated_pair=(Slope(0), INFINITY),
 )
 
 _OCTAHEDRAL = FamilySpec(
@@ -363,7 +359,7 @@ _OCTAHEDRAL = FamilySpec(
     domain_doc="p >= 3",
     in_domain=lambda p: p >= 3,
     claims=(
-        Claim(_slope(0), "L(2,1) # S2(4,p,2p+1)",
+        Claim(Slope(0), "L(2,1) # S2(4,p,2p+1)",
               lambda p: connected_sum(lens_space(2, 1),
                                       sfs_orders(BASE_S2, (4, p, 2 * p + 1)))),
         Claim(INFINITY, "S2(2,3,4)",
@@ -371,11 +367,11 @@ _OCTAHEDRAL = FamilySpec(
     ),
     checks=(
         Check("wellformed"),
-        Check("distance", (_slope(0), INFINITY), 1),
-        Check("reducible", (_slope(0),)),
+        Check("distance", (Slope(0), INFINITY), 1),
+        Check("reducible", (Slope(0),)),
         Check("finite_type", (INFINITY,), FiniteType.OCTAHEDRAL),
     ),
-    designated_pair=(_slope(0), INFINITY),
+    designated_pair=(Slope(0), INFINITY),
 )
 
 _OCTAHEDRAL_AUX = FamilySpec(
@@ -386,14 +382,14 @@ _OCTAHEDRAL_AUX = FamilySpec(
     domain_doc="p >= 3",
     in_domain=lambda p: p >= 3,
     claims=(
-        Claim(_slope(0), "L(2,1) # D2(p,2p+1)",
+        Claim(Slope(0), "L(2,1) # D2(p,2p+1)",
               lambda p: connected_sum(lens_space(2, 1),
                                       sfs_orders(BASE_D2, (p, 2 * p + 1)))),
     ),
     checks=(
         Check("wellformed"),
-        Check("distance", (_slope(0), _slope(4)), 4),
-        Check("reducible", (_slope(0),)),
+        Check("distance", (Slope(0), Slope(4)), 4),
+        Check("reducible", (Slope(0),)),
     ),
     edges=(Edge("octahedral", "the closed member is the slope-4 filling of "
                               "this exterior", slope_text="4"),),
@@ -413,26 +409,26 @@ _ICOSAHEDRAL_LEE = FamilySpec(
     in_domain=lambda p, q: abs(p) >= 2 and q != 0 and (abs(p), abs(q)) != (2, 1),
     claims=(
         Claim(Slope(-1, 2), "S1xS2", lambda p, q: S1xS2()),
-        Claim(_slope(0), "S2(|p-1|, |2q-1|, |pq+q-1|)",
+        Claim(Slope(0), "S2(|p-1|, |2q-1|, |pq+q-1|)",
               lambda p, q: sfs_orders(BASE_S2, (abs(p - 1), abs(2 * q - 1),
                                                 abs(p * q + q - 1)))),
-        Claim(_slope(-1), "S2(|p+1|, |2q+1|, |pq-q-1|)",
+        Claim(Slope(-1), "S2(|p+1|, |2q+1|, |pq-q-1|)",
               lambda p, q: sfs_orders(BASE_S2, (abs(p + 1), abs(2 * q + 1),
                                                 abs(p * q - q - 1)))),
         Claim(INFINITY, "tag(toroidal)", lambda p, q: OpaqueTag(TAG_TOROIDAL)),
     ),
     checks=(
         Check("wellformed"),
-        Check("distance", (_slope(0), Slope(-1, 2)), 1),
-        Check("distance", (_slope(-1), Slope(-1, 2)), 1),
+        Check("distance", (Slope(0), Slope(-1, 2)), 1),
+        Check("distance", (Slope(-1), Slope(-1, 2)), 1),
         Check("distance", (Slope(-1, 2), INFINITY), 2),
         Check("reducible", (Slope(-1, 2),)),
-        Check("finite_type", (_slope(0),), FiniteType.ICOSAHEDRAL,
+        Check("finite_type", (Slope(0),), FiniteType.ICOSAHEDRAL,
               when=lambda ps: (ps["p"], ps["q"]) in _LEE_FINITE_AT_0),
-        Check("finite_type", (_slope(-1),), FiniteType.ICOSAHEDRAL,
+        Check("finite_type", (Slope(-1),), FiniteType.ICOSAHEDRAL,
               when=lambda ps: (ps["p"], ps["q"]) in _LEE_FINITE_AT_MINUS_1),
     ),
-    designated_pair=(Slope(-1, 2), _slope(0)),
+    designated_pair=(Slope(-1, 2), Slope(0)),
 )
 
 _ICOSAHEDRAL_SECOND = FamilySpec(
@@ -443,22 +439,22 @@ _ICOSAHEDRAL_SECOND = FamilySpec(
     domain_doc="no parameters",
     in_domain=lambda: True,
     claims=(
-        Claim(_slope(0), "L(3,1) # L(4,1)",
+        Claim(Slope(0), "L(3,1) # L(4,1)",
               lambda: connected_sum(lens_space(3, 1), lens_space(4, 1))),
         Claim(INFINITY, "S2(2,3,5)",
               lambda: sfs_orders(BASE_S2, (2, 3, 5))),
-        Claim(_slope(1), "S2(2,3,7)",
+        Claim(Slope(1), "S2(2,3,7)",
               lambda: sfs_orders(BASE_S2, (2, 3, 7))),
     ),
     checks=(
         Check("wellformed"),
-        Check("distance", (_slope(0), INFINITY), 1),
-        Check("reducible", (_slope(0),)),
+        Check("distance", (Slope(0), INFINITY), 1),
+        Check("reducible", (Slope(0),)),
         Check("finite_type", (INFINITY,), FiniteType.ICOSAHEDRAL),
-        Check("finite_type", (_slope(1),), FiniteType.NOT_FINITE),
-        Check("distinct", (INFINITY, _slope(1))),
+        Check("finite_type", (Slope(1),), FiniteType.NOT_FINITE),
+        Check("distinct", (INFINITY, Slope(1))),
     ),
-    designated_pair=(_slope(0), INFINITY),
+    designated_pair=(Slope(0), INFINITY),
 )
 
 
@@ -482,12 +478,16 @@ def get_family(name: str) -> FamilySpec:
         raise ValueError(f"unknown family {name!r} (known: {known})") from None
 
 
-def _check_params(spec: FamilySpec, params: dict) -> None:
-    if set(params) != set(spec.param_names):
+def _check_names(spec: FamilySpec, names) -> None:
+    if set(names) != set(spec.param_names):
         wanted = ", ".join(spec.param_names) or "none"
         raise DomainError(
-            f"family {spec.name} takes parameters: {wanted}; got {sorted(params)}"
+            f"family {spec.name} takes parameters: {wanted}; got {sorted(names)}"
         )
+
+
+def _check_params(spec: FamilySpec, params: dict) -> None:
+    _check_names(spec, params)
     if not spec.in_domain(**params):
         raise DomainError(
             f"parameters {params} are outside the domain of {spec.name} "
@@ -529,11 +529,7 @@ def verify_family(name: str, params: dict) -> VerificationReport:
 def grid_points(spec: FamilySpec,
                 ranges: dict[str, tuple[int, int]]) -> list[dict]:
     """The in-domain points of an inclusive grid, ordered by parameter tuple."""
-    if set(ranges) != set(spec.param_names):
-        wanted = ", ".join(spec.param_names) or "none"
-        raise DomainError(
-            f"family {spec.name} takes parameters: {wanted}; got {sorted(ranges)}"
-        )
+    _check_names(spec, ranges)
     names = spec.param_names
     grids = [range(ranges[n][0], ranges[n][1] + 1) for n in names]
     points = (dict(zip(names, combo)) for combo in itertools.product(*grids))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -278,11 +279,69 @@ def test_usage_errors_exit_two(capsys):
                  ["oracle", "unknot"],
                  ["oracle", "--batch", "/nonexistent/file"],
                  ["family-sweep", "cyclic", "--p", "5..2", "--q", "4"],
-                 ["family-sweep", "cyclic", "--p", "2", "--q", "3"]):
+                 ["family-sweep", "cyclic", "--p", "2", "--q", "3"],
+                 ["family-verify", "cyclic", "--p", "3\n", "--q", "4"],
+                 ["family-verify", "cyclic", "--p", "3\n", "--q", "4",
+                  "--format", "tsv"],
+                 ["cable", "--s", "9" * 4301, "--t", "2", "--gamma", "1", "0"],
+                 ["family-verify", "cyclic", "--p", "9" * 4301, "--q", "4"]):
         code, out, err = _run(capsys, argv)
         assert code == 2, argv
         assert out == ""
         assert err
+
+
+def test_overlong_integer_option_names_its_length(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    long = "9" * (limit + 1)
+    for argv, option, sign in (
+            (["cable", "--s", long, "--t", "2", "--gamma", "1", "0"],
+             "argument --s: ", ""),
+            (["oracle", "--sample", "1", "--seed", f"-{long}"],
+             "argument --seed: ", "-"),
+            (["family-verify", "cyclic", "--p", long, "--q", "4"], "", ""),
+            (["family-sweep", "cyclic", "--p", "2", "--q", f"4..{long}"],
+             "", "")):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: {option}integer {sign}99999999... has "
+                       f"{limit + 1} digits, more than the limit of {limit}\n")
+        assert long[:9] not in err  # only 8 digits of the token are echoed
+
+
+def test_integer_options_keep_int_rules(capsys):
+    for text, value in (("+2", 2), (" 2", 2), ("2_0", 20)):
+        code, out, _ = _run(capsys, ["cable", "--s", "1", "--t", text,
+                                     "--gamma", "0", "1/2"])
+        assert code == 0
+        assert json.loads(out)["results"][0]["t"] == value
+    code, out, err = _run(capsys, ["cable", "--s", "two", "--t", "2",
+                                   "--gamma", "0", "0"])
+    assert (code, out) == (2, "")
+    assert err == "usage error: argument --s: invalid int value: 'two'\n"
+
+
+def test_first_of_several_faults_is_reported(capsys):
+    known = ", ".join(spec.name for spec in family_catalog())
+    for argv, message in (
+            (["family-sweep", "nonesuch", "--p", "5..2", "--q", "4"],
+             f"error: unknown family 'nonesuch' (known: {known})"),
+            (["family-fill", "cyclic", "x", "--p", "1", "--q", "4"],
+             "error: bad slope 'x': invalid literal for int() with base 10: "
+             "'x'"),
+            (["family-fill", "cyclic", "7", "--p", "1", "--q", "4"],
+             "error: family cyclic has no claim at slope 7 (claimed slopes: "
+             "0, inf, -1)"),
+            (["family-fill", "cyclic", "x", "--p", "5..2", "--q", "4"],
+             "usage error: empty range '5..2'"),
+            (["family-sweep", "cyclic", "--p", "5..2"],
+             "usage error: empty range '5..2'"),
+            (["family-sweep", "cyclic", "--p", "x", "--q", "4..2"],
+             "usage error: expected N or A..B, got 'x'")):
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (2, "", message + "\n"), argv
 
 
 def test_deep_nesting_exits_two(capsys):
