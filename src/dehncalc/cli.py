@@ -56,6 +56,14 @@ def _integer(text: str) -> int:
                           or f"invalid int value: {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option."""
+    value = _integer(text)
+    if value < 0:
+        raise _UsageError(f"expected a count >= 0, got {text!r}")
+    return value
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     m = _RANGE.fullmatch(text)
     if not m:
@@ -289,7 +297,7 @@ def _build_parser() -> _Parser:
                        help="cross-check link determinants two ways")
     p.add_argument("links", nargs="*", metavar="LINK")
     p.add_argument("--batch", help="file with one link expression per line")
-    p.add_argument("--sample", type=_integer, default=0,
+    p.add_argument("--sample", type=_count, default=0,
                    help="number of random Montesinos links to add")
     p.add_argument("--seed", type=_integer, default=0, help="RNG seed for --sample")
     p.set_defaults(handler=_cmd_oracle)

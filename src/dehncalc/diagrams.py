@@ -185,65 +185,61 @@ def goeritz_matrix(m: CombinatorialMap) -> SparseRows:
 
 
 def exact_determinant(rows: SparseRows) -> int:
-    """Exact determinant of a square integer matrix by sparse elimination.
+    """Exact determinant of a square integer matrix by sparse fraction-free
+    (Bareiss 1968) elimination, with no gcd and no row rescaling.
 
-    ``rows`` lists each row's nonzeros as (column, value) pairs.  Each row
-    is kept as a dict of its nonzeros and an integer scale, with
-    stored row = true row * scale, so all arithmetic stays in int.  Rows
+    ``rows`` lists each row's nonzeros as (column, value) pairs.  Rows
     become pivot rows in order of their initial nonzero count; the pivot
     is the diagonal entry when it is nonzero and the smallest remaining
-    column otherwise.  Every other row t with entry x in the pivot column
-    becomes p * t - x * pivot_row, and is then divided, with its scale, by
-    their gcd.  The pivot rows form a triangular matrix, so the
-    determinant is sign(pivot permutation) * prod(p) / prod(scale).  That
-    quotient is kept as a reduced fraction num / den, so den ends as +-1.
+    column otherwise.  piv[k] is the pivot of step k and piv[0] = 1.  An
+    entry is stored as (value, s), standing for value * piv[k] / piv[s]
+    after any later step k, so a step rewrites only the pivot row's
+    columns of each row it eliminates from.  Entries are minors
+    (Sylvester's identity), so every division is exact, and the
+    determinant is sign(pivot permutation) * piv[-1].
     """
     n = len(rows)
-    store = [{j: v for j, v in row if v} for row in rows]
+    store = [{j: (v, 0) for j, v in row if v} for row in rows]
     holders: list[list[int]] = [[] for _ in range(n)]
     for i, row in enumerate(store):
         for j in row:
             holders[j].append(i)
-    scale = [1] * n
-    done = [False] * n
     pivot_col = [0] * n
-    num = den = 1
+    piv = [1]
     for r in sorted(range(n), key=lambda i: len(store[i])):
-        pivot_row = store[r]
-        if not pivot_row:
+        row, store[r] = store[r], {}
+        if not row:
             return 0
-        c = r if r in pivot_row else min(pivot_row)
+        k = len(piv)
+        pivot_row = {j: v if s == k - 1 else v * piv[-1] // piv[s]
+                     for j, (v, s) in row.items()}
+        c = pivot_col[r] = r if r in row else min(row)
         p = pivot_row.pop(c)
-        done[r] = True
-        pivot_col[r] = c
-        num *= p
-        den *= scale[r]
-        g = gcd(num, den)
-        num //= g
-        den //= g
-        # holders[c] may list a row twice, or a row whose entry cancelled.
+        piv.append(p)
+        # holders[c] may list a row twice or one that lost column c.
         for t in holders[c]:
             target = store[t]
-            if done[t] or c not in target:
+            if c not in target:
                 continue
-            x = target.pop(c)
-            target = {j: p * v for j, v in target.items()}
+            x, sx = target.pop(c)
+            dx = piv[sx]
             for j, v in pivot_row.items():
-                w = target.get(j)
-                if w is None:
-                    target[j] = -x * v
+                e = target.get(j)
+                if e is None:
+                    target[j] = (-x * v // dx, k)
                     holders[j].append(t)
-                elif w == x * v:
-                    del target[j]
+                    continue
+                w, sw = e
+                if sw == sx:
+                    w = (p * w - x * v) // dx
+                elif sw < sx:  # lift w to step sx
+                    w = (p * (w * dx // piv[sw]) - x * v) // dx
+                else:  # lift x to step sw
+                    w = (p * w - x * piv[sw] // dx * v) // piv[sw]
+                if w:
+                    target[j] = (w, k)
                 else:
-                    target[j] = w - x * v
-            s = scale[t] * p
-            g = gcd(s, *target.values())
-            if g != 1:
-                target = {j: v // g for j, v in target.items()}
-                s //= g
-            store[t] = target
-            scale[t] = s
+                    del target[j]
     sign = 1
     seen = [False] * n
     for start in range(n):
@@ -253,7 +249,7 @@ def exact_determinant(rows: SparseRows) -> int:
             i = pivot_col[i]
             if i != start:
                 sign = -sign
-    return sign * num // den
+    return sign * piv[-1]
 
 
 def goeritz_determinant(m: CombinatorialMap) -> int:
@@ -262,13 +258,17 @@ def goeritz_determinant(m: CombinatorialMap) -> int:
     The matrix is symmetric with zero row sums, so every first minor has
     the same |det|.  The deleted face is the one with the most nonzeros
     (the lowest index on ties): that hub row would otherwise take part in
-    every elimination step next to it and fill in the most.
+    every elimination step next to it and fill in the most.  The last face
+    takes the hub's slot, so only the rows next to either face change.
     """
     g = goeritz_matrix(m)
-    hub = max(range(len(g)), key=lambda i: len(g[i]), default=0)
-    minor = [[(j - (j > hub), v) for j, v in row if j != hub]
-             for i, row in enumerate(g) if i != hub]
-    return abs(exact_determinant(minor))
+    hub = max(range(len(g)), key=lambda i: len(g[i]))
+    last = len(g) - 1
+    for i in {j for j, _ in g[hub] + g[last]} - {hub}:
+        g[i] = [(hub if j == last else j, v) for j, v in g[i] if j != hub]
+    g[hub] = g[last]
+    g.pop()
+    return abs(exact_determinant(g))
 
 
 # ---------------------------------------------------------------------------

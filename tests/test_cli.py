@@ -239,6 +239,18 @@ def test_oracle_verb(capsys):
     assert all(row["match"] for row in rows)
 
 
+def test_oracle_negative_sample_is_a_usage_error(capsys):
+    for argv, text in ((["oracle", "b(7/3)", "--sample", "-5"], "-5"),
+                       (["oracle", "--sample", "-1", "--format", "tsv"], "-1")):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == ("usage error: argument --sample: expected a count "
+                       f">= 0, got {text!r}\n")
+    code, out, _ = _run(capsys, ["oracle", "b(7/3)", "--sample", "0"])
+    assert code == 0
+    assert len(json.loads(out)["results"]) == 1
+
+
 def test_oracle_batch_file(tmp_path, capsys):
     batch = tmp_path / "links.txt"
     batch.write_text("b(9/2)\n# comment\n\nmont(-1; 1/2, 1/3, 1/5)\n")

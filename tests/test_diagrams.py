@@ -99,6 +99,27 @@ def test_two_bridge_spot_determinants():
     assert goeritz_determinant(diagram) == r.p
 
 
+def test_ten_thousand_crossing_two_bridge_determinant():
+    # A 5,747-bit determinant: the elimination's integers grow to minor
+    # size, so any fraction or gcd bookkeeping on them shows here.
+    r = from_continued_fraction([3] * 3334)
+    diagram = two_bridge_diagram(r.p, r.q)
+    assert len(diagram.crossings) == 10002
+    assert goeritz_determinant(diagram) == r.p
+
+
+def test_long_branch_montesinos_determinant():
+    # Each branch's outer face meets about a sixth of all white faces, so
+    # the minor keeps dense fan rows whose entries fall many steps behind.
+    branches = [from_continued_fraction(terms) for terms in
+                ([3, 1, 2] * 100, [2, 2] * 150, [1, 3, 2] * 100)]
+    link = montesinos(1, [Slope(r.q, r.p) for r in branches])
+    diagram = montesinos_diagram(link.e, link.branches)
+    assert len(diagram.crossings) == 1801
+    assert max(len(row) for row in goeritz_matrix(diagram)) > 150
+    assert goeritz_determinant(diagram) == link_determinant(link)
+
+
 def test_montesinos_diagram_crossing_count_and_determinant():
     branches = (Slope(1, 2), Slope(1, 3), Slope(1, 5))
     m = montesinos_diagram(-1, branches)
@@ -299,6 +320,31 @@ def _square_matrices(draw) -> list[list[int]]:
 @example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # zero diagonal, 3-cycle
 @example([[0, 2, -1], [3, 0, 4], [-2, 1, 0]])  # zero diagonal, dense
 def test_exact_determinant_matches_bareiss(rows):
+    assert exact_determinant(_sparse(rows)) == _bareiss_determinant(rows)
+
+
+@st.composite
+def _sparse_square_matrices(draw) -> list[list[int]]:
+    """n x n matrices, n in 9..24, each entry nonzero with probability
+    0.05-0.5, half of them symmetric.  At these sizes entries often sit
+    many elimination steps behind the pivot row."""
+    n = draw(st.integers(9, 24))
+    density = draw(st.floats(0.05, 0.5))
+    symmetric = draw(st.booleans())
+    rnd = draw(st.randoms(use_true_random=True))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i if symmetric else 0, n):
+            if rnd.random() < density:
+                rows[i][j] = rnd.choice((-3, -2, -1, 1, 2, 3))
+                if symmetric:
+                    rows[j][i] = rows[i][j]
+    return rows
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_sparse_square_matrices())
+def test_exact_determinant_matches_bareiss_on_sparse_matrices(rows):
     assert exact_determinant(_sparse(rows)) == _bareiss_determinant(rows)
 
 
