@@ -387,7 +387,8 @@ def build_standard_diagram(l: Link) -> CombinatorialMap:
     if isinstance(l, MontesinosLink):
         return montesinos_diagram(l.e, l.branches)
     raise ValueError(
-        f"no standard diagram for {l}; connected sums are handled summand-wise"
+        f"no standard diagram for {l}; the oracle draws 2-bridge and "
+        "Montesinos parts only"
     )
 
 

@@ -90,30 +90,22 @@ class FiniteType(Enum):
     UNKNOWN = "unknown"
 
 
-def spherical_triple_type(orders: tuple[int, int, int]) -> FiniteType:
-    """Finite type of a Seifert space over S^2 with the given three orders.
-
-    The triple is spherical iff 1/a + 1/b + 1/c > 1, and the solutions are
-    exactly (2, 2, n), (2, 3, 3), (2, 3, 4), (2, 3, 5) up to order.
-    """
-    a, b, c = sorted(orders)
-    if a == 2 and b == 2:
-        return FiniteType.DIHEDRAL
-    if (a, b) == (2, 3) and c in (3, 4, 5):
-        return {3: FiniteType.TETRAHEDRAL,
-                4: FiniteType.OCTAHEDRAL,
-                5: FiniteType.ICOSAHEDRAL}[c]
-    return FiniteType.NOT_FINITE
-
-
 _EUCLIDEAN_TRIPLES = ((2, 3, 6), (2, 4, 4), (3, 3, 3))
+_TETRA_OCTA_ICOSA = {3: FiniteType.TETRAHEDRAL, 4: FiniteType.OCTAHEDRAL,
+                     5: FiniteType.ICOSAHEDRAL}
 
 
 def _s2_finite_type(orders: tuple[int, ...] | None) -> FiniteType:
-    """Finite type of a Seifert description over S^2 with these orders, if any."""
+    """Finite type over S^2 with these sorted orders, if any: three orders
+    are spherical iff 1/a + 1/b + 1/c > 1, exactly (2, 2, n) and (2, 3, 3-5)."""
     if orders is None or len(orders) != 3:
         return FiniteType.NOT_FINITE
-    return spherical_triple_type(orders)  # type: ignore[arg-type]
+    a, b, c = orders
+    if a == 2 and b == 2:
+        return FiniteType.DIHEDRAL
+    if a == 2 and b == 3:
+        return _TETRA_OCTA_ICOSA.get(c, FiniteType.NOT_FINITE)
+    return FiniteType.NOT_FINITE
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +129,7 @@ class Manifold:
     prime: ClassVar[bool]
     # Contains an essential torus.
     toroidal: ClassVar[bool | None]
-    # The normal form is a complete (unoriented) invariant.
+    # The normal form is a complete invariant up to mirror image.
     rigid: ClassVar[bool]
     # The boundary tori are incompressible (those of a solid torus are not).
     incompressible_boundary: ClassVar[bool]
@@ -160,6 +152,11 @@ class Manifold:
         if unknown or missing:
             raise TypeError(f"{cls.__name__}: unknown facts {sorted(unknown)}, "
                             f"undeclared facts {missing}")
+
+    def mirror(self) -> "Manifold":
+        """The orientation-reversed description; a normal form that forgets
+        orientation is its own mirror."""
+        return self
 
     def __str__(self) -> str:  # pragma: no cover - overridden everywhere
         return type(self).__name__
@@ -325,9 +322,7 @@ class SfsS2(Manifold, closed=True, reducible=False, prime=True, rigid=True,
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "fibers", tuple(sorted(normalized)))
 
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(sorted(alpha for alpha, _ in self.fibers))
+    orders = property(lambda self: tuple(alpha for alpha, _ in self.fibers))
 
     s2_orders = orders
     finite_type = property(lambda self: _s2_finite_type(self.orders))
@@ -375,7 +370,7 @@ class SfsOrdersOnly(Manifold, reducible=False, prime=True, rigid=False,
         if self.base not in _MIN_ORDER_COUNT:
             raise IllFormedClaimError(f"unknown base {self.base!r}")
         orders = tuple(sorted(self.orders))
-        if any(a < 2 for a in orders):
+        if orders and orders[0] < 2:
             raise IllFormedClaimError(f"orders must be >= 2, got {self.orders}")
         if len(orders) < _MIN_ORDER_COUNT[self.base]:
             raise IllFormedClaimError(
@@ -447,6 +442,9 @@ class CableSpace(Manifold, closed=False, reducible=False, prime=True,
             raise IllFormedClaimError(f"C({self.s},{self.t}) needs t >= 2")
         if gcd(self.s, self.t) != 1:
             raise IllFormedClaimError(f"C({self.s},{self.t}) needs gcd(s, t) = 1")
+        # s up to sign mod t: a meridional twist of the solid torus takes
+        # C(s, t) to C(s + t, t), and the mirror takes it to C(-s, t).
+        object.__setattr__(self, "s", min(self.s % self.t, -self.s % self.t))
 
     sort_key = property(lambda self: ("Cable", (self.s, self.t)))
 
@@ -533,6 +531,9 @@ class ConnSum(Manifold, reducible=True, prime=False,
         if rank:
             return H1Result.infinite(rank)
         return H1Result.finite(prod(r.order for r in parts))
+
+    def mirror(self) -> Manifold:
+        return connected_sum(*(m.mirror() for m in self.summands))
 
     def __str__(self) -> str:
         return " # ".join(str(m) for m in self.summands)
@@ -627,14 +628,14 @@ _INVARIANT_FACTS = ("closed", "reducible", "toroidal")
 
 
 def _compare_conn_sums(m1: ConnSum, m2: ConnSum) -> Comparison:
-    """Compare via uniqueness of prime decompositions (summands must biject)."""
+    """Compare sums, one with a partial summand, by uniqueness of prime
+    decompositions: the summands must biject.  A partial summand never
+    compares EQUAL, so the best a bijection can show is INDETERMINATE."""
     if len(m1.summands) != len(m2.summands):
         return Comparison.DISTINCT
     for perm in itertools.permutations(m2.summands):
-        outcomes = [manifold_compare(a, b) for a, b in zip(m1.summands, perm)]
-        if all(o is Comparison.EQUAL for o in outcomes):
-            return Comparison.EQUAL
-        if not any(o is Comparison.DISTINCT for o in outcomes):
+        if all(manifold_compare(a, b) is not Comparison.DISTINCT
+               for a, b in zip(m1.summands, perm)):
             return Comparison.INDETERMINATE
     return Comparison.DISTINCT
 
@@ -646,18 +647,15 @@ def manifold_compare(m1: Manifold, m2: Manifold) -> Comparison:
     partial shapes (orders-only, tags, torus unions) give INDETERMINATE
     whenever the missing data could change the answer.
     """
+    if m1.rigid and m2.rigid:
+        # A rigid normal form is complete up to mirror image, and a sum is
+        # its oriented prime summands up to one global orientation
+        # (Kneser-Milnor), so its mirror flips every summand at once.
+        return (Comparison.EQUAL if m2 == m1 or m2 == m1.mirror()
+                else Comparison.DISTINCT)
     if m1 == m2:
         # Identical partial descriptions may still denote different manifolds.
-        return Comparison.EQUAL if m1.rigid else Comparison.INDETERMINATE
-
-    if isinstance(m1, SfsS2) and isinstance(m2, SfsS2):
-        return Comparison.EQUAL if m1.mirror() == m2 else Comparison.DISTINCT
-
-    sum1, sum2 = isinstance(m1, ConnSum), isinstance(m2, ConnSum)
-    if m1.rigid and m2.rigid:
-        if sum1 and sum2:
-            return _compare_conn_sums(m1, m2)
-        return Comparison.DISTINCT
+        return Comparison.INDETERMINATE
 
     # One side (at least) is partial: run the invariant battery.
     for fact in _INVARIANT_FACTS:
@@ -665,6 +663,7 @@ def manifold_compare(m1: Manifold, m2: Manifold) -> Comparison:
         if a is not None and b is not None and a != b:
             return Comparison.DISTINCT
 
+    sum1, sum2 = isinstance(m1, ConnSum), isinstance(m2, ConnSum)
     if sum1 and sum2:
         return _compare_conn_sums(m1, m2)
     if sum1 or sum2:

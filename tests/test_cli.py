@@ -124,6 +124,11 @@ def test_cable_verb(capsys):
     row = json.loads(out)["results"][0]
     assert row["extension"] is True
     assert row["pushforward_distance"] == 6
+    # s is echoed in its normal form, up to sign mod t.
+    code, out, _ = _run(capsys, ["cable", "--s", "3", "--t", "2",
+                                 "--gamma", "0", "0"])
+    row = json.loads(out)["results"][0]
+    assert (row["s"], row["t"]) == (1, 2)
 
 
 def test_family_list_verb(capsys):
@@ -249,6 +254,15 @@ def test_oracle_negative_sample_is_a_usage_error(capsys):
     code, out, _ = _run(capsys, ["oracle", "b(7/3)", "--sample", "0"])
     assert code == 0
     assert len(json.loads(out)["results"]) == 1
+
+
+def test_oracle_without_a_standard_diagram_exits_two(capsys):
+    for expr, part in (("unknot", "unknot"), ("unlink(3)", "unlink(3)"),
+                       ("b(3/1) + unlink(2)", "unlink(2)")):
+        code, out, err = _run(capsys, ["oracle", expr])
+        assert (code, out) == (2, "")
+        assert err == (f"error: no standard diagram for {part}; the oracle "
+                       "draws 2-bridge and Montesinos parts only\n")
 
 
 def test_oracle_batch_file(tmp_path, capsys):

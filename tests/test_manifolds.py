@@ -202,6 +202,16 @@ def test_cable_space_validation():
         CableSpace(2, 4)
 
 
+def test_cable_space_normal_form():
+    # A meridional twist takes C(s, t) to C(s + t, t); the mirror to C(-s, t).
+    for a, b in (((1, 2), (3, 2)), ((1, 2), (-1, 2)), ((1, 3), (2, 3))):
+        assert manifold_compare(CableSpace(*a), CableSpace(*b)) is \
+            Comparison.EQUAL
+    assert manifold_compare(CableSpace(1, 5), CableSpace(2, 5)) is \
+        Comparison.DISTINCT
+    assert str(CableSpace(3, 2)) == "C(1,2)"
+
+
 # ---------------------------------------------------------------------------
 # First homology
 
