@@ -123,6 +123,10 @@ class SweepReport:
     failures: tuple[dict, ...] = field(default_factory=tuple)
 
 
+# A check's answer: True passes, False fails, None (undecided) is indeterminate.
+_STATUS = {True: Status.PASS, False: Status.FAIL, None: Status.INDETERMINATE}
+
+
 def _compile_check(spec: FamilySpec, check: Check):
     """One check as ``run(fill)``, where ``fill(i)`` is the point's filling
     at claim position i.  The kind, the detail text, the claim positions
@@ -131,19 +135,18 @@ def _compile_check(spec: FamilySpec, check: Check):
     check would build, raises ``ValueError``.
     """
     slot = lambda r: spec.claims.index(spec.claim_at(r))
-    # Bound once: each ``Status.X`` goes through the enum's metaclass.
-    passed, failed, unsure = Status.PASS, Status.FAIL, Status.INDETERMINATE
 
     if check.kind == "wellformed":
         slots = range(len(spec.claims))
-        ok = CheckResult("wellformed", "all claims build", passed, "ok")
+        ok = CheckResult("wellformed", "all claims build", Status.PASS, "ok")
 
         def run(fill):
             try:
                 for i in slots:
                     fill(i)
             except IllFormedClaimError as exc:
-                return CheckResult("wellformed", "all claims build", failed, str(exc))
+                return CheckResult("wellformed", "all claims build", Status.FAIL,
+                                   str(exc))
             return ok
         return run
 
@@ -151,8 +154,8 @@ def _compile_check(spec: FamilySpec, check: Check):
         r1, r2 = check.slopes
         detail = f"distance({format_slope(r1)}, {format_slope(r2)}) = {check.expected}"
         d = distance(r1, r2)
-        result = CheckResult("distance", detail,
-                             passed if d == check.expected else failed, str(d))
+        result = CheckResult("distance", detail, _STATUS[d == check.expected],
+                             str(d))
         return lambda fill: result
 
     if check.kind == "reducible":
@@ -162,10 +165,7 @@ def _compile_check(spec: FamilySpec, check: Check):
 
         def run(fill):
             m = fill(i)
-            known = m.reducible
-            status = (unsure if known is None else
-                      passed if known else failed)
-            return CheckResult("reducible", detail, status, str(m))
+            return CheckResult("reducible", detail, _STATUS[m.reducible], str(m))
         return run
 
     if check.kind == "finite_type":
@@ -177,9 +177,8 @@ def _compile_check(spec: FamilySpec, check: Check):
         def run(fill):
             m = fill(i)
             observed = classify_finite_type(m)
-            status = (unsure if observed is unknown else
-                      passed if observed is expected else failed)
-            return CheckResult("finite_type", detail, status,
+            answer = None if observed is unknown else observed is expected
+            return CheckResult("finite_type", detail, _STATUS[answer],
                                f"{m} -> {observed.value}")
         return run
 
@@ -187,14 +186,12 @@ def _compile_check(spec: FamilySpec, check: Check):
         r1, r2 = check.slopes
         i1, i2 = slot(r1), slot(r2)
         detail = f"filling({format_slope(r1)}) != filling({format_slope(r2)})"
-        distinct, equal = Comparison.DISTINCT, Comparison.EQUAL
+        answers = {Comparison.DISTINCT: True, Comparison.EQUAL: False}
 
         def run(fill):
             m1, m2 = fill(i1), fill(i2)
             outcome = manifold_compare(m1, m2)
-            status = (passed if outcome is distinct else
-                      failed if outcome is equal else unsure)
-            return CheckResult("distinct", detail, status,
+            return CheckResult("distinct", detail, _STATUS[answers.get(outcome)],
                                f"{m1} vs {m2}: {outcome.value}")
         return run
 

@@ -93,16 +93,12 @@ def two_bridge(p: int, q: int) -> Link:
 
 
 def numerator_closure(r: Slope) -> Link:
-    """Numerator closure of the rational tangle with fraction r.
+    """Numerator closure N(p/q) of the rational tangle with fraction r = p/q.
 
-    Tangle fractions here count vertical twists, so the infinity tangle
-    closes to the 2-component unlink and the 0-tangle to the unknot;
-    every other slope closes to the 2-bridge link b(|p|, q).
+    N(p/q) is the 2-bridge link b(p/q), so its double branched cover is
+    L(p, q) and its determinant is |p|: N(1/0) is the unknot and N(0) the
+    2-component unlink.
     """
-    if r.is_infinite:
-        return Unlink(2)
-    if r.p == 0:
-        return Unknot()
     return two_bridge(r.p, r.q)
 
 

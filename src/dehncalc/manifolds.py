@@ -283,14 +283,13 @@ def lens_space(p: int, q: int) -> Manifold:
 def lens_homeomorphic(a: Manifold, b: Manifold) -> bool:
     """Whether two lens-space-like manifolds are (unoriented) homeomorphic.
 
-    Both arguments must be Lens, S3, or S1xS2.  Because Lens construction
-    already folds q into the canonical orbit representative
-    min{+-q^{+-1} mod p}, homeomorphism is exactly normal-form equality.
+    Both arguments must be Lens, S3, or S1xS2; they are rigid, so
+    ``manifold_compare`` decides them.
     """
     for m in (a, b):
         if not getattr(m, "lens_like", False):
             raise ValueError(f"not a lens-space-like manifold: {m}")
-    return a == b
+    return manifold_compare(a, b) is Comparison.EQUAL
 
 
 @dataclass(frozen=True)

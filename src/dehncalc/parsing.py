@@ -190,8 +190,6 @@ def _link_atom(s: _Scanner) -> Link:
         s.expect("(")
         f = s.fraction()
         s.expect(")")
-        if f.is_infinite:
-            return unlink(2)
         return two_bridge(f.p, f.q)
     if head == "mont":
         return montesinos(*_seifert_args(s))

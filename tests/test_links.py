@@ -8,7 +8,7 @@ from dehncalc.links import (ConnSumLink, TwoBridge, Unknot,
                             Unlink, link_connected_sum, link_determinant,
                             montesinos, numerator_closure, two_bridge, unlink)
 from dehncalc.cover import double_branched_cover
-from dehncalc.manifolds import IllFormedClaimError, connected_sum
+from dehncalc.manifolds import IllFormedClaimError, connected_sum, lens_space
 from dehncalc.slopes import INFINITY, Slope
 
 
@@ -40,12 +40,26 @@ def test_unlink_factory():
 
 
 def test_numerator_closure():
-    assert numerator_closure(Slope(0)) == Unknot()
-    assert numerator_closure(INFINITY) == Unlink(2)
+    assert numerator_closure(Slope(0)) == Unlink(2)
+    assert numerator_closure(INFINITY) == Unknot()
     assert numerator_closure(Slope(7, 3)) == TwoBridge(7, 2)
     assert numerator_closure(Slope(-7, 3)) == TwoBridge(7, 2)
     assert numerator_closure(Slope(5)) == TwoBridge(5, 1)
     assert numerator_closure(Slope(1, 5)) == Unknot()
+
+
+_WINDOW = range(-12, 13)
+
+
+def test_numerator_closure_is_the_two_bridge_dictionary():
+    # N(p/q) = b(p/q) lifts to L(p, q) and has determinant |p| at every
+    # slope, 0 and 1/0 included.
+    slopes = {Slope(p, q) for p in _WINDOW for q in _WINDOW if p or q}
+    assert {Slope(0), INFINITY} <= slopes
+    for r in slopes:
+        closure = numerator_closure(r)
+        assert double_branched_cover(closure) == lens_space(r.p, r.q), r
+        assert link_determinant(closure) == abs(r.p), r
 
 
 def test_montesinos_normalization():

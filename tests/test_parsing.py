@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dehncalc.links import link_connected_sum, montesinos, two_bridge, unlink
+from dehncalc.cli import main
+from dehncalc.links import (Unknot, link_connected_sum, montesinos, two_bridge,
+                            unlink)
 from dehncalc.manifolds import (BASE_D2, BASE_M2, BASE_S2, CableSpace,
                                 IllFormedClaimError, Lens, OpaqueTag, S3,
                                 S1xS2, SfsS2, SolidTorus, T2xI, ZxS1,
-                                connected_sum, sfs_orders, torus_union)
+                                connected_sum, lens_space, sfs_orders,
+                                torus_union)
 from dehncalc.parsing import ParseError, parse_link_expr, parse_manifold_expr
 from dehncalc.slopes import Slope, parse_slope
 
@@ -108,13 +112,27 @@ def test_link_expressions():
     assert parse_link_expr("b(7/3)") == two_bridge(7, 3)
     assert parse_link_expr("b(5)") == two_bridge(5, 1)
     assert parse_link_expr("b(0/1)") == unlink(2)
-    assert parse_link_expr("b(1/0)") == unlink(2)
+    assert parse_link_expr("b(1/0)") == Unknot()
     assert parse_link_expr("unknot").__class__.__name__ == "Unknot"
     assert parse_link_expr("unlink(3)") == unlink(3)
     assert parse_link_expr("mont(-1; 1/2, 1/3, 1/5)") == \
         montesinos(-1, [Slope(1, 2), Slope(1, 3), Slope(1, 5)])
     assert parse_link_expr("b(3/1) + b(4/1)") == \
         link_connected_sum(two_bridge(3, 1), two_bridge(4, 1))
+
+
+def test_every_fraction_is_two_bridge(capsys):
+    # b(p/q) is two_bridge(p, q) at every fraction, so its cover is L(p, q):
+    # b(1/0) is the unknot over S3, b(0/1) the 2-unlink over S1xS2.
+    pairs = [(p, q) for p in range(-12, 13) for q in range(-12, 13)
+             if gcd(p, q) == 1]
+    assert {(1, 0), (-1, 0), (0, 1)} <= set(pairs)
+    for p, q in pairs:
+        text = f"b({p}/{q})"
+        assert parse_link_expr(text) == two_bridge(p, q), text
+        assert main(["cover", text, "--format", "json"]) == 0, text
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        assert row["manifold"] == str(lens_space(p, q)), text
 
 
 # Every error site of the link grammar: input, message, position.
