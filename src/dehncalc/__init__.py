@@ -24,8 +24,7 @@ from .links import (ConnSumLink, Link, MontesinosLink, TwoBridge, Unknot,
                     Unlink, link_connected_sum, link_determinant, montesinos,
                     numerator_closure, two_bridge, unlink)
 from .cover import double_branched_cover
-from .cables import (CableContext, CableFillResult, cable_fill,
-                     describe_cable_fill, meridian_distance_cabled,
+from .cables import (cable_fill, meridian_distance_cabled,
                      meridian_distance_squared, winding_bound)
 from .families import (Check, CheckResult, Claim, DomainError, Edge,
                        FamilySpec, SweepReport, VerificationReport,
@@ -57,8 +56,8 @@ __all__ = [
     "link_connected_sum", "link_determinant", "montesinos",
     "numerator_closure", "two_bridge", "unlink",
     "double_branched_cover",
-    "CableContext", "CableFillResult", "cable_fill", "describe_cable_fill",
-    "meridian_distance_cabled", "meridian_distance_squared", "winding_bound",
+    "cable_fill", "meridian_distance_cabled", "meridian_distance_squared",
+    "winding_bound",
     "Check", "CheckResult", "Claim", "DomainError", "Edge", "FamilySpec",
     "Status", "SweepReport", "VerificationReport", "evaluate_filling",
     "family_catalog", "get_family", "scan_icosahedral_pairs",

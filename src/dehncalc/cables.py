@@ -10,58 +10,26 @@ are flagged as an extension of the standard rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .manifolds import (BASE_D2, CableSpace, Manifold, SolidTorus,
                         connected_sum, lens_space, sfs_orders)
 from .slopes import Slope, distance
 
 
-@dataclass(frozen=True)
-class CableContext:
-    """A cable space together with its cabling slope gamma.
-
-    ``CableSpace`` construction already enforces t >= 2 (ruling out
-    T2xI) and gcd(s, t) = 1.
-    """
-
-    space: CableSpace
-    cabling_slope: Slope
-
-
-def cable_fill(ctx: CableContext, r: Slope) -> Manifold:
-    """Fill the outer boundary of the cable space along r.
+def cable_fill(space: CableSpace, gamma: Slope, r: Slope) -> Manifold:
+    """Fill the outer boundary of the cable space along r, where gamma is
+    its cabling slope (``CableSpace`` already enforces t >= 2 and
+    gcd(s, t) = 1).
 
     At the cabling slope the result is SolidTorus # L(t, s); at distance
     1 from it, a solid torus; at distance d >= 2, the Seifert piece
     D2(t, d) (an extension beyond the cases the claim tables use).
     """
-    d = distance(r, ctx.cabling_slope)
+    d = distance(r, gamma)
     if d == 0:
-        return connected_sum(SolidTorus(), lens_space(ctx.space.t, ctx.space.s))
+        return connected_sum(SolidTorus(), lens_space(space.t, space.s))
     if d == 1:
         return SolidTorus()
-    return sfs_orders(BASE_D2, (ctx.space.t, d))
-
-
-@dataclass(frozen=True)
-class CableFillResult:
-    """A cable filling together with the distance data the rules used.
-
-    ``extension`` is True when the distance from the cabling slope is at
-    least 2, a case computed for completeness but not relied on by any
-    claim table.
-    """
-
-    manifold: Manifold
-    distance_from_cabling: int
-    extension: bool = False
-
-
-def describe_cable_fill(ctx: CableContext, r: Slope) -> CableFillResult:
-    """cable_fill plus the distance bookkeeping the reporting layer shows."""
-    d = distance(r, ctx.cabling_slope)
-    return CableFillResult(cable_fill(ctx, r), d, extension=d >= 2)
+    return sfs_orders(BASE_D2, (space.t, d))
 
 
 def _require(name: str, value: int, minimum: int) -> None:

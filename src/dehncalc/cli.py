@@ -14,12 +14,11 @@ import random
 import re
 import sys
 
-from .cables import CableContext, describe_cable_fill, meridian_distance_cabled
+from .cables import cable_fill, meridian_distance_cabled
 from .cover import double_branched_cover
 from .diagrams import oracle_cross_check, random_montesinos
 from .families import (Claim, FamilySpec, family_catalog, get_family,
                        grid_points, verify_family)
-from .links import link_determinant
 from .manifolds import CableSpace, FiniteType, classify_finite_type, h1
 from .parsing import parse_link_expr, parse_manifold_expr
 from .reports import (FORMATS, Report, Status, combine_status, emit_report,
@@ -132,23 +131,21 @@ def _cmd_cover(args, command: str) -> Report:
     link = parse_link_expr(args.link)
     m = double_branched_cover(link)
     res = h1(m)
-    row = {"link": str(link), "manifold": str(m),
-           "determinant": link_determinant(link),
+    row = {"link": str(link), "manifold": str(m), "determinant": res.order or 0,
            "h1_order": res.order, "h1_free_rank": res.free_rank}
     return Report(command, Status.PASS, (row,))
 
 
 def _cmd_cable(args, command: str) -> Report:
-    ctx = CableContext(CableSpace(args.s, args.t), parse_slope(args.gamma))
+    space = CableSpace(args.s, args.t)
+    gamma = parse_slope(args.gamma)
     r = parse_slope(args.r)
-    res = describe_cable_fill(ctx, r)
-    row = {"s": ctx.space.s, "t": ctx.space.t,
-           "cabling_slope": format_slope(ctx.cabling_slope),
-           "r": format_slope(r),
-           "distance_from_cabling": res.distance_from_cabling,
-           "pushforward_distance": meridian_distance_cabled(
-               ctx.space.t, res.distance_from_cabling),
-           "manifold": str(res.manifold), "extension": res.extension}
+    d = distance(r, gamma)
+    # A distance of 2 or more is an extension beyond the claim tables.
+    row = {"s": space.s, "t": space.t, "cabling_slope": format_slope(gamma),
+           "r": format_slope(r), "distance_from_cabling": d,
+           "pushforward_distance": meridian_distance_cabled(space.t, d),
+           "manifold": str(cable_fill(space, gamma, r)), "extension": d >= 2}
     return Report(command, Status.PASS, (row,))
 
 

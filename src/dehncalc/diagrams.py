@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .cover import double_branched_cover
-from .links import (ConnSumLink, Link, MontesinosLink, TwoBridge, montesinos,
-                    link_determinant)
+from .links import ConnSumLink, Link, MontesinosLink, TwoBridge, montesinos
 from .manifolds import h1
 from .slopes import Slope, continued_fraction
 
@@ -398,7 +397,9 @@ def build_standard_diagram(l: Link) -> CombinatorialMap:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Determinant of one link computed twice, plus the covering homology."""
+    """The Goeritz determinant of one link against |H1| of its double
+    branched cover; ``formula`` is that order, or 0 when H1 is infinite.
+    The fields, in order, are the columns of the oracle verb."""
 
     link: str
     crossings: int
@@ -408,29 +409,25 @@ class OracleReport:
     match: bool
 
     def as_dict(self) -> dict:
-        return {"link": self.link, "crossings": self.crossings,
-                "goeritz": self.goeritz, "formula": self.formula,
-                "h1_order": self.h1_order, "match": self.match}
+        return dict(vars(self))
 
 
 def oracle_cross_check(l: Link) -> OracleReport:
-    """Compare the Goeritz determinant of a freshly built diagram with the
-    closed formula and with |H1| of the double branched cover."""
-    det_formula = link_determinant(l)
+    """Compare the Goeritz determinant of freshly built diagrams with |H1|
+    of the double branched cover (Gordon-Litherland 1978).
+
+    Every diagram is built before the cover, so a part without a standard
+    diagram fails before a cover of any size is computed."""
     # Link sums are flat, and the determinant is multiplicative over them.
     det_goeritz, crossings = 1, 0
-    for part in l.parts if isinstance(l, ConnSumLink) else (l,):
+    for part in l.summands if isinstance(l, ConnSumLink) else (l,):
         m = build_standard_diagram(part)
         det_goeritz *= goeritz_determinant(m)
         crossings += len(m.crossings)
-    h1_res = h1(double_branched_cover(l))
-    match = det_goeritz == det_formula
-    if det_formula == 0:
-        match = match and not h1_res.is_finite
-    else:
-        match = match and h1_res.order == det_formula
-    return OracleReport(str(l), crossings, det_goeritz, det_formula,
-                        h1_res.order, match)
+    order = h1(double_branched_cover(l)).order
+    formula = order or 0
+    return OracleReport(str(l), crossings, det_goeritz, formula, order,
+                        det_goeritz == formula)
 
 
 def random_montesinos(rng: random.Random, max_alpha: int = 9) -> MontesinosLink:

@@ -9,11 +9,12 @@ normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 from typing import ClassVar
 
 from .manifolds import (IllFormedClaimError, Lens, Manifold, S3, S1xS2, SfsS2,
-                        _sfs_s2_h1_order, connected_sum, normalize_lens_pair)
+                        _normal_form, connected_sum, flat_summands, h1,
+                        normalize_lens_pair)
 from .slopes import Slope
 
 
@@ -22,8 +23,6 @@ class Link:
     annotated here in its own class: as a class attribute when the fact is
     fixed for the shape, or as a property when it depends on its fields."""
 
-    # Multiplicative under connected sum; 0 means infinite H1 of the cover.
-    determinant: ClassVar[int]
     cover: ClassVar[Manifold]  # the double cover of S^3 branched over the link
     sort_key: ClassVar[tuple]  # orders the parts of a sum
 
@@ -33,7 +32,6 @@ class Link:
 
 @dataclass(frozen=True)
 class Unknot(Link):
-    determinant = 1
     cover = S3()
     sort_key = ("Unknot", ())
 
@@ -49,7 +47,6 @@ class Unlink(Link):
         if self.components < 2:
             raise IllFormedClaimError("Unlink needs >= 2 components; use unlink()")
 
-    determinant = 0
     cover = property(lambda self: connected_sum(
         *(S1xS2() for _ in range(self.components - 1))))
     sort_key = property(lambda self: ("Unlink", (self.components,)))
@@ -74,7 +71,6 @@ class TwoBridge(Link):
     def __post_init__(self) -> None:
         normalize_lens_pair(self, "b", "two_bridge")
 
-    determinant = property(lambda self: self.p)
     cover = property(lambda self: Lens(self.p, self.q))
     sort_key = property(lambda self: ("TwoBridge", (self.p, self.q)))
 
@@ -137,7 +133,6 @@ class MontesinosLink(Link):
 
     # The branches as Seifert fibers (alpha, beta), already in SfsS2 order.
     fibers = property(lambda self: tuple((r.q, r.p) for r in self.branches))
-    determinant = property(lambda self: _sfs_s2_h1_order(self.e, self.fibers))
     cover = property(lambda self: SfsS2(self.e, self.fibers))
     sort_key = property(lambda self: ("Montesinos", (self.e,) + self.fibers))
 
@@ -152,48 +147,37 @@ def montesinos(e: int, branches) -> MontesinosLink:
 
 @dataclass(frozen=True)
 class ConnSumLink(Link):
-    """Connected sum of links, flat and sorted; unknot parts are absorbed."""
+    """Connected sum of links, kept flat, unknot-free and sorted like ConnSum."""
 
-    parts: tuple[Link, ...]
+    summands: tuple[Link, ...]
 
     def __post_init__(self) -> None:
-        flat = _flatten(self.parts)
-        if len(flat) < 2:
+        summands = flat_summands(self.summands, ConnSumLink, Unknot)
+        if len(summands) < 2:
             raise IllFormedClaimError(
                 "ConnSumLink needs >= 2 nontrivial parts; use link_connected_sum()"
             )
-        object.__setattr__(self, "parts",
-                           tuple(sorted(flat, key=lambda l: l.sort_key)))
+        object.__setattr__(self, "summands", summands)
 
-    determinant = property(lambda self: prod(l.determinant for l in self.parts))
-    cover = property(lambda self: connected_sum(*(l.cover for l in self.parts)))
+    cover = property(
+        lambda self: connected_sum(*(l.cover for l in self.summands)))
     sort_key = property(
-        lambda self: ("ConnSum", tuple(l.sort_key for l in self.parts)))
+        lambda self: ("ConnSum", tuple(l.sort_key for l in self.summands)))
 
     def __str__(self) -> str:
-        return " + ".join(str(l) for l in self.parts)
+        return " + ".join(str(l) for l in self.summands)
 
 
 def link_connected_sum(*parts: Link) -> Link:
-    flat = _flatten(parts)
+    flat = flat_summands(parts, ConnSumLink, Unknot)
     if len(flat) < 2:
         return flat[0] if flat else Unknot()
-    return ConnSumLink(tuple(flat))
-
-
-def _flatten(parts) -> list[Link]:
-    """Parts with nested sums spliced in and unknot parts dropped."""
-    flat: list[Link] = []
-    for l in parts:
-        if isinstance(l, ConnSumLink):
-            flat.extend(l.parts)
-        elif not isinstance(l, Unknot):
-            flat.append(l)
-    return flat
+    return _normal_form(ConnSumLink, summands=flat)
 
 
 def link_determinant(l: Link) -> int:
-    """The link determinant, multiplicative under connected sum."""
+    """The link determinant: |H1| of the double branched cover, 0 when H1
+    is infinite (so it is multiplicative under connected sum)."""
     if not isinstance(l, Link):
         raise TypeError(f"not a link: {l!r}")
-    return l.determinant
+    return h1(l.cover).order or 0

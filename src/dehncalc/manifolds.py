@@ -72,14 +72,6 @@ class H1Result:
         return self.order is not None
 
 
-def _sfs_s2_h1_order(e: int, fibers: tuple[tuple[int, int], ...]) -> int:
-    """|e prod(alpha) + sum_i beta_i prod_{j != i} alpha_j|, 0 meaning infinite H1."""
-    total = e * prod(alpha for alpha, _ in fibers)
-    for i, (_, beta) in enumerate(fibers):
-        total += beta * prod(alpha for j, (alpha, _) in enumerate(fibers) if j != i)
-    return abs(total)
-
-
 class FiniteType(Enum):
     CYCLIC = "cyclic"
     DIHEDRAL = "dihedral"
@@ -329,8 +321,13 @@ class SfsS2(Manifold, closed=True, reducible=False, prime=True, rigid=True,
 
     @property
     def homology(self) -> H1Result:
-        order = _sfs_s2_h1_order(self.e, self.fibers)
-        return H1Result.finite(order) if order else H1Result.infinite(1)
+        # |H1| = |e prod(alpha) + sum_i beta_i prod_{j != i} alpha_j|; H1 is
+        # infinite when that is 0.
+        total = self.e * prod(alpha for alpha, _ in self.fibers)
+        for i, (_, beta) in enumerate(self.fibers):
+            total += beta * prod(alpha for j, (alpha, _) in enumerate(self.fibers)
+                                 if j != i)
+        return H1Result.finite(abs(total)) if total else H1Result.infinite(1)
 
     @property
     def toroidal(self) -> bool:
@@ -485,13 +482,14 @@ def _sum_fact(answers, decisive: bool) -> bool | None:
     return None
 
 
-def _summands(parts) -> tuple[Manifold, ...]:
-    """Summands with nested sums spliced in, S3 summands dropped, sorted."""
-    flat: list[Manifold] = []
+def flat_summands(parts, sum_type: type, unit_type: type) -> tuple:
+    """Summands of a sum of parts, for manifolds and links alike: nested
+    sums (sum_type) spliced in, units (unit_type) dropped, sorted by key."""
+    flat = []
     for m in parts:
-        if isinstance(m, ConnSum):
+        if isinstance(m, sum_type):
             flat.extend(m.summands)
-        elif not isinstance(m, S3):
+        elif not isinstance(m, unit_type):
             flat.append(m)
     flat.sort(key=_sort_key)
     return tuple(flat)
@@ -506,7 +504,7 @@ class ConnSum(Manifold, reducible=True, prime=False,
     summands: tuple[Manifold, ...]
 
     def __post_init__(self) -> None:
-        summands = _summands(self.summands)
+        summands = flat_summands(self.summands, ConnSum, S3)
         if len(summands) < 2:
             raise IllFormedClaimError(
                 "ConnSum needs >= 2 nontrivial summands; use connected_sum()"
@@ -540,7 +538,7 @@ class ConnSum(Manifold, reducible=True, prime=False,
 
 def connected_sum(*summands: Manifold) -> Manifold:
     """Connected sum with S3 summands absorbed and singletons unwrapped."""
-    flat = _summands(summands)
+    flat = flat_summands(summands, ConnSum, S3)
     if len(flat) < 2:
         return flat[0] if flat else S3()
     return _normal_form(ConnSum, summands=flat)
@@ -686,15 +684,12 @@ def _compare_seifert(m1: Manifold, m2: Manifold) -> Comparison:
         # Lens-like spaces never fiber over S^2 with >= 3 exceptional fibers.
         return Comparison.DISTINCT
 
-    for partial, other in ((m1, m2), (m2, m1)):
-        if isinstance(partial, SfsOrdersOnly) and (
-                isinstance(other, SfsOrdersOnly)
-                or other.rigid and other.closed is False):
-            # Bounded pieces over D2/M2 with these order counts carry a
-            # unique Seifert structure, so two unequal ones differ, and so
-            # do such a piece and a rigid bounded atom (solid torus, T2xI,
-            # cable space, ZxS1).
-            return Comparison.DISTINCT
+    if m1.closed is False and m2.closed is False:
+        # Sums aside, only the rigid bounded atoms (solid torus, T2xI, ZxS1,
+        # cable space) and orders-only pieces over D2/M2 declare closed
+        # False, and not both sides are rigid.  Such a piece has a unique
+        # Seifert structure, so no other piece or rigid atom equals it.
+        return Comparison.DISTINCT
     return Comparison.INDETERMINATE
 
 

@@ -3,8 +3,7 @@ from math import gcd
 
 import pytest
 
-from dehncalc.cables import (CableContext, cable_fill, describe_cable_fill,
-                             meridian_distance_cabled,
+from dehncalc.cables import (cable_fill, meridian_distance_cabled,
                              meridian_distance_squared, winding_bound)
 from dehncalc.manifolds import (BASE_D2, CableSpace, ConnSum, Lens,
                                 SfsOrdersOnly, SolidTorus, connected_sum, h1,
@@ -27,10 +26,9 @@ def test_cable_fill_exhaustive_distance_cases():
                 continue
             for _ in range(50):
                 gamma = _random_slope(rng)
-                ctx = CableContext(CableSpace(s, t), gamma)
                 r = _random_slope(rng)
                 d = distance(r, gamma)
-                m = cable_fill(ctx, r)
+                m = cable_fill(CableSpace(s, t), gamma, r)
                 if d == 0:
                     assert m == connected_sum(SolidTorus(), lens_space(t, s))
                     # always carries a lens summand of order t
@@ -44,19 +42,13 @@ def test_cable_fill_exhaustive_distance_cases():
 
 
 def test_cable_fill_spot_values():
-    ctx = CableContext(CableSpace(1, 2), Slope(0))
-    assert cable_fill(ctx, Slope(0)) == connected_sum(SolidTorus(), Lens(2, 1))
-    assert cable_fill(ctx, Slope(-1)) == SolidTorus()
-    assert cable_fill(ctx, Slope(2)) == SfsOrdersOnly(BASE_D2, (2, 2))
-
-
-def test_describe_cable_fill_flags_extensions():
-    ctx = CableContext(CableSpace(2, 3), Slope(1))
-    assert not describe_cable_fill(ctx, Slope(1)).extension
-    assert not describe_cable_fill(ctx, Slope(0)).extension
-    res = describe_cable_fill(ctx, Slope(4))
-    assert res.extension and res.distance_from_cabling == 3
-    assert res.manifold == SfsOrdersOnly(BASE_D2, (3, 3))
+    space, gamma = CableSpace(1, 2), Slope(0)
+    assert cable_fill(space, gamma, Slope(0)) == \
+        connected_sum(SolidTorus(), Lens(2, 1))
+    assert cable_fill(space, gamma, Slope(-1)) == SolidTorus()
+    assert cable_fill(space, gamma, Slope(2)) == SfsOrdersOnly(BASE_D2, (2, 2))
+    assert cable_fill(CableSpace(2, 3), Slope(1), Slope(4)) == \
+        SfsOrdersOnly(BASE_D2, (3, 3))
 
 
 def test_meridian_distance_cabled():

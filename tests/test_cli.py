@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
+from dehncalc import diagrams
 from dehncalc.cli import _build_parser, main
 from dehncalc.families import family_catalog
+from dehncalc.manifolds import Lens, connected_sum
 from dehncalc.parsing import parse_manifold_expr
 from dehncalc.reports import (Report, SCHEMA_VERSION, Status, combine_status,
                               emit_report, exit_code)
@@ -129,6 +131,15 @@ def test_cable_verb(capsys):
                                  "--gamma", "0", "0"])
     row = json.loads(out)["results"][0]
     assert (row["s"], row["t"]) == (1, 2)
+    # Only a distance of 2 or more from the cabling slope is an extension.
+    for r, d in (("1", 0), ("0", 1), ("4", 3)):
+        code, out, _ = _run(capsys, ["cable", "--s", "2", "--t", "3",
+                                     "--gamma", "1", r])
+        assert code == 0
+        row = json.loads(out)["results"][0]
+        assert row["distance_from_cabling"] == d
+        assert row["extension"] is (d >= 2)
+    assert row["manifold"] == "D2(3,3)"
 
 
 def test_family_list_verb(capsys):
@@ -263,6 +274,26 @@ def test_oracle_without_a_standard_diagram_exits_two(capsys):
         assert (code, out) == (2, "")
         assert err == (f"error: no standard diagram for {part}; the oracle "
                        "draws 2-bridge and Montesinos parts only\n")
+
+
+# A fault planted on either side of the oracle: the cover with an extra
+# L(2,1) summand (twice the order), or the Goeritz determinant off by one.
+PLANTED_ORACLE_FAULTS = [
+    ("double_branched_cover",
+     lambda cover: lambda l: connected_sum(cover(l), Lens(2, 1))),
+    ("goeritz_determinant", lambda det: lambda m: det(m) + 1),
+]
+
+
+@pytest.mark.parametrize("name, fault", PLANTED_ORACLE_FAULTS,
+                         ids=["cover", "goeritz"])
+def test_oracle_mismatch_exits_one(monkeypatch, capsys, name, fault):
+    monkeypatch.setattr(diagrams, name, fault(getattr(diagrams, name)))
+    code, out, _ = _run(capsys, ["oracle", "b(7/3)"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "fail"
+    assert report["results"][0]["match"] is False
 
 
 def test_oracle_batch_file(tmp_path, capsys):

@@ -2,8 +2,9 @@ import random
 from math import gcd
 
 from dehncalc.cover import double_branched_cover
-from dehncalc.links import (link_connected_sum, link_determinant, montesinos,
-                            two_bridge, unlink, Unknot)
+from dehncalc.diagrams import oracle_cross_check
+from dehncalc.links import (ConnSumLink, link_connected_sum, link_determinant,
+                            montesinos, two_bridge, unlink, Unknot, Unlink)
 from dehncalc.manifolds import (Lens, S3, S1xS2, SfsS2, connected_sum, h1,
                                 lens_space)
 from dehncalc.slopes import Slope
@@ -74,3 +75,8 @@ def test_h1_of_cover_is_determinant_random_assemblies():
             assert not res.is_finite
         else:
             assert res.order == det
+        # The determinant is read off the cover, so the diagrams are the
+        # independent side: every assembly they can draw must match.
+        parts = link.summands if isinstance(link, ConnSumLink) else (link,)
+        if not any(isinstance(part, (Unknot, Unlink)) for part in parts):
+            assert oracle_cross_check(link).match, str(link)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dehncalc import diagrams
 from dehncalc.diagrams import (CombinatorialMap, build_standard_diagram,
                                checkerboard, exact_determinant, faces,
                                goeritz_determinant, goeritz_matrix,
@@ -12,6 +13,7 @@ from dehncalc.diagrams import (CombinatorialMap, build_standard_diagram,
                                random_montesinos, two_bridge_diagram)
 from dehncalc.links import (Unknot, link_connected_sum, link_determinant,
                             montesinos, two_bridge)
+from dehncalc.manifolds import Lens, connected_sum
 from dehncalc.slopes import Slope, from_continued_fraction
 
 
@@ -402,6 +404,20 @@ def test_oracle_cross_check():
     assert total.crossings == \
         oracle_cross_check(two_bridge(3, 1)).crossings + \
         oracle_cross_check(two_bridge(5, 2)).crossings
+
+
+@pytest.mark.parametrize("name, fault, expected", [
+    # The formula side is |H1| of the cover: an extra L(2,1) summand
+    # doubles its order.
+    ("double_branched_cover",
+     lambda cover: lambda l: connected_sum(cover(l), Lens(2, 1)), (7, 14)),
+    ("goeritz_determinant", lambda det: lambda m: det(m) + 1, (8, 7)),
+], ids=["cover", "goeritz"])
+def test_oracle_fails_on_a_planted_fault(monkeypatch, name, fault, expected):
+    monkeypatch.setattr(diagrams, name, fault(getattr(diagrams, name)))
+    rep = oracle_cross_check(two_bridge(7, 3))
+    assert not rep.match
+    assert (rep.goeritz, rep.formula) == expected
 
 
 def test_random_montesinos_deterministic():

@@ -84,7 +84,7 @@ def test_link_connected_sum():
     assert link_connected_sum(t, Unknot()) == t
     assert link_connected_sum(Unknot(), Unknot()) == Unknot()
     nested = link_connected_sum(s, t)
-    assert nested.parts == (two_bridge(3, 1), two_bridge(3, 1), two_bridge(4, 1))
+    assert nested.summands == (two_bridge(3, 1), two_bridge(3, 1), two_bridge(4, 1))
 
 
 def test_link_determinant_two_bridge():

@@ -10,11 +10,12 @@ and the whole pairwise comparison matrix.
 
 import pytest
 
-from dehncalc.manifolds import (BASE_D2, BASE_M2, BASE_S2, CableSpace,
-                                Comparison, IndeterminateError, Lens,
-                                OpaqueTag, S3, S1xS2, SfsS2, SolidTorus, T2xI,
+from dehncalc.manifolds import (_TAG_PROPS, BASE_D2, BASE_M2, BASE_S2,
+                                CableSpace, Comparison, ConnSum,
+                                IndeterminateError, Lens, OpaqueTag, S3,
+                                S1xS2, SfsOrdersOnly, SfsS2, SolidTorus, T2xI,
                                 TAG_LENS_TYPE, TAG_TOROIDAL,
-                                TAG_TOROIDAL_IRREDUCIBLE, ZxS1,
+                                TAG_TOROIDAL_IRREDUCIBLE, TorusUnion, ZxS1,
                                 classify_finite_type, connected_sum, h1,
                                 is_reducible, manifold_compare, sfs_orders,
                                 torus_union)
@@ -195,6 +196,22 @@ def test_homology_is_known_exactly_when_rigid():
     # the strength of this.
     for m in CORPUS:
         assert m.rigid == (m.homology is not None), str(m)
+
+
+def test_bounded_shapes_are_rigid_atoms_or_bounded_seifert_pieces():
+    # _compare_seifert calls two unequal bounded descriptions, neither a
+    # sum and not both rigid, DISTINCT on the strength of this: a new
+    # bounded partial shape must fail here rather than read DISTINCT.
+    assert not any(props.get("closed") is False
+                   for props in _TAG_PROPS.values())
+    assert OpaqueTag("foo").closed is None
+    assert TorusUnion.closed is None
+    bounded = [m for m in CORPUS
+               if m.closed is False and not isinstance(m, ConnSum)]
+    assert bounded
+    for m in bounded:
+        assert m.rigid or (isinstance(m, SfsOrdersOnly)
+                           and m.base in (BASE_D2, BASE_M2)), str(m)
 
 
 def test_corpus_tables_cover_the_corpus():
