@@ -1,3 +1,4 @@
+import json
 import random
 from math import gcd
 
@@ -5,6 +6,7 @@ import pytest
 
 from dehncalc.cables import (cable_fill, meridian_distance_cabled,
                              meridian_distance_squared, winding_bound)
+from dehncalc.cli import main
 from dehncalc.manifolds import (BASE_D2, CableSpace, ConnSum, Lens,
                                 SfsOrdersOnly, SolidTorus, connected_sum, h1,
                                 lens_space, sfs_orders)
@@ -49,6 +51,19 @@ def test_cable_fill_spot_values():
     assert cable_fill(space, gamma, Slope(2)) == SfsOrdersOnly(BASE_D2, (2, 2))
     assert cable_fill(CableSpace(2, 3), Slope(1), Slope(4)) == \
         SfsOrdersOnly(BASE_D2, (3, 3))
+
+
+def test_describe_cable_fill_flags_extensions(capsys):
+    # The cable verb describes a filling of C(2,3) along gamma = 1; only a
+    # distance of 2 or more from the cabling slope is an extension.
+    for r, d in (("1", 0), ("0", 1), ("4", 3)):
+        assert main(["cable", "--s", "2", "--t", "3", "--gamma", "1", r]) == 0
+        row = json.loads(capsys.readouterr().out)["results"][0]
+        assert row["distance_from_cabling"] == d
+        assert row["extension"] is (d >= 2)
+        assert row["manifold"] == str(
+            cable_fill(CableSpace(2, 3), Slope(1), Slope(int(r))))
+    assert row["manifold"] == "D2(3,3)"
 
 
 def test_meridian_distance_cabled():
