@@ -10,20 +10,21 @@ from __future__ import annotations
 
 import argparse
 import functools
-import random
+import importlib
 import re
 import sys
 
-from .cables import cable_fill, meridian_distance_cabled
-from .cover import double_branched_cover
-from .diagrams import oracle_cross_check, random_montesinos
-from .families import (Claim, FamilySpec, family_catalog, get_family,
-                       grid_points, verify_family)
-from .manifolds import CableSpace, FiniteType, classify_finite_type, h1
-from .parsing import parse_link_expr, parse_manifold_expr
 from .reports import (FORMATS, Report, Status, combine_status, emit_report,
                       exit_code)
 from .slopes import distance, format_slope, int_limit_error, parse_slope
+
+
+@functools.cache
+def _lib(name: str):
+    """Module dehncalc.<name>, imported on a verb's first use.  Handlers
+    read functions off it at each call, so rebinding one on it works."""
+    return importlib.import_module(f".{name}", __package__)
+
 
 _RANGE = re.compile(r"(-?\d+)(?:\.\.(-?\d+))?")
 
@@ -74,14 +75,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _family_points(args) -> tuple[FamilySpec, Claim | None, list[dict]]:
+def _family_points(args) -> tuple:
     """The family named on argv, its claim at the slope argument (None
     for verbs without one) and the in-domain points of its --p/--q grid.
 
     Faults are reported in this order: the family, its parameter
     options, the slope, and last a grid with no in-domain point.
     """
-    spec = get_family(args.family)
+    families = _lib("families")
+    spec = families.get_family(args.family)
     ranges: dict[str, tuple[int, int]] = {}
     for name in ("p", "q"):
         value = getattr(args, name)
@@ -92,13 +94,13 @@ def _family_points(args) -> tuple[FamilySpec, Claim | None, list[dict]]:
         elif value is not None:
             raise _UsageError(f"family {spec.name} takes no parameter {name}")
     claim = spec.claim_at(parse_slope(args.slope)) if "slope" in args else None
-    points = grid_points(spec, ranges)
+    points = families.grid_points(spec, ranges)
     if not points:
         raise _UsageError("no in-domain parameter points in the given ranges")
     return spec, claim, points
 
 
-def _params_text(spec: FamilySpec, params: dict) -> str:
+def _params_text(spec, params: dict) -> str:
     return ",".join([f"{n}={params[n]}" for n in spec.param_names])
 
 
@@ -118,40 +120,44 @@ def _cmd_distance(args, command: str) -> Report:
 
 
 def _cmd_classify(args, command: str) -> Report:
-    m = parse_manifold_expr(args.manifold)
-    ft = classify_finite_type(m)
+    manifolds = _lib("manifolds")
+    m = _lib("parsing").parse_manifold_expr(args.manifold)
+    ft = manifolds.classify_finite_type(m)
     hom = m.homology  # None when the description does not decide H1
     row = {"manifold": str(m), "finite_type": ft.value,
            "h1_order": None if hom is None else hom.order}
-    status = Status.INDETERMINATE if ft is FiniteType.UNKNOWN else Status.PASS
+    unknown = ft is manifolds.FiniteType.UNKNOWN
+    status = Status.INDETERMINATE if unknown else Status.PASS
     return Report(command, status, (row,))
 
 
 def _cmd_cover(args, command: str) -> Report:
-    link = parse_link_expr(args.link)
-    m = double_branched_cover(link)
-    res = h1(m)
+    link = _lib("parsing").parse_link_expr(args.link)
+    m = _lib("cover").double_branched_cover(link)
+    res = _lib("manifolds").h1(m)
     row = {"link": str(link), "manifold": str(m), "determinant": res.order or 0,
            "h1_order": res.order, "h1_free_rank": res.free_rank}
     return Report(command, Status.PASS, (row,))
 
 
 def _cmd_cable(args, command: str) -> Report:
-    space = CableSpace(args.s, args.t)
+    cables = _lib("cables")
+    space = _lib("manifolds").CableSpace(args.s, args.t)
     gamma = parse_slope(args.gamma)
     r = parse_slope(args.r)
     d = distance(r, gamma)
     # A distance of 2 or more is an extension beyond the claim tables.
     row = {"s": space.s, "t": space.t, "cabling_slope": format_slope(gamma),
            "r": format_slope(r), "distance_from_cabling": d,
-           "pushforward_distance": meridian_distance_cabled(space.t, d),
-           "manifold": str(cable_fill(space, gamma, r)), "extension": d >= 2}
+           "pushforward_distance": cables.meridian_distance_cabled(space.t, d),
+           "manifold": str(cables.cable_fill(space, gamma, r)),
+           "extension": d >= 2}
     return Report(command, Status.PASS, (row,))
 
 
 def _cmd_family_list(args, command: str) -> Report:
     rows = []
-    for spec in family_catalog():
+    for spec in _lib("families").family_catalog():
         rows.append({
             "name": spec.name,
             "params": ",".join(spec.param_names),
@@ -180,6 +186,7 @@ def _cmd_family_fill(args, command: str) -> Report:
 
 def _cmd_family_verify(args, command: str) -> Report:
     spec, _, points = _family_points(args)
+    verify_family = _lib("families").verify_family
     reports = [verify_family(spec.name, params) for params in points]
     rows = []
     for rep in reports:
@@ -195,6 +202,7 @@ def _cmd_family_verify(args, command: str) -> Report:
 
 def _cmd_family_sweep(args, command: str) -> Report:
     spec, _, points = _family_points(args)
+    verify_family = _lib("families").verify_family
     reports = [verify_family(spec.name, params) for params in points]
     rows = []
     for rep in reports:
@@ -217,16 +225,19 @@ def _cmd_oracle(args, command: str) -> Report:
                 line = line.strip()
                 if line and not line.startswith("#"):
                     texts.append(line)
-    links = [parse_link_expr(t) for t in texts]
+    diagrams = _lib("diagrams")
+    links = [_lib("parsing").parse_link_expr(t) for t in texts]
     if args.sample:
+        import random
         rng = random.Random(args.seed)
-        links.extend(random_montesinos(rng) for _ in range(args.sample))
+        links.extend(diagrams.random_montesinos(rng)
+                     for _ in range(args.sample))
     if not links:
         raise _UsageError("oracle needs link expressions, --batch, or --sample")
     rows = []
     any_mismatch = False
     for link in links:
-        rep = oracle_cross_check(link)
+        rep = diagrams.oracle_cross_check(link)
         any_mismatch = any_mismatch or not rep.match
         rows.append(rep.as_dict())
     status = Status.FAIL if any_mismatch else Status.PASS

@@ -21,7 +21,6 @@ Conventions (pinned by the b(p, q) determinant suite):
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -430,8 +429,8 @@ def oracle_cross_check(l: Link) -> OracleReport:
                         det_goeritz == formula)
 
 
-def random_montesinos(rng: random.Random, max_alpha: int = 9) -> MontesinosLink:
-    """A seeded random 3-branch Montesinos link with alphas up to max_alpha."""
+def random_montesinos(rng, max_alpha: int = 9) -> MontesinosLink:
+    """A 3-branch Montesinos link drawn by rng, alphas up to max_alpha."""
     branches = []
     for _ in range(3):
         alpha = rng.randint(2, max_alpha)

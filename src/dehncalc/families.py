@@ -12,8 +12,8 @@ three-valued outcome.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
                         Comparison, IllFormedClaimError, Manifold, OpaqueTag,

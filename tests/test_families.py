@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -15,6 +16,7 @@ from dehncalc.manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
                                 classify_finite_type, connected_sum,
                                 is_reducible, lens_homeomorphic, lens_space,
                                 sfs_orders, torus_union)
+from dehncalc.parsing import parse_manifold_expr
 from dehncalc.slopes import INFINITY, Slope, distance, format_slope
 
 
@@ -375,3 +377,107 @@ def test_catalog_distance_laws():
                 for s in reducible:
                     assert distance(r, s) <= 1, (name, params, r, s)
     assert points == 5103
+
+
+# ---------------------------------------------------------------------------
+# Printed formulas
+
+
+class _Arithmetic:
+    """Reads the arithmetic of a claim formula from ``pos``: integers,
+    p, q, + and -, juxtaposition as product ("3p", "2pq",
+    "(3p+2)(-2q+1)") and absolute values "|...|"."""
+
+    def __init__(self, text: str, params: dict, pos: int):
+        self.text, self.params, self.pos = text, params, pos
+
+    def _peek(self) -> str:
+        return self.text[self.pos:self.pos + 1]
+
+    def _take(self, expected: str | None = None) -> str:
+        ch = self._peek()
+        assert ch and (expected is None or ch == expected), (self.text, self.pos)
+        self.pos += 1
+        return ch
+
+    def expr(self) -> int:
+        value = self._term()
+        while self._peek() in ("+", "-"):
+            sign = 1 if self._take() == "+" else -1
+            value += sign * self._term()
+        return value
+
+    def _term(self) -> int:
+        sign = 1
+        if self._peek() == "-":
+            self._take()
+            sign = -1
+        value = self._factor()
+        while self._peek() and self._peek() in "pq(":
+            value *= self._factor()
+        return sign * value
+
+    def _factor(self) -> int:
+        ch = self._take()
+        if ch.isdigit():
+            digits = ch
+            while self._peek().isdigit():
+                digits += self._take()
+            return int(digits)
+        if ch in self.params:
+            return self.params[ch]
+        if ch == "(":
+            value = self.expr()
+            self._take(")")
+            return value
+        assert ch == "|", (self.text, self.pos - 1)
+        value = abs(self.expr())
+        self._take("|")
+        return value
+
+
+# An argument that starts with arithmetic, after "(" or ",".
+_ARGUMENT = re.compile(r"(?<=[(,])\s*(?=[-\d(|pq])")
+
+
+def _substitute(formula: str, params: dict) -> str:
+    """The formula with each arithmetic argument replaced by its value."""
+    out, pos = [], 0
+    for m in _ARGUMENT.finditer(formula):
+        if m.start() < pos:  # inside an argument already read
+            continue
+        reader = _Arithmetic(formula, params, m.end())
+        value = reader.expr()
+        assert formula[reader.pos] in ",)", (formula, reader.pos)
+        out += [formula[pos:m.end()], str(value)]
+        pos = reader.pos
+    return "".join(out) + formula[pos:]
+
+
+def test_substitute_reads_formula_arithmetic():
+    params = {"p": 3, "q": -2}
+    assert _substitute("L((3p+2)(-2q+1)+6, (3p+2)q-3)", params) == \
+        "L(61, -25)"
+    assert _substitute("S2(|p-1|, |2q-1|, |pq+q-1|)", params) == \
+        "S2(2, 5, 9)"
+    assert _substitute("U[C(1,2), D2(2,2pq-p-2)]", params) == \
+        "U[C(1,2), D2(2,-17)]"
+    assert _substitute("tag(toroidal) # S1xS2", params) == \
+        "tag(toroidal) # S1xS2"
+
+
+def test_printed_formulas_are_what_is_built():
+    # The formula column of family-fill must name the manifold the claim
+    # builds, at every in-domain point of the window.
+    claims, evaluated = set(), 0
+    for spec in family_catalog():
+        window = {name: (-8, 11) for name in spec.param_names}
+        for params in grid_points(spec, window):
+            for claim in spec.claims:
+                text = _substitute(claim.formula, params)
+                assert parse_manifold_expr(text) == claim.build(**params), \
+                    (spec.name, params, claim.formula, text)
+                claims.add((spec.name, claim.slope))
+                evaluated += 1
+    assert len(claims) == sum(len(s.claims) for s in family_catalog()) == 26
+    assert evaluated == 1769
