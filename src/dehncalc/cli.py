@@ -77,7 +77,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _family_points(args) -> tuple:
     """The family named on argv, its claim at the slope argument (None
-    for verbs without one) and the in-domain points of its --p/--q grid.
+    for verbs without one) and its --p/--q ranges, which hold at least
+    one in-domain point.
 
     Faults are reported in this order: the family, its parameter
     options, the slope, and last a grid with no in-domain point.
@@ -94,17 +95,13 @@ def _family_points(args) -> tuple:
         elif value is not None:
             raise _UsageError(f"family {spec.name} takes no parameter {name}")
     claim = spec.claim_at(parse_slope(args.slope)) if "slope" in args else None
-    points = families.grid_points(spec, ranges)
-    if not points:
+    if next(families.grid_points(spec, ranges), None) is None:
         raise _UsageError("no in-domain parameter points in the given ranges")
-    return spec, claim, points
+    return spec, claim, ranges
 
 
 def _params_text(spec, params: dict) -> str:
     return ",".join([f"{n}={params[n]}" for n in spec.param_names])
-
-
-_STATUS_WORDS = {status: status.value for status in Status}
 
 
 # ---------------------------------------------------------------------------
@@ -175,46 +172,42 @@ def _cmd_family_list(args, command: str) -> Report:
 
 
 def _cmd_family_fill(args, command: str) -> Report:
-    spec, claim, points = _family_points(args)
+    spec, claim, ranges = _family_points(args)
     slope = format_slope(claim.slope)
     rows = tuple([{"family": spec.name, "params": _params_text(spec, params),
                    "slope": slope, "formula": claim.formula,
                    "manifold": str(claim.build(**params))}
-                  for params in points])
+                  for params in _lib("families").grid_points(spec, ranges)])
     return Report(command, Status.PASS, rows)
 
 
 def _cmd_family_verify(args, command: str) -> Report:
-    spec, _, points = _family_points(args)
-    verify_family = _lib("families").verify_family
-    reports = [verify_family(spec.name, params) for params in points]
-    rows = []
-    for rep in reports:
+    spec, _, ranges = _family_points(args)
+    rows, statuses = [], []
+    for rep in _lib("families").sweep_point_reports(spec.name, ranges):
+        statuses.append(rep.status)
         params = _params_text(spec, rep.params)
         for check in rep.checks:
             rows.append({"family": spec.name, "params": params,
                          "check": check.kind, "detail": check.detail,
-                         "status": _STATUS_WORDS[check.status],
+                         "status": check.status.value,
                          "observed": check.observed})
-    status = combine_status(r.status for r in reports)
-    return Report(command, status, tuple(rows))
+    return Report(command, combine_status(statuses), tuple(rows))
 
 
 def _cmd_family_sweep(args, command: str) -> Report:
-    spec, _, points = _family_points(args)
-    verify_family = _lib("families").verify_family
-    reports = [verify_family(spec.name, params) for params in points]
-    rows = []
-    for rep in reports:
-        statuses = [check.status for check in rep.checks]
+    spec, _, ranges = _family_points(args)
+    rows, statuses = [], []
+    for rep in _lib("families").sweep_point_reports(spec.name, ranges):
+        statuses.append(rep.status)
+        checks = [check.status for check in rep.checks]
         rows.append({"family": spec.name,
                      "params": _params_text(spec, rep.params),
-                     "status": _STATUS_WORDS[rep.status],
-                     "passed": statuses.count(Status.PASS),
-                     "failed": statuses.count(Status.FAIL),
-                     "indeterminate": statuses.count(Status.INDETERMINATE)})
-    status = combine_status(r.status for r in reports)
-    return Report(command, status, tuple(rows))
+                     "status": rep.status.value,
+                     "passed": checks.count(Status.PASS),
+                     "failed": checks.count(Status.FAIL),
+                     "indeterminate": checks.count(Status.INDETERMINATE)})
+    return Report(command, combine_status(statuses), tuple(rows))
 
 
 def _cmd_oracle(args, command: str) -> Report:
@@ -289,11 +282,14 @@ def _build_parser() -> _Parser:
                        help="list the claim-table families")
     p.set_defaults(handler=_cmd_family_list)
 
-    for verb, handler, needs_slope in (
-            ("family-fill", _cmd_family_fill, True),
-            ("family-verify", _cmd_family_verify, False),
-            ("family-sweep", _cmd_family_sweep, False)):
-        p = sub.add_parser(verb, parents=[shared])
+    for verb, handler, needs_slope, summary in (
+            ("family-fill", _cmd_family_fill, True,
+             "closed-form fillings of a family at one slope"),
+            ("family-verify", _cmd_family_verify, False,
+             "every check of a family at each grid point"),
+            ("family-sweep", _cmd_family_sweep, False,
+             "check tallies of a family at each grid point")):
+        p = sub.add_parser(verb, parents=[shared], help=summary)
         p.add_argument("family")
         if needs_slope:
             p.add_argument("slope")

@@ -12,7 +12,7 @@ three-valued outcome.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from .manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
@@ -524,48 +524,42 @@ def verify_family(name: str, params: dict) -> VerificationReport:
 
 
 def grid_points(spec: FamilySpec,
-                ranges: dict[str, tuple[int, int]]) -> list[dict]:
-    """The in-domain points of an inclusive grid, ordered by parameter tuple."""
+                ranges: dict[str, tuple[int, int]]) -> Iterator[dict]:
+    """The in-domain points of an inclusive grid, ordered by parameter
+    tuple and made one at a time.  The names are checked at the call."""
     _check_names(spec, ranges)
     names = spec.param_names
     grids = [range(ranges[n][0], ranges[n][1] + 1) for n in names]
     points = (dict(zip(names, combo)) for combo in itertools.product(*grids))
-    return [params for params in points if spec.in_domain(**params)]
+    return (params for params in points if spec.in_domain(**params))
 
 
 def sweep_point_reports(
     name: str, ranges: dict[str, tuple[int, int]]
-) -> tuple[VerificationReport, ...]:
-    """Verify a family at every in-domain point of an inclusive grid.
+) -> Iterator[VerificationReport]:
+    """Verify a family at every in-domain point of an inclusive grid,
+    one point at a time as the iterator is read.
 
     Out-of-domain grid points are skipped.  Results are ordered by
-    parameter tuple.
+    parameter tuple.  The family and the names are checked at the call.
     """
-    return tuple(verify_family(name, params)
-                 for params in grid_points(get_family(name), ranges))
+    return (verify_family(name, params)
+            for params in grid_points(get_family(name), ranges))
 
 
 def sweep_verify(name: str, ranges: dict[str, tuple[int, int]]) -> SweepReport:
     """Verify a family over an inclusive integer grid, aggregated."""
     spec = get_family(name)
-    reports = sweep_point_reports(name, ranges)
+    points = dict.fromkeys(Status, 0)
     failures = []
-    passed = failed = indeterminate = 0
-    for report in reports:
-        if report.status is Status.PASS:
-            passed += 1
-            continue
-        if report.status is Status.FAIL:
-            failed += 1
-        else:
-            indeterminate += 1
-        for c in report.checks:
-            if c.status is not Status.PASS:
-                failures.append({"params": report.params, "detail": c.detail,
-                                 "status": c.status.value,
-                                 "observed": c.observed})
+    for report in sweep_point_reports(name, ranges):
+        points[report.status] += 1
+        failures.extend({"params": report.params, "detail": c.detail,
+                         "status": c.status.value, "observed": c.observed}
+                        for c in report.checks if c.status is not Status.PASS)
     return SweepReport(spec.name, {k: tuple(v) for k, v in ranges.items()},
-                       len(reports), passed, failed, indeterminate,
+                       sum(points.values()), points[Status.PASS],
+                       points[Status.FAIL], points[Status.INDETERMINATE],
                        tuple(failures))
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import ClassVar
 
 from .manifolds import (IllFormedClaimError, Lens, Manifold, S3, S1xS2, SfsS2,
                         _normal_form, connected_sum, flat_summands, h1,
@@ -23,8 +22,8 @@ class Link:
     annotated here in its own class: as a class attribute when the fact is
     fixed for the shape, or as a property when it depends on its fields."""
 
-    cover: ClassVar[Manifold]  # the double cover of S^3 branched over the link
-    sort_key: ClassVar[tuple]  # orders the parts of a sum
+    cover: Manifold  # the double cover of S^3 branched over the link
+    sort_key: tuple  # orders the parts of a sum
 
     def __str__(self) -> str:  # pragma: no cover - overridden everywhere
         return type(self).__name__

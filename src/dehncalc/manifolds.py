@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
 from operator import attrgetter
-from typing import ClassVar
 
 
 class IllFormedClaimError(ValueError):
@@ -111,29 +110,29 @@ class Manifold:
     declares every one in its own class: as a class keyword when the fact
     is fixed for the shape, or as a property when it depends on the
     shape's fields.  A fact is None where the description does not decide
-    it.
+    it.  This class is not a dataclass, so its annotations make no fields.
     """
 
-    closed: ClassVar[bool | None]
+    closed: bool | None
     # Known reducible: true exactly for connected sums and S1xS2.
-    reducible: ClassVar[bool | None]
+    reducible: bool | None
     # The description proves the manifold prime.
-    prime: ClassVar[bool]
+    prime: bool
     # Contains an essential torus.
-    toroidal: ClassVar[bool | None]
+    toroidal: bool | None
     # The normal form is a complete invariant up to mirror image.
-    rigid: ClassVar[bool]
+    rigid: bool
     # The boundary tori are incompressible (those of a solid torus are not).
-    incompressible_boundary: ClassVar[bool]
+    incompressible_boundary: bool
     # S3, a lens space or S1xS2.
-    lens_like: ClassVar[bool]
+    lens_like: bool
     # The >= 3 exceptional orders of a Seifert description over S^2.
-    s2_orders: ClassVar[tuple[int, ...] | None]
+    s2_orders: tuple[int, ...] | None
     # First homology; None when the description does not determine it.
-    homology: ClassVar[H1Result | None]
-    finite_type: ClassVar[FiniteType]
+    homology: H1Result | None
+    finite_type: FiniteType
     # Orders the summands of a sum and the pieces of a torus union.
-    sort_key: ClassVar[tuple]
+    sort_key: tuple
 
     def __init_subclass__(cls, **facts) -> None:
         super().__init_subclass__()
@@ -321,12 +320,11 @@ class SfsS2(Manifold, closed=True, reducible=False, prime=True, rigid=True,
 
     @property
     def homology(self) -> H1Result:
-        # |H1| = |e prod(alpha) + sum_i beta_i prod_{j != i} alpha_j|; H1 is
-        # infinite when that is 0.
-        total = self.e * prod(alpha for alpha, _ in self.fibers)
-        for i, (_, beta) in enumerate(self.fibers):
-            total += beta * prod(alpha for j, (alpha, _) in enumerate(self.fibers)
-                                 if j != i)
+        # |H1| = |e A + sum_i beta_i A / alpha_i| with A = prod(alpha); each
+        # division is exact.  H1 is infinite when that is 0.
+        whole = prod(alpha for alpha, _ in self.fibers)
+        total = self.e * whole + sum(beta * (whole // alpha)
+                                     for alpha, beta in self.fibers)
         return H1Result.finite(abs(total)) if total else H1Result.infinite(1)
 
     @property

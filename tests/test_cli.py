@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -430,6 +431,27 @@ def test_cached_parser_keeps_no_state(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_help_gives_every_verb_a_summary(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    verbs = re.search(r"\{([\w,-]+)\}", out).group(1).split(",")
+    summaries = dict(re.findall(r"^    ([\w-]+) +(\S.*)$", out, re.M))
+    assert list(summaries) == verbs
+
+
+def test_grid_rows_start_at_the_first_in_domain_point(capsys):
+    # The empty-grid check reads the first in-domain point (p=2, q=4);
+    # the rows still start there, with no point lost or repeated.
+    points = ["p=2,q=4", "p=3,q=4"]
+    for argv, params in ((["family-sweep", "cyclic"], points),
+                         (["family-fill", "cyclic", "0"], points),
+                         (["family-verify", "cyclic"],
+                          [p for p in points for _ in range(5)])):
+        code, out, _ = _run(capsys, argv + ["--p", "0..3", "--q", "3..4"])
+        assert code == 0
+        assert [row["params"] for row in json.loads(out)["results"]] == params
 
 
 @pytest.mark.parametrize("char, escaped", [("\t", "\\t"), ("\n", "\\n")])

@@ -1,8 +1,10 @@
 import hashlib
 import re
+import weakref
 
 import pytest
 
+from dehncalc import families
 from dehncalc.cli import main
 from dehncalc.families import (FAMILIES, Check, Claim, DomainError,
                                FamilySpec, Status, evaluate_filling,
@@ -209,6 +211,63 @@ def test_sweep_points_follow_grid_order():
     points = sweep_point_reports("cyclic", {"p": (2, 6), "q": (4, 8)})
     assert [r.params for r in points] == \
         [{"p": p, "q": q} for p in range(2, 7) for q in range(4, 9)]
+
+
+def test_grid_names_are_checked_at_the_call():
+    # Before any point is read, so a caller sees the fault where it asks.
+    with pytest.raises(DomainError, match="takes parameters: p, q"):
+        grid_points(get_family("cyclic"), {"p": (2, 3)})
+    with pytest.raises(DomainError, match="takes parameters: p, q"):
+        sweep_point_reports("cyclic", {"p": (2, 3), "r": (4, 5)})
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: main(["family-sweep", "cyclic", "--p", "2..6", "--q", "4..8"]),
+    lambda: main(["family-verify", "cyclic", "--p", "2..6", "--q", "4..8",
+                  "--format", "tsv"]),
+    lambda: sweep_verify("cyclic", {"p": (2, 6), "q": (4, 8)}),
+], ids=["family-sweep", "family-verify", "sweep_verify"])
+def test_sweeps_drop_each_report_once_read(monkeypatch, capsys, sweep):
+    # When a point is verified, at most the report of the point before it
+    # is still alive, so a sweep's memory does not grow with its reports.
+    real, refs, alive = families.verify_family, [], []
+
+    def spy(name, params):
+        alive.append(sum(ref() is not None for ref in refs))
+        report = real(name, params)
+        refs.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(families, "verify_family", spy)
+    sweep()
+    capsys.readouterr()
+    assert len(alive) == 25
+    assert max(alive) <= 1
+
+
+def test_sweep_verify_records_every_check_that_does_not_pass(monkeypatch):
+    # p = 1 fails one check and leaves one undecided, p = 2 leaves one
+    # undecided, p = 3 passes.
+    planted = FamilySpec(
+        name="planted", description="", param_names=("p",),
+        domain_doc="", in_domain=lambda p: True,
+        claims=(Claim(Slope(0), "L(5,1)", lambda p: lens_space(5, 1)),
+                Claim(INFINITY, "tag(toroidal)",
+                      lambda p: OpaqueTag(TAG_TOROIDAL))),
+        checks=(Check("wellformed"),
+                Check("reducible", (Slope(0),), when=lambda ps: ps["p"] == 1),
+                Check("reducible", (INFINITY,), when=lambda ps: ps["p"] <= 2)))
+    monkeypatch.setitem(FAMILIES, "planted", planted)
+    report = sweep_verify("planted", {"p": (1, 3)})
+    assert (report.points, report.passed, report.failed,
+            report.indeterminate) == (3, 1, 1, 1)
+    undecided = {"detail": "filling(inf) is reducible",
+                 "status": "indeterminate", "observed": "tag(toroidal)"}
+    assert report.failures == (
+        {"params": {"p": 1}, "detail": "filling(0) is reducible",
+         "status": "fail", "observed": "L(5,1)"},
+        {"params": {"p": 1}, **undecided},
+        {"params": {"p": 2}, **undecided})
 
 
 def test_icosahedral_pair_scan_is_exact():

@@ -1,8 +1,8 @@
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dehncalc import manifolds
@@ -236,6 +236,30 @@ def test_h1_seifert_formula():
     assert h1(m) == H1Result(16, 0)  # |0 + 6 + 6 + 4| = 16
     euclidean = SfsS2(-1, ((2, 1), (4, 1), (4, 1)))
     assert h1(euclidean) == H1Result(None, 1)  # |-32 + 16 + 8 + 8| = 0
+
+
+def _sfs_h1_by_partial_products(e: int, fibers) -> H1Result:
+    """The reference: one product of the other orders per fiber, quadratic
+    in the number of fibers."""
+    total = e * prod(alpha for alpha, _ in fibers)
+    for i, (_, beta) in enumerate(fibers):
+        total += beta * prod(alpha for j, (alpha, _) in enumerate(fibers)
+                             if j != i)
+    return H1Result(abs(total), 0) if total else H1Result(None, 1)
+
+
+_FIBERS = st.lists(st.integers(2, 60).flatmap(lambda alpha: st.tuples(
+    st.just(alpha),
+    st.integers(1, alpha - 1).filter(lambda beta: gcd(alpha, beta) == 1))),
+    min_size=3, max_size=12)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(-10, 10), _FIBERS)
+@example(-3, [(2, 1), (3, 1), (6, 1), (6, 5), (3, 2), (2, 1)])
+def test_h1_seifert_matches_partial_products(e, fibers):
+    m = SfsS2(e, tuple(fibers))
+    assert m.homology == _sfs_h1_by_partial_products(m.e, m.fibers)
 
 
 def test_h1_connected_sum_multiplicative():

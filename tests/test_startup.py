@@ -13,18 +13,17 @@ import dehncalc
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs the CLI and prints its exit code and the dehncalc modules loaded.
+# Runs the CLI and prints its exit code and the modules loaded.
 _CHILD = ("import sys\n"
           "from dehncalc.cli import main\n"
           "code = main(sys.argv[1:])\n"
-          "print(code, *sorted(m for m in sys.modules "
-          "if m.partition('.')[0] == 'dehncalc'))\n")
+          "print(code, *sorted(sys.modules))\n")
 
 _BASE = {"dehncalc", "dehncalc.cli", "dehncalc.reports", "dehncalc.slopes"}
 
 
-def _loaded(argv: list[str]) -> tuple[int, set[str]]:
-    """Exit code and loaded dehncalc modules of one fresh interpreter."""
+def _all_loaded(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code and loaded modules of one fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-S", "-c", _CHILD, *argv],
                           env=env, capture_output=True, text=True,
@@ -32,6 +31,12 @@ def _loaded(argv: list[str]) -> tuple[int, set[str]]:
     assert proc.returncode == 0, proc.stderr
     code, *modules = proc.stdout.splitlines()[-1].split()
     return int(code), set(modules)
+
+
+def _loaded(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code and loaded dehncalc modules of one fresh interpreter."""
+    code, modules = _all_loaded(argv)
+    return code, {m for m in modules if m.partition(".")[0] == "dehncalc"}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -57,6 +62,14 @@ def test_family_sweep_loads_no_link_module():
     assert not modules & {"dehncalc.diagrams", "dehncalc.cover",
                           "dehncalc.cables", "dehncalc.links",
                           "dehncalc.parsing"}
+
+
+def test_reading_manifolds_and_links_loads_no_typing():
+    # The shapes' facts are plain annotations, which are never evaluated.
+    code, modules = _all_loaded(["cover", "b(7/3)"])
+    assert code == 0
+    assert {"dehncalc.manifolds", "dehncalc.links"} <= modules
+    assert "typing" not in modules
 
 
 def test_exports_are_their_modules_objects():
