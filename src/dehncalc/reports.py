@@ -15,7 +15,6 @@ for missing/null values; booleans are "true"/"false".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -36,17 +35,22 @@ class Status(Enum):
 _EXIT_CODES = {Status.PASS: 0, Status.FAIL: 1, Status.INDETERMINATE: 3}
 
 
-@dataclass(frozen=True)
 class Report:
-    """One command's outcome: echo, overall status, and result rows."""
+    """One command's outcome: echo, overall status, and result rows.
 
-    command: str
-    status: Status
-    results: tuple[dict, ...]
+    Immutable; a plain class rather than a dataclass, so that the CLI
+    core loads no dataclasses module at start-up."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.status, Status):
-            raise TypeError(f"report status must be a Status, got {self.status!r}")
+    def __init__(self, command: str, status: Status,
+                 results: tuple[dict, ...]) -> None:
+        if not isinstance(status, Status):
+            raise TypeError(f"report status must be a Status, got {status!r}")
+        self.__dict__.update(command=command, status=status, results=results)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Report is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def combine_status(statuses) -> Status:

@@ -83,3 +83,20 @@ def test_emitter_edge_layouts():
         report = Report("cmd", Status.FAIL, rows)
         assert emit_report(report, "json") == _reference_json(report)
         assert emit_report(report, "tsv") == _reference_tsv(report)
+
+
+def test_report_checks_its_status_and_is_immutable():
+    rows = ({"a": 1},)
+    report = Report("cmd", Status.FAIL, rows)
+    assert (report.command, report.status, report.results) == \
+        ("cmd", Status.FAIL, rows)
+    for status in ("fail", None, 1):
+        with pytest.raises(TypeError, match="report status must be a Status"):
+            Report("cmd", status, rows)
+    for change in (lambda: setattr(report, "status", Status.PASS),
+                   lambda: setattr(report, "extra", 1),
+                   lambda: delattr(report, "results")):
+        with pytest.raises(AttributeError):
+            change()
+    assert (report.command, report.status, report.results) == \
+        ("cmd", Status.FAIL, rows)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -20,6 +22,35 @@ def test_canonical_forms():
 def test_zero_zero_rejected():
     with pytest.raises(ValueError):
         Slope(0, 0)
+
+
+def test_slope_is_an_immutable_value():
+    r = Slope(p=-6, q=-4)
+    assert (r.p, r.q) == (3, 2)
+    assert repr(r) == "Slope(p=3, q=2)"
+    assert repr(INFINITY) == "Slope(p=1, q=0)"
+    assert hash(r) == hash((3, 2))
+    assert r == Slope(3, 2) and not r != Slope(3, 2)
+    assert r != Slope(3, 1)
+    # Equal only to another Slope: not to a pair, a number or a look-alike.
+    assert r != (3, 2)
+    assert Slope(2) != 2
+    assert r.__eq__(type("Fake", (), {"p": 3, "q": 2})()) is NotImplemented
+    assert len({Slope(1, 2), Slope(2, 4), Slope(-1, -2)}) == 1
+    for change in (lambda: setattr(r, "p", 1), lambda: setattr(r, "x", 1),
+                   lambda: delattr(r, "q")):
+        with pytest.raises(AttributeError):
+            change()
+    assert (r.p, r.q) == (3, 2)
+    for clone in (copy.copy, copy.deepcopy,
+                  lambda x: pickle.loads(pickle.dumps(x))):
+        for s in (r, INFINITY, Slope(-7)):
+            c = clone(s)
+            assert type(c) is Slope
+            assert (c.p, c.q) == (s.p, s.q) and c == s
+            assert hash(c) == hash(s)
+            with pytest.raises(AttributeError):
+                c.q = 5
 
 
 def test_distance_basics():

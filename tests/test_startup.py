@@ -46,6 +46,9 @@ def _loaded(argv: list[str]) -> tuple[int, set[str]]:
 ], ids=["help", "usage-error", "distance"])
 def test_cheap_entries_load_only_the_cli_core(argv, code):
     assert _loaded(argv) == (code, _BASE)
+    # dataclasses alone would import inspect, ast and dis.
+    _, modules = _all_loaded(argv)
+    assert not modules & {"dataclasses", "inspect"}
 
 
 def test_oracle_loads_no_family_or_cable_module():
