@@ -96,31 +96,44 @@ class FamilySpec:
         )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    kind: str
-    detail: str
-    status: Status
-    observed: str
+class _Record:
+    """A plain class, cheaper to build than a frozen dataclass: __init__
+    fills the instance __dict__, and then assignment and deletion raise."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; "
+                             f"cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    family: str
-    params: dict
-    status: Status
-    checks: tuple[CheckResult, ...]
+class CheckResult(_Record):
+    def __init__(self, kind: str, detail: str, status: Status,
+                 observed: str) -> None:
+        fields = self.__dict__  # item writes beat __dict__.update
+        fields["kind"] = kind
+        fields["detail"] = detail
+        fields["status"] = status
+        fields["observed"] = observed
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    family: str
-    ranges: dict
-    points: int
-    passed: int
-    failed: int
-    indeterminate: int
-    failures: tuple[dict, ...] = field(default_factory=tuple)
+class VerificationReport(_Record):
+    def __init__(self, family: str, params: dict, status: Status,
+                 checks: tuple[CheckResult, ...]) -> None:
+        fields = self.__dict__
+        fields["family"] = family
+        fields["params"] = params
+        fields["status"] = status
+        fields["checks"] = checks
+
+
+class SweepReport(_Record):
+    def __init__(self, family: str, ranges: dict, points: int, passed: int,
+                 failed: int, indeterminate: int,
+                 failures: tuple[dict, ...] = ()) -> None:
+        self.__dict__.update(family=family, ranges=ranges, points=points,
+                             passed=passed, failed=failed,
+                             indeterminate=indeterminate, failures=failures)
 
 
 # A check's answer: True passes, False fails, None (undecided) is indeterminate.

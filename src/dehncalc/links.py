@@ -68,7 +68,9 @@ class TwoBridge(Link):
     q: int
 
     def __post_init__(self) -> None:
-        normalize_lens_pair(self, "b", "two_bridge")
+        p, q = normalize_lens_pair(self.p, self.q, "b", "two_bridge")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     cover = property(lambda self: Lens(self.p, self.q))
     sort_key = property(lambda self: ("TwoBridge", (self.p, self.q)))

@@ -56,7 +56,7 @@ class H1Result:
     """|H1| when finite (free_rank = 0), otherwise the free rank with order None."""
 
     order: int | None
-    free_rank: int = 0
+    free_rank: int
 
     @classmethod
     def finite(cls, order: int) -> "H1Result":
@@ -225,22 +225,20 @@ def lens_parameter_orbit(p: int, q: int) -> tuple[int, ...]:
     return tuple(sorted({q, p - q, inv, p - inv}))
 
 
-def normalize_lens_pair(shape, name: str, builder: str) -> None:
-    """Fold a frozen shape's (p, q) into the unoriented lens normal form;
-    name and builder word the errors, as in "L(4,2) needs gcd(p, q) = 1"."""
-    p = abs(shape.p)
-    if p < 2:
+def normalize_lens_pair(p: int, q: int, name: str,
+                        builder: str) -> tuple[int, int]:
+    """(p, q) in the unoriented lens normal form; name and builder word
+    the errors, as in "L(4,2) needs gcd(p, q) = 1"."""
+    n = abs(p)
+    if n < 2:
         raise IllFormedClaimError(
-            f"{name}({shape.p},{shape.q}) is degenerate; use {builder}() for |p| <= 1"
-        )
-    q = shape.q % p
+            f"{name}({p},{q}) is degenerate; use {builder}() for |p| <= 1")
     try:
-        inv = pow(q, -1, p)
+        inv = pow(q, -1, n)
     except ValueError:  # q is not a unit mod p
-        raise IllFormedClaimError(
-            f"{name}({shape.p},{shape.q}) needs gcd(p, q) = 1") from None
-    object.__setattr__(shape, "p", p)
-    object.__setattr__(shape, "q", min(q, p - q, inv, p - inv))
+        raise IllFormedClaimError(f"{name}({p},{q}) needs gcd(p, q) = 1") from None
+    q %= n
+    return n, min(q, n - q, inv, n - inv)
 
 
 @dataclass(frozen=True)
@@ -253,7 +251,9 @@ class Lens(Manifold, closed=True, reducible=False, prime=True, toroidal=False,
     q: int
 
     def __post_init__(self) -> None:
-        normalize_lens_pair(self, "L", "lens_space")
+        p, q = normalize_lens_pair(self.p, self.q, "L", "lens_space")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     homology = property(lambda self: H1Result.finite(self.p))
     sort_key = property(lambda self: ("Lens", (self.p, self.q)))
@@ -265,7 +265,8 @@ class Lens(Manifold, closed=True, reducible=False, prime=True, toroidal=False,
 def lens_space(p: int, q: int) -> Manifold:
     """L(p, q) with the degenerate cases folded in: L(0, 1) = S1xS2, L(+-1, q) = S3."""
     if abs(p) >= 2:
-        return Lens(p, q)
+        p, q = normalize_lens_pair(p, q, "L", "lens_space")
+        return _normal_form(Lens, p=p, q=q)
     if gcd(p, q) != 1:
         raise IllFormedClaimError(f"L({p},{q}) needs gcd(p, q) = 1")
     return S3() if p else S1xS2()
@@ -278,7 +279,7 @@ def lens_homeomorphic(a: Manifold, b: Manifold) -> bool:
     ``manifold_compare`` decides them.
     """
     for m in (a, b):
-        if not getattr(m, "lens_like", False):
+        if not m.lens_like:
             raise ValueError(f"not a lens-space-like manifold: {m}")
     return manifold_compare(a, b) is Comparison.EQUAL
 

@@ -18,6 +18,7 @@ import json
 from enum import Enum
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 SCHEMA_VERSION = "1"
 
@@ -114,6 +115,23 @@ def _tsv_line(cells: list) -> str:
     return line
 
 
+def _tsv_rows(rows: tuple[dict, ...], columns: list) -> str:
+    """The row lines.  When every row holds every column as a str, each
+    row is one join and the whole text is checked once, since a tab or
+    newline in a cell shows beyond the separators; else, and to name
+    such a cell, row by row."""
+    if len(columns) > 1:  # itemgetter then gives a tuple of cells
+        try:
+            text = "\n".join(map("\t".join, map(itemgetter(*columns), rows)))
+        except (KeyError, TypeError):  # a missing or a non-str cell
+            pass
+        else:
+            if (text.count("\n") == len(rows) - 1
+                    and text.count("\t") == len(rows) * (len(columns) - 1)):
+                return text
+    return "\n".join([_tsv_line(list(map(row.get, columns))) for row in rows])
+
+
 def emit_report(report: Report, fmt: str) -> str:
     """Render a report as JSON or TSV text (newline-terminated).
 
@@ -134,7 +152,7 @@ def emit_report(report: Report, fmt: str) -> str:
             f"# status\t{status}",
             "\t".join(columns),
         ]
-        for row in report.results:
-            lines.append(_tsv_line(list(map(row.get, columns))))
+        if report.results:
+            lines.append(_tsv_rows(report.results, columns))
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

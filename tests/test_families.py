@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import re
 import weakref
 
@@ -6,8 +8,9 @@ import pytest
 
 from dehncalc import families
 from dehncalc.cli import main
-from dehncalc.families import (FAMILIES, Check, Claim, DomainError,
-                               FamilySpec, Status, evaluate_filling,
+from dehncalc.families import (FAMILIES, Check, CheckResult, Claim,
+                               DomainError, FamilySpec, Status, SweepReport,
+                               VerificationReport, evaluate_filling,
                                family_catalog, get_family, grid_points,
                                scan_icosahedral_pairs, sweep_point_reports,
                                sweep_verify, verify_family)
@@ -273,6 +276,44 @@ def test_sweep_verify_records_every_check_that_does_not_pass(monkeypatch):
 def test_icosahedral_pair_scan_is_exact():
     hits = scan_icosahedral_pairs(10)
     assert hits == {"0": ((-4, -1), (3, -1)), "-1": ((-3, 1), (4, 1))}
+
+
+def test_icosahedral_lee_checks_finite_type_at_the_scanned_pairs():
+    # The when sets of the two finite_type checks are the pairs the scan
+    # finds, so a changed pair there fails here.
+    hits = scan_icosahedral_pairs()
+    assert families._LEE_FINITE_AT_0 == frozenset(hits["0"])
+    assert families._LEE_FINITE_AT_MINUS_1 == frozenset(hits["-1"])
+
+
+def test_result_records_keep_their_fields_and_are_immutable():
+    check = CheckResult("reducible", "filling(0) is reducible", Status.PASS,
+                        "L(2,1) # L(3,1)")
+    point = VerificationReport("cyclic", {"p": 2, "q": 4}, Status.PASS,
+                               (check,))
+    sweep = SweepReport("cyclic", {"p": (2, 2)}, 1, 1, 0, 0)
+    for record, expected in (
+        (check, {"kind": "reducible", "detail": "filling(0) is reducible",
+                 "status": Status.PASS, "observed": "L(2,1) # L(3,1)"}),
+        (point, {"family": "cyclic", "params": {"p": 2, "q": 4},
+                 "status": Status.PASS, "checks": (check,)}),
+        (sweep, {"family": "cyclic", "ranges": {"p": (2, 2)}, "points": 1,
+                 "passed": 1, "failed": 0, "indeterminate": 0,
+                 "failures": ()}),
+    ):
+        # Attribute names in positional order, with the values passed.
+        assert list(vars(record).items()) == list(expected.items())
+        assert weakref.ref(record)() is record
+        for change in (lambda: setattr(record, "status", Status.FAIL),
+                       lambda: setattr(record, "extra", 1),
+                       lambda: delattr(record, "status")):
+            with pytest.raises(AttributeError, match="is immutable"):
+                change()
+        assert vars(record) == expected
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record)
+            assert list(vars(twin)) == list(expected)
 
 
 def test_run_check_reports_failures(monkeypatch):

@@ -85,6 +85,25 @@ def test_emitter_edge_layouts():
         assert emit_report(report, "tsv") == _reference_tsv(report)
 
 
+@pytest.mark.parametrize("bad", ["a\tb", "a\nb", "\t", "\n"])
+@pytest.mark.parametrize("first", [
+    {"x": "1", "y": "2"}, {"x": 1, "y": None}, {"x": "1"}, {"y": "2"},
+], ids=["str", "non-str", "short", "one-column"])
+def test_tsv_names_a_tab_or_newline_in_the_last_row(first, bad):
+    rows = (first, first, {**dict.fromkeys(first, "1"), "y": bad})
+    with pytest.raises(ValueError) as err:
+        emit_report(Report("cmd", Status.PASS, rows), "tsv")
+    assert str(err.value) == f"value not representable in TSV: {bad!r}"
+
+
+@pytest.mark.parametrize("rows", [(), ({"a": "1", "b": "2"},)])
+def test_tsv_names_a_tab_in_the_command(rows):
+    with pytest.raises(ValueError) as err:
+        emit_report(Report("dehncalc\tdistance", Status.PASS, rows), "tsv")
+    assert str(err.value) == \
+        "value not representable in TSV: 'dehncalc\\tdistance'"
+
+
 def test_report_checks_its_status_and_is_immutable():
     rows = ({"a": 1},)
     report = Report("cmd", Status.FAIL, rows)
