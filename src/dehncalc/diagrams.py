@@ -21,7 +21,7 @@ Conventions (pinned by the b(p, q) determinant suite):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .cover import double_branched_cover
@@ -98,88 +98,81 @@ def faces(m: CombinatorialMap) -> list[tuple[int, ...]]:
 
 @dataclass
 class Checkerboard:
-    """Checkerboard data: faces, their 2-coloring, and per-crossing
-    (white corner pair, sign) incidences.
+    """A checkerboard colouring, one bit per crossing: the face at dart d
+    has colour ``bits[d >> 2] ^ (d & 1)``, so corners alternate at every
+    crossing, and index ``face_of[d]`` within its colour class, a class
+    numbered in order of lowest darts.  White is the smaller class (ties
+    go to the colour of dart 0's face), and ``white[k]`` is the lowest
+    dart of white face k."""
 
-    ``white`` holds indices into ``face_list`` of the smaller color
-    class (ties broken toward the class of face 0), and ``incidences``
-    has one (wi, wj, eta) triple per crossing, wi and wj indexing
-    ``white``.
-    """
-
-    face_list: list[tuple[int, ...]]
-    colors: list[int]
+    bits: bytearray
+    face_of: list[int]
+    white_color: int
     white: list[int]
-    incidences: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 def checkerboard(m: CombinatorialMap) -> Checkerboard:
-    face_list = faces(m)
     pairing = m.pairing
-    face_of = [0] * len(pairing)
-    for idx, cycle in enumerate(face_list):
-        for d in cycle:
-            face_of[d] = idx
-
-    # Faces across an edge get opposite colors; a face the search from
-    # face 0 never reaches keeps color 0.
-    colors = [-1] * len(face_list)
-    colors[0] = 0
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        other = 1 - colors[i]
-        for d in face_list[i]:
-            j = face_of[pairing[d]]
-            if colors[j] < 0:
-                colors[j] = other
-                queue.append(j)
-            elif colors[j] != other:
-                raise ValueError("diagram faces are not checkerboard colorable")
-    colors = [c if c >= 0 else 0 for c in colors]
-
-    white_color = 0 if colors.count(0) <= colors.count(1) else 1
-    white = [i for i, c in enumerate(colors) if c == white_color]
-    white_index = [0] * len(face_list)
-    for k, f in enumerate(white):
-        white_index[f] = k
-
-    board = Checkerboard(face_list, colors, white)
-    # Crossing k's corners are the faces of its darts 4k..4k+3.
-    for over, east, north, west, south in zip(
-            m.crossings, face_of[0::4], face_of[1::4], face_of[2::4],
-            face_of[3::4]):
-        if (colors[north] != colors[south] or colors[east] != colors[west]
-                or colors[north] == colors[east]):
-            raise ValueError("corner colors do not alternate at a crossing")
-        over_sign = 1 if over == 0 else -1
-        if colors[east] == white_color:
-            board.incidences.append(
-                (white_index[east], white_index[west], over_sign))
-        else:
-            board.incidences.append(
-                (white_index[north], white_index[south], -over_sign))
-    return board
+    # bits[k] stays 2 until a face reaches crossing k.
+    bits = bytearray(b"\2") * len(m.crossings)
+    face_of = [-1] * len(pairing)
+    starts: tuple[list[int], list[int]] = ([], [])
+    for start in range(len(pairing)):
+        if face_of[start] >= 0:
+            continue
+        if bits[start >> 2] == 2:  # crossing 0, or a new component
+            bits[start >> 2] = 0
+        color = bits[start >> 2] ^ (start & 1)
+        index = len(starts[color])
+        starts[color].append(start)
+        other = color ^ 1
+        d = start
+        while face_of[d] < 0:
+            face_of[d] = index
+            e = pairing[d]
+            # The face at e, across the edge (d, e), has the other colour.
+            want = other ^ (e & 1)
+            bit = bits[e >> 2]
+            if bit != want:
+                if bit != 2:
+                    raise ValueError(
+                        "diagram faces are not checkerboard colorable")
+                bits[e >> 2] = want
+            d = e + 1 if e & 3 != 3 else e - 3  # rho(e)
+    # Dart 0's face has colour bits[0] = 0.
+    white_color = 0 if len(starts[0]) <= len(starts[1]) else 1
+    return Checkerboard(bits, face_of, white_color, starts[white_color])
 
 
+# A square integer matrix as rows of (column, value) pairs, one per nonzero.
 SparseRows = list[list[tuple[int, int]]]
-"""A square integer matrix as rows of (column, value) pairs, one pair per
-nonzero entry."""
 
 
-def goeritz_matrix(m: CombinatorialMap) -> SparseRows:
-    """Full Goeritz matrix on the white faces as sparse rows (the matrix
-    is symmetric and its rows sum to zero)."""
+def goeritz_matrix(m: CombinatorialMap) -> list[dict[int, int]]:
+    """Full Goeritz matrix on the white faces as rows {column: value} of
+    its nonzeros; it is symmetric and its rows sum to zero."""
     board = checkerboard(m)
+    face_of, white_color = board.face_of, board.white_color
     g: list[dict[int, int]] = [{} for _ in board.white]
-    for wi, wj, eta in board.incidences:
+    for d, over, bit in zip(range(0, len(face_of), 4), m.crossings,
+                            board.bits):
+        # The white corners are NE and SW (darts d, d + 2) when the NE
+        # corner is white, else NW and SE, where the sign flips.
+        flip = bit ^ white_color
+        wi, wj = face_of[d + flip], face_of[d + 2 + flip]
         if wi != wj:
+            x = 2 * (over ^ flip) - 1  # -eta, the off-diagonal entry
             ri, rj = g[wi], g[wj]
-            ri[wj] = ri.get(wj, 0) - eta
-            rj[wi] = rj.get(wi, 0) - eta
-            ri[wi] = ri.get(wi, 0) + eta
-            rj[wj] = rj.get(wj, 0) + eta
-    return [[(j, v) for j, v in row.items() if v] for row in g]
+            ri[wj] = ri.get(wj, 0) + x
+            rj[wi] = rj.get(wi, 0) + x
+    # Rows sum to zero, which fixes the diagonal.
+    for i, row in enumerate(g):
+        if 0 in row.values():
+            row = g[i] = {j: v for j, v in row.items() if v}
+        diagonal = sum(row.values())
+        if diagonal:
+            row[i] = -diagonal
+    return g
 
 
 def exact_determinant(rows: SparseRows) -> int:
@@ -262,11 +255,15 @@ def goeritz_determinant(m: CombinatorialMap) -> int:
     g = goeritz_matrix(m)
     hub = max(range(len(g)), key=lambda i: len(g[i]))
     last = len(g) - 1
-    for i in {j for j, _ in g[hub] + g[last]} - {hub}:
-        g[i] = [(hub if j == last else j, v) for j, v in g[i] if j != hub]
-    g[hub] = g[last]
+    for i in g[hub]:
+        if i != hub:
+            del g[i][hub]
+    if hub != last:
+        for i in [*g[last]]:  # a copy: row last changes at i == last
+            g[i][hub] = g[i].pop(last)
+        g[hub] = g[last]
     g.pop()
-    return abs(exact_determinant(g))
+    return abs(exact_determinant([row.items() for row in g]))
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +391,21 @@ def build_standard_diagram(l: Link) -> CombinatorialMap:
 # Cross-checking the two computation routes
 
 
-@dataclass(frozen=True)
 class OracleReport:
     """The Goeritz determinant of one link against |H1| of its double
     branched cover; ``formula`` is that order, or 0 when H1 is infinite.
-    The fields, in order, are the columns of the oracle verb."""
+    The fields, in order, are the columns of the oracle verb.  Immutable;
+    a plain class rather than a frozen dataclass."""
 
-    link: str
-    crossings: int
-    goeritz: int
-    formula: int
-    h1_order: int | None
-    match: bool
+    def __init__(self, link: str, crossings: int, goeritz: int, formula: int,
+                 h1_order: int | None, match: bool) -> None:
+        self.__dict__.update(link=link, crossings=crossings, goeritz=goeritz,
+                             formula=formula, h1_order=h1_order, match=match)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"OracleReport is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def as_dict(self) -> dict:
         return dict(vars(self))

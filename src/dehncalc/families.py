@@ -11,7 +11,6 @@ three-valued outcome.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -541,10 +540,22 @@ def grid_points(spec: FamilySpec,
     """The in-domain points of an inclusive grid, ordered by parameter
     tuple and made one at a time.  The names are checked at the call."""
     _check_names(spec, ranges)
-    names = spec.param_names
-    grids = [range(ranges[n][0], ranges[n][1] + 1) for n in names]
-    points = (dict(zip(names, combo)) for combo in itertools.product(*grids))
-    return (params for params in points if spec.in_domain(**params))
+    return (params for params in _grid(spec.param_names, ranges)
+            if spec.in_domain(**params))
+
+
+def _grid(names: tuple[str, ...],
+          ranges: dict[str, tuple[int, int]]) -> Iterator[dict]:
+    """Every point of the grid, ordered by parameter tuple.  Unlike
+    itertools.product, which copies each axis first, this holds one point
+    per parameter at a time."""
+    if not names:
+        yield {}
+        return
+    lo, hi = ranges[names[-1]]
+    for head in _grid(names[:-1], ranges):
+        for value in range(lo, hi + 1):
+            yield {**head, names[-1]: value}
 
 
 def sweep_point_reports(

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from math import gcd
 
@@ -6,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dehncalc import diagrams
-from dehncalc.diagrams import (CombinatorialMap, build_standard_diagram,
-                               checkerboard, exact_determinant, faces,
-                               goeritz_determinant, goeritz_matrix,
-                               montesinos_diagram, oracle_cross_check,
-                               random_montesinos, two_bridge_diagram)
+from dehncalc.diagrams import (CombinatorialMap, OracleReport,
+                               build_standard_diagram, checkerboard,
+                               exact_determinant, faces, goeritz_determinant,
+                               goeritz_matrix, montesinos_diagram,
+                               oracle_cross_check, random_montesinos,
+                               two_bridge_diagram)
 from dehncalc.links import (Unknot, link_connected_sum, link_determinant,
                             montesinos, two_bridge)
 from dehncalc.manifolds import Lens, connected_sum
@@ -47,11 +50,85 @@ def _sparse(dense: list[list[int]]) -> list[list[tuple[int, int]]]:
     return [[(j, v) for j, v in enumerate(row) if v] for row in dense]
 
 
-def _dense(rows: list[list[tuple[int, int]]]) -> list[list[int]]:
+def _dense(rows: list[dict[int, int]]) -> list[list[int]]:
     out = [[0] * len(rows) for _ in rows]
     for i, row in enumerate(rows):
-        for j, v in row:
+        for j, v in row.items():
             out[i][j] = v
+    return out
+
+
+def _reference_checkerboard(m: CombinatorialMap):
+    """The face-search colouring, the reference for ``checkerboard``.
+
+    Faces come from ``faces``, colours from a search over the faces from
+    face 0 (a face it never reaches keeps colour 0), and white is the
+    smaller class, ties going to face 0's.  Returns the face colours, the
+    white faces and one (wi, wj, eta) incidence per crossing, wi and wj
+    indexing the white faces.
+    """
+    face_list = faces(m)
+    face_of = [0] * len(m.pairing)
+    for idx, cycle in enumerate(face_list):
+        for d in cycle:
+            face_of[d] = idx
+    colors = [-1] * len(face_list)
+    colors[0] = 0
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        other = 1 - colors[i]
+        for d in face_list[i]:
+            j = face_of[m.pairing[d]]
+            if colors[j] < 0:
+                colors[j] = other
+                queue.append(j)
+            elif colors[j] != other:
+                raise ValueError("diagram faces are not checkerboard colorable")
+    colors = [c if c >= 0 else 0 for c in colors]
+    white_color = 0 if colors.count(0) <= colors.count(1) else 1
+    white = [i for i, c in enumerate(colors) if c == white_color]
+    white_index = {f: k for k, f in enumerate(white)}
+    incidences = []
+    for k, over in enumerate(m.crossings):
+        east, north, west, south = face_of[4 * k:4 * k + 4]
+        assert colors[north] == colors[south] != colors[east] == colors[west]
+        sign = 1 if over == 0 else -1
+        if colors[east] == white_color:
+            incidences.append((white_index[east], white_index[west], sign))
+        else:
+            incidences.append((white_index[north], white_index[south], -sign))
+    return colors, white, incidences
+
+
+def _reference_goeritz(m: CombinatorialMap) -> list[list[tuple[int, int]]]:
+    """The Goeritz matrix as lists of (column, value) pairs, built from the
+    reference incidences, the reference for ``goeritz_matrix``."""
+    _, white, incidences = _reference_checkerboard(m)
+    g: list[dict[int, int]] = [{} for _ in white]
+    for wi, wj, eta in incidences:
+        if wi != wj:
+            ri, rj = g[wi], g[wj]
+            ri[wj] = ri.get(wj, 0) - eta
+            rj[wi] = rj.get(wi, 0) - eta
+            ri[wi] = ri.get(wi, 0) + eta
+            rj[wj] = rj.get(wj, 0) + eta
+    return [[(j, v) for j, v in row.items() if v] for row in g]
+
+
+def _color(board, d: int) -> int:
+    return board.bits[d >> 2] ^ (d & 1)
+
+
+def _incidences(m: CombinatorialMap, board) -> list[tuple[int, int, int]]:
+    """(wi, wj, eta) per crossing read off the board: the white corner pair
+    (NE and SW when the NE corner is white, else NW and SE) and its sign,
+    +1 for over = 0 at a NE-white corner, flipped by either change."""
+    out = []
+    for k, over in enumerate(m.crossings):
+        flip = board.bits[k] ^ board.white_color
+        out.append((board.face_of[4 * k + flip],
+                    board.face_of[4 * k + 2 + flip], 1 - 2 * (over ^ flip)))
     return out
 
 
@@ -81,7 +158,8 @@ def test_trefoil_diagram():
     assert len(m.crossings) == 3
     assert len(faces(m)) == 5
     board = checkerboard(m)
-    sizes = sorted((board.colors.count(0), board.colors.count(1)))
+    classes = {(_color(board, d), board.face_of[d]) for d in range(12)}
+    sizes = sorted(sum(c == x for c, _ in classes) for x in (0, 1))
     assert sizes == [2, 3]
     assert len(board.white) == 2
     assert goeritz_determinant(m) == 3
@@ -153,6 +231,18 @@ def test_validate_rejects_broken_maps():
             CombinatorialMap(crossings, pairing).validate()
 
 
+def test_checkerboard_rejects_a_one_face_torus_map():
+    # NE is joined to SW and NW to SE: one face, which meets itself across
+    # every edge, so no colouring exists.  validate() rejects the map on
+    # its face count; the colouring must reject it on its own.
+    m = CombinatorialMap([0], [2, 3, 0, 1])
+    with pytest.raises(ValueError, match="not a sphere"):
+        m.validate()
+    for colour in (checkerboard, goeritz_determinant, _reference_checkerboard):
+        with pytest.raises(ValueError, match="not checkerboard colorable"):
+            colour(m)
+
+
 def test_faces_deterministic():
     m = two_bridge_diagram(17, 5)
     assert faces(m) == faces(m)
@@ -167,10 +257,13 @@ def test_checkerboard_structure():
         q = rng.choice([x for x in range(1, p) if gcd(x, p) == 1])
         m = two_bridge_diagram(p, q)
         board = checkerboard(m)
-        assert len(board.incidences) == len(m.crossings)
+        assert len(board.bits) == len(m.crossings)
+        assert len(board.face_of) == len(m.pairing)
         n_white = len(board.white)
-        assert n_white <= len(board.face_list) - n_white
-        for wi, wj, eta in board.incidences:
+        assert n_white <= len(faces(m)) - n_white
+        incidences = _incidences(m, board)
+        assert incidences == _reference_checkerboard(m)[2]
+        for wi, wj, eta in incidences:
             assert 0 <= wi < n_white and 0 <= wj < n_white
             assert eta in (1, -1)
 
@@ -227,27 +320,50 @@ def test_diagram_laws(link, rnd):
             assert cycle[(i + 1) % len(cycle)] == rho(m.pairing[d])
     assert len(cycles) == len(m.crossings) + 2
 
-    board = checkerboard(m)
-    assert board.face_list == cycles
-    color = {d: board.colors[i] for i, cycle in enumerate(cycles)
-             for d in cycle}
-    for d in range(n):
-        assert color[d] != color[m.pairing[d]]
-    for k in range(len(m.crossings)):
-        corners = [color[d] for d in range(4 * k, 4 * k + 4)]
-        assert corners in ([0, 1, 0, 1], [1, 0, 1, 0])
-    white_color = board.colors[board.white[0]]
-    assert board.white == [i for i, c in enumerate(board.colors)
-                           if c == white_color]
-    assert 2 * len(board.white) <= len(cycles)
-
+    _assert_checkerboard_laws(m)
     assert goeritz_determinant(m) == link_determinant(link)
     # Turning crossings changes which corner pair is white there, and so
     # the sign rule, but not the link.
     turned = _quarter_turn(
         m, {k for k in range(len(m.crossings)) if rnd.random() < 0.5})
     turned.validate()
+    _assert_checkerboard_laws(turned)
     assert goeritz_determinant(turned) == link_determinant(link)
+
+
+def _assert_checkerboard_laws(m: CombinatorialMap) -> None:
+    """The board and the Goeritz matrix against the face-search reference
+    and the laws they obey on a sphere diagram."""
+    board = checkerboard(m)
+    cycles = faces(m)
+    n = len(m.pairing)
+    # face_of, with the colour, gives the partition into face orbits, and
+    # numbers each colour class in order of the faces' lowest darts.
+    keys = [(_color(board, cycle[0]), board.face_of[cycle[0]])
+            for cycle in cycles]
+    for key, cycle in zip(keys, cycles):
+        assert {(_color(board, d), board.face_of[d]) for d in cycle} == {key}
+    for x in (0, 1):
+        assert [i for c, i in keys if c == x] == \
+            list(range(sum(c == x for c, _ in keys)))
+    assert board.white == [cycle[0] for cycle in cycles
+                           if _color(board, cycle[0]) == board.white_color]
+    assert 2 * len(board.white) <= len(cycles)
+    if 2 * len(board.white) == len(cycles):
+        assert board.white_color == _color(board, 0)
+    for d in range(n):
+        assert _color(board, d) != _color(board, m.pairing[d])
+    for k in range(len(m.crossings)):
+        corners = [_color(board, d) for d in range(4 * k, 4 * k + 4)]
+        assert corners in ([0, 1, 0, 1], [1, 0, 1, 0])
+
+    rows = goeritz_matrix(m)
+    assert rows == [dict(row) for row in _reference_goeritz(m)]
+    for i, row in enumerate(rows):
+        assert all(row.values())
+        assert sum(row.values()) == 0
+        for j, v in row.items():
+            assert rows[j][i] == v
 
 
 def test_goeritz_matrix_symmetric_zero_row_sums():
@@ -262,15 +378,15 @@ def test_goeritz_matrix_symmetric_zero_row_sums():
         link = random_montesinos(rng)
         assert -3 <= link.e <= 3
         diagram = montesinos_diagram(link.e, link.branches)
-        etas.update(eta for _, _, eta in checkerboard(diagram).incidences)
+        etas.update(eta for _, _, eta in
+                    _incidences(diagram, checkerboard(diagram)))
         diagrams.append(diagram)
     assert etas == {1, -1}
     for diagram in diagrams:
         rows = goeritz_matrix(diagram)
+        assert rows == [dict(row) for row in _reference_goeritz(diagram)]
         for row in rows:
-            columns = [j for j, _ in row]
-            assert len(columns) == len(set(columns))
-            assert all(v for _, v in row)
+            assert all(row.values())
         g = _dense(rows)
         for i, row in enumerate(g):
             assert sum(row) == 0
@@ -404,6 +520,27 @@ def test_oracle_cross_check():
     assert total.crossings == \
         oracle_cross_check(two_bridge(3, 1)).crossings + \
         oracle_cross_check(two_bridge(5, 2)).crossings
+
+
+def test_oracle_report_is_an_immutable_record():
+    rep = OracleReport("b(7/2)", 5, 7, 7, 7, True)
+    expected = {"link": "b(7/2)", "crossings": 5, "goeritz": 7, "formula": 7,
+                "h1_order": 7, "match": True}
+    assert list(rep.as_dict().items()) == list(expected.items())
+    assert list(vars(oracle_cross_check(two_bridge(7, 3))).items()) == \
+        list(expected.items())
+    assert OracleReport(**expected).as_dict() == expected
+    rep.as_dict()["match"] = False
+    for change in (lambda: setattr(rep, "match", False),
+                   lambda: setattr(rep, "extra", 1),
+                   lambda: delattr(rep, "goeritz")):
+        with pytest.raises(AttributeError, match="is immutable"):
+            change()
+    assert rep.as_dict() == expected
+    for twin in (copy.copy(rep), copy.deepcopy(rep),
+                 pickle.loads(pickle.dumps(rep))):
+        assert type(twin) is OracleReport
+        assert list(twin.as_dict().items()) == list(expected.items())
 
 
 @pytest.mark.parametrize("name, fault, expected", [

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import pickle
 import re
+import tracemalloc
 import weakref
 
 import pytest
@@ -222,6 +223,24 @@ def test_grid_names_are_checked_at_the_call():
         grid_points(get_family("cyclic"), {"p": (2, 3)})
     with pytest.raises(DomainError, match="takes parameters: p, q"):
         sweep_point_reports("cyclic", {"p": (2, 3), "r": (4, 5)})
+
+
+def test_grid_holds_one_point_at_a_time():
+    # cyclic needs p >= 2, so no point is in the domain and the search
+    # walks the whole 10^5-long q axis without copying it.
+    tracemalloc.start()
+    try:
+        first = next(grid_points(get_family("cyclic"),
+                                 {"p": (0, 0), "q": (4, 100_003)}), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first is None
+    assert peak < 1_000_000
+    # A family without parameters has one point, one parameter a line.
+    assert list(grid_points(get_family("bz_w6"), {})) == [{}]
+    assert list(grid_points(get_family("ew_prior"), {"p": (1, 4)})) == \
+        [{"p": 2}, {"p": 3}, {"p": 4}]
 
 
 @pytest.mark.parametrize("sweep", [
