@@ -14,8 +14,8 @@ import importlib
 import re
 import sys
 
-from .reports import (FORMATS, Report, Status, combine_status, emit_report,
-                      exit_code)
+from .reports import (FORMATS, STATUS_WORDS, Report, Status, combine_status,
+                      emit_report, exit_code)
 from .slopes import distance, format_slope, int_limit_error, parse_slope
 
 
@@ -190,7 +190,7 @@ def _cmd_family_verify(args, command: str) -> Report:
         for check in rep.checks:
             rows.append({"family": spec.name, "params": params,
                          "check": check.kind, "detail": check.detail,
-                         "status": check.status.value,
+                         "status": STATUS_WORDS[check.status],
                          "observed": check.observed})
     return Report(command, combine_status(statuses), tuple(rows))
 
@@ -203,7 +203,7 @@ def _cmd_family_sweep(args, command: str) -> Report:
         checks = [check.status for check in rep.checks]
         rows.append({"family": spec.name,
                      "params": _params_text(spec, rep.params),
-                     "status": rep.status.value,
+                     "status": STATUS_WORDS[rep.status],
                      "passed": checks.count(Status.PASS),
                      "failed": checks.count(Status.FAIL),
                      "indeterminate": checks.count(Status.INDETERMINATE)})
@@ -211,15 +211,24 @@ def _cmd_family_sweep(args, command: str) -> Report:
 
 
 def _cmd_oracle(args, command: str) -> Report:
-    texts = list(args.links)
+    lines = []
     if args.batch is not None:
-        with open(args.batch, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    texts.append(line)
+        # utf-8-sig drops a byte-order mark.
+        with open(args.batch, encoding="utf-8-sig") as fh:
+            lines = list(enumerate(fh, 1))
+    parsing = _lib("parsing")
+    links = [parsing.parse_link_expr(t) for t in args.links]
+    for number, line in lines:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        # Whitespace is insignificant, so the line parses as written and
+        # an error position counts in it.
+        try:
+            links.append(parsing.parse_link_expr(line.rstrip("\n")))
+        except ValueError as exc:  # ParseError, IllFormedClaimError
+            raise ValueError(f"{args.batch} line {number}: {exc}") from None
     diagrams = _lib("diagrams")
-    links = [_lib("parsing").parse_link_expr(t) for t in texts]
     if args.sample:
         import random
         rng = random.Random(args.seed)

@@ -19,7 +19,7 @@ from .manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
                         S1xS2, TAG_TOROIDAL, TAG_TOROIDAL_IRREDUCIBLE, ZxS1,
                         classify_finite_type, connected_sum,
                         lens_space, manifold_compare, sfs_orders, torus_union)
-from .reports import Status, combine_status
+from .reports import STATUS_WORDS, Status, combine_status
 from .slopes import INFINITY, Slope, distance, format_slope
 
 
@@ -138,6 +138,11 @@ class SweepReport(_Record):
 # A check's answer: True passes, False fails, None (undecided) is indeterminate.
 _STATUS = {True: Status.PASS, False: Status.FAIL, None: Status.INDETERMINATE}
 
+# The words of the verdict enums, read per point from plain dicts rather
+# than through the enums' Python-level value property.
+_FINITE_TYPE_WORDS = {t: t.value for t in FiniteType}
+_COMPARISON_WORDS = {c: c.value for c in Comparison}
+
 
 def _compile_check(spec: FamilySpec, check: Check):
     """One check as ``run(fill)``, where ``fill(i)`` is the point's filling
@@ -191,7 +196,7 @@ def _compile_check(spec: FamilySpec, check: Check):
             observed = classify_finite_type(m)
             answer = None if observed is unknown else observed is expected
             return CheckResult("finite_type", detail, _STATUS[answer],
-                               f"{m} -> {observed.value}")
+                               f"{m} -> {_FINITE_TYPE_WORDS[observed]}")
         return run
 
     if check.kind == "distinct":
@@ -204,7 +209,7 @@ def _compile_check(spec: FamilySpec, check: Check):
             m1, m2 = fill(i1), fill(i2)
             outcome = manifold_compare(m1, m2)
             return CheckResult("distinct", detail, _STATUS[answers.get(outcome)],
-                               f"{m1} vs {m2}: {outcome.value}")
+                               f"{m1} vs {m2}: {_COMPARISON_WORDS[outcome]}")
         return run
 
     raise ValueError(f"family {spec.name}: unknown check kind {check.kind!r}")
@@ -579,7 +584,7 @@ def sweep_verify(name: str, ranges: dict[str, tuple[int, int]]) -> SweepReport:
     for report in sweep_point_reports(name, ranges):
         points[report.status] += 1
         failures.extend({"params": report.params, "detail": c.detail,
-                         "status": c.status.value, "observed": c.observed}
+                         "status": STATUS_WORDS[c.status], "observed": c.observed}
                         for c in report.checks if c.status is not Status.PASS)
     return SweepReport(spec.name, {k: tuple(v) for k, v in ranges.items()},
                        sum(points.values()), points[Status.PASS],

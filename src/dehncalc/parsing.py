@@ -43,45 +43,74 @@ class ParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(-?\d+|[A-Za-z][A-Za-z0-9_-]*|[(),;/#+\[\]])")
-_SPACE = re.compile(r"\s*")
+# One token, else one stray non-space character.  Only a token is
+# captured, so findall lists a stray character as "".
+_TOKEN = re.compile(r"(-?\d+|[A-Za-z][A-Za-z0-9_-]*|[(),;/#+\[\]])|\S")
 
 
 class _Scanner:
+    """The tokens of a text, split once and read by index.
+
+    A stray character is listed as "", and a "" ends the list for the end
+    of input.  A "" never equals the token that accept() asks for and
+    next() raises on it, so reading never passes the first "".  Positions
+    are found by scanning the text again, only when an error is raised."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.at = 0  # where the last token read began
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")
+        self.i = 0  # index of the next token
+
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at the start of the index-th token."""
+        return ParseError(message, self._start(index))
+
+    def _start(self, index: int) -> int:
+        for k, m in enumerate(_TOKEN.finditer(self.text)):
+            if k == index:
+                return m.start()
+        return len(self.text)
+
+    def _unreadable(self) -> ParseError:
+        """The error for the stray character or the end at self.i."""
+        at = self._start(self.i)
+        if at == len(self.text):
+            return ParseError("unexpected end of input", at)
+        return ParseError(f"unexpected character {self.text[at]!r}", at)
 
     def next(self) -> str:
-        m = _TOKEN.match(self.text, self.pos)
-        if not m:
-            at = _SPACE.match(self.text, self.pos).end()
-            if at == len(self.text):
-                raise ParseError("unexpected end of input", at)
-            raise ParseError(f"unexpected character {self.text[at]!r}", at)
-        self.at, self.pos = m.start(1), m.end()
-        return m.group(1)
+        token = self.tokens[self.i]
+        if not token:
+            raise self._unreadable()
+        self.i += 1
+        return token
 
     def expect(self, token: str) -> None:
-        got = self.next()
+        got = self.tokens[self.i]
         if got != token:
-            raise ParseError(f"expected {token!r}, got {got!r}", self.at)
+            if not got:
+                raise self._unreadable()
+            raise self.error(f"expected {token!r}, got {got!r}", self.i)
+        self.i += 1
 
     def accept(self, token: str) -> bool:
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None or m.group(1) != token:
+        if self.tokens[self.i] != token:
             return False
-        self.at, self.pos = m.start(1), m.end()
+        self.i += 1
         return True
 
     def integer(self) -> int:
-        got = self.next()
+        got = self.tokens[self.i]
         try:
-            return int(got)
+            value = int(got)
         except ValueError:
+            if not got:
+                raise self._unreadable() from None
             message = int_limit_error(got) or f"expected an integer, got {got!r}"
-            raise ParseError(message, self.at) from None
+            raise self.error(message, self.i) from None
+        self.i += 1
+        return value
 
     def fraction(self) -> Slope:
         p = self.integer()
@@ -92,14 +121,15 @@ class _Scanner:
     def separated(self, read, sep: str) -> list:
         """read (sep read)*"""
         found = [read(self)]
-        while self.accept(sep):
+        while self.tokens[self.i] == sep:
+            self.i += 1
             found.append(read(self))
         return found
 
     def done(self) -> None:
-        self.pos = _SPACE.match(self.text, self.pos).end()
-        if self.pos < len(self.text):
-            raise ParseError(f"trailing input {self.text[self.pos:]!r}", self.pos)
+        if self.i < len(self.tokens) - 1:
+            at = self._start(self.i)
+            raise ParseError(f"trailing input {self.text[at:]!r}", at)
 
 
 def _int_args(s: _Scanner) -> list[int]:
@@ -129,21 +159,21 @@ _FIXED_MANIFOLDS = {
 
 
 def _manifold_atom(s: _Scanner) -> Manifold:
+    at = s.i
     head = s.next()
-    at = s.at
     if head in _FIXED_MANIFOLDS:
         return _FIXED_MANIFOLDS[head]()
     if head == "L":
         args = _int_args(s)
         if len(args) != 2:
-            raise ParseError("L takes exactly two parameters", at)
+            raise s.error("L takes exactly two parameters", at)
         return lens_space(args[0], args[1])
     if head in (BASE_S2, BASE_D2, BASE_M2):
         return sfs_orders(head, _int_args(s))
     if head == "C":
         args = _int_args(s)
         if len(args) != 2:
-            raise ParseError("C takes exactly two parameters", at)
+            raise s.error("C takes exactly two parameters", at)
         return CableSpace(args[0], args[1])
     if head == "SFS":
         e, fibers = _seifert_args(s)
@@ -152,7 +182,7 @@ def _manifold_atom(s: _Scanner) -> Manifold:
         s.expect("(")
         label = s.next()
         if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_-]*", label):
-            raise ParseError(f"expected a tag label, got {label!r}", s.at)
+            raise s.error(f"expected a tag label, got {label!r}", s.i - 1)
         s.expect(")")
         return OpaqueTag(label)
     if head == "U":
@@ -160,7 +190,7 @@ def _manifold_atom(s: _Scanner) -> Manifold:
         pieces = s.separated(_manifold_sum, ",")
         s.expect("]")
         return torus_union(*pieces)
-    raise ParseError(f"unknown manifold {head!r}", at)
+    raise s.error(f"unknown manifold {head!r}", at)
 
 
 def _manifold_sum(s: _Scanner) -> Manifold:
@@ -177,14 +207,14 @@ def parse_manifold_expr(text: str) -> Manifold:
 
 
 def _link_atom(s: _Scanner) -> Link:
+    at = s.i
     head = s.next()
-    at = s.at
     if head == "unknot":
         return Unknot()
     if head == "unlink":
         args = _int_args(s)
         if len(args) != 1:
-            raise ParseError("unlink takes exactly one parameter", at)
+            raise s.error("unlink takes exactly one parameter", at)
         return unlink(args[0])
     if head == "b":
         s.expect("(")
@@ -193,7 +223,7 @@ def _link_atom(s: _Scanner) -> Link:
         return two_bridge(f.p, f.q)
     if head == "mont":
         return montesinos(*_seifert_args(s))
-    raise ParseError(f"unknown link {head!r}", at)
+    raise s.error(f"unknown link {head!r}", at)
 
 
 def parse_link_expr(text: str) -> Link:

@@ -35,6 +35,10 @@ class Status(Enum):
 
 _EXIT_CODES = {Status.PASS: 0, Status.FAIL: 1, Status.INDETERMINATE: 3}
 
+# The word of each status, read per row from a plain dict rather than
+# through the enum's Python-level value property.
+STATUS_WORDS = {status: status.value for status in Status}
+
 
 class Report:
     """One command's outcome: echo, overall status, and result rows.
@@ -138,7 +142,7 @@ def emit_report(report: Report, fmt: str) -> str:
     JSON is byte for byte json.dumps(payload, sort_keys=True, indent=2).
     Rows are flat records of str, int, bool and None; any other value,
     and a tab or newline in a TSV cell, raises ValueError."""
-    status = "ok" if report.status is Status.PASS else report.status.value
+    status = "ok" if report.status is Status.PASS else STATUS_WORDS[report.status]
     if fmt == "json":
         return (f'{{\n  "command": {encode_basestring_ascii(report.command)},'
                 f'\n  "results": {_json_rows(report.results)},'

@@ -317,6 +317,38 @@ def test_oracle_batch_file(tmp_path, capsys):
     assert [row["link"] for row in rows] == ["b(9/2)", "mont(-1; 1/2, 1/3, 1/5)"]
 
 
+def test_oracle_batch_file_with_byte_order_mark(tmp_path, capsys):
+    batch = tmp_path / "links.txt"
+    batch.write_bytes(b"\xef\xbb\xbfb(9/2)\r\n# comment\r\nb(3/1) + b(4/1)\r\n")
+    code, out, err = _run(capsys, ["oracle", "--batch", str(batch),
+                                   "--format", "tsv"])
+    assert (code, err) == (0, "")
+    assert [row.split("\t")[0] for row in out.splitlines()[4:]] == \
+        ["b(9/2)", "b(3/1) + b(4/1)"]
+
+
+def test_oracle_batch_parse_error_names_its_line(tmp_path, capsys):
+    batch = tmp_path / "links.txt"
+    # Line 3 is faulty and line 5 too: the first faulty line is reported,
+    # and its position counts the line's leading blanks.
+    batch.write_text("# comment\n\n  b(7/3) + $\nb(9/2)\nb(\n")
+    code, out, err = _run(capsys, ["oracle", "b(5/2)", "--batch", str(batch)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {batch} line 3: unexpected character '$' " \
+                  "(at position 11)\n"
+    batch.write_text("b(7/3)\n\tmont(1 1/2)")
+    code, out, err = _run(capsys, ["oracle", "--batch", str(batch)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {batch} line 2: expected ';', got '1' " \
+                  "(at position 8)\n"
+    # A grammatical but ill-formed link names its line too.
+    batch.write_text("b(7/3)\nmont(0; 1/2, 1/3)\n")
+    code, out, err = _run(capsys, ["oracle", "--batch", str(batch)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {batch} line 2: montesinos needs >= 3 branches; " \
+                  "with fewer the link is 2-bridge\n"
+
+
 # ---------------------------------------------------------------------------
 # Determinism and exit codes
 

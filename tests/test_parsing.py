@@ -17,7 +17,7 @@ from dehncalc.manifolds import (BASE_D2, BASE_M2, BASE_S2, CableSpace,
                                 connected_sum, lens_space, sfs_orders,
                                 torus_union)
 from dehncalc.parsing import ParseError, parse_link_expr, parse_manifold_expr
-from dehncalc.slopes import Slope, parse_slope
+from dehncalc.slopes import Slope, int_limit_error, parse_slope
 
 
 def test_manifold_atoms():
@@ -312,3 +312,210 @@ def test_overlong_integer_names_its_length():
         assert str(err.value) == f"bad slope: integer {sign}99999999... {too_long}"
     # One digit fewer is an integer like any other.
     assert parse_manifold_expr(f"L({nines[1:]},2)").p == int(nines[1:])
+
+
+# ---------------------------------------------------------------------------
+# Differential test against a reference parser
+#
+# The reference is the regex-per-token scanner that the token-list scanner
+# replaced, with the grammar written against it: it matches one token at a
+# time from the current offset and knows each token's position as it reads
+# it.  Both must give equal values, or the same exception type, message
+# and position.
+
+_REF_TOKEN = re.compile(r"\s*(-?\d+|[A-Za-z][A-Za-z0-9_-]*|[(),;/#+\[\]])")
+_REF_SPACE = re.compile(r"\s*")
+
+
+class _RefScanner:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.at = 0  # where the last token read began
+
+    def next(self):
+        m = _REF_TOKEN.match(self.text, self.pos)
+        if not m:
+            at = _REF_SPACE.match(self.text, self.pos).end()
+            if at == len(self.text):
+                raise ParseError("unexpected end of input", at)
+            raise ParseError(f"unexpected character {self.text[at]!r}", at)
+        self.at, self.pos = m.start(1), m.end()
+        return m.group(1)
+
+    def expect(self, token):
+        got = self.next()
+        if got != token:
+            raise ParseError(f"expected {token!r}, got {got!r}", self.at)
+
+    def accept(self, token):
+        m = _REF_TOKEN.match(self.text, self.pos)
+        if m is None or m.group(1) != token:
+            return False
+        self.at, self.pos = m.start(1), m.end()
+        return True
+
+    def integer(self):
+        got = self.next()
+        try:
+            return int(got)
+        except ValueError:
+            message = int_limit_error(got) or f"expected an integer, got {got!r}"
+            raise ParseError(message, self.at) from None
+
+    def fraction(self):
+        p = self.integer()
+        if self.accept("/"):
+            return Slope(p, self.integer())
+        return Slope(p, 1)
+
+    def separated(self, read, sep):
+        found = [read(self)]
+        while self.accept(sep):
+            found.append(read(self))
+        return found
+
+    def done(self):
+        self.pos = _REF_SPACE.match(self.text, self.pos).end()
+        if self.pos < len(self.text):
+            raise ParseError(f"trailing input {self.text[self.pos:]!r}", self.pos)
+
+
+def _ref_int_args(s):
+    s.expect("(")
+    args = s.separated(_RefScanner.integer, ",")
+    s.expect(")")
+    return args
+
+
+def _ref_seifert_args(s):
+    s.expect("(")
+    e = s.integer()
+    s.expect(";")
+    fractions = s.separated(_RefScanner.fraction, ",")
+    s.expect(")")
+    return e, fractions
+
+
+_REF_FIXED_MANIFOLDS = {"S3": S3, "S1xS2": S1xS2, "ST": SolidTorus,
+                        "T2xI": T2xI, "ZxS1": ZxS1}
+
+
+def _ref_manifold_atom(s):
+    head = s.next()
+    at = s.at
+    if head in _REF_FIXED_MANIFOLDS:
+        return _REF_FIXED_MANIFOLDS[head]()
+    if head == "L":
+        args = _ref_int_args(s)
+        if len(args) != 2:
+            raise ParseError("L takes exactly two parameters", at)
+        return lens_space(args[0], args[1])
+    if head in (BASE_S2, BASE_D2, BASE_M2):
+        return sfs_orders(head, _ref_int_args(s))
+    if head == "C":
+        args = _ref_int_args(s)
+        if len(args) != 2:
+            raise ParseError("C takes exactly two parameters", at)
+        return CableSpace(args[0], args[1])
+    if head == "SFS":
+        e, fibers = _ref_seifert_args(s)
+        return SfsS2(e, tuple((f.q, f.p) for f in fibers))
+    if head == "tag":
+        s.expect("(")
+        label = s.next()
+        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_-]*", label):
+            raise ParseError(f"expected a tag label, got {label!r}", s.at)
+        s.expect(")")
+        return OpaqueTag(label)
+    if head == "U":
+        s.expect("[")
+        pieces = s.separated(_ref_manifold_sum, ",")
+        s.expect("]")
+        return torus_union(*pieces)
+    raise ParseError(f"unknown manifold {head!r}", at)
+
+
+def _ref_manifold_sum(s):
+    parts = s.separated(_ref_manifold_atom, "#")
+    return connected_sum(*parts) if len(parts) > 1 else parts[0]
+
+
+def _ref_parse_manifold_expr(text):
+    s = _RefScanner(text)
+    m = _ref_manifold_sum(s)
+    s.done()
+    return m
+
+
+def _ref_link_atom(s):
+    head = s.next()
+    at = s.at
+    if head == "unknot":
+        return Unknot()
+    if head == "unlink":
+        args = _ref_int_args(s)
+        if len(args) != 1:
+            raise ParseError("unlink takes exactly one parameter", at)
+        return unlink(args[0])
+    if head == "b":
+        s.expect("(")
+        f = s.fraction()
+        s.expect(")")
+        return two_bridge(f.p, f.q)
+    if head == "mont":
+        return montesinos(*_ref_seifert_args(s))
+    raise ParseError(f"unknown link {head!r}", at)
+
+
+def _ref_parse_link_expr(text):
+    s = _RefScanner(text)
+    parts = s.separated(_ref_link_atom, "+")
+    s.done()
+    return link_connected_sum(*parts) if len(parts) > 1 else parts[0]
+
+
+def _outcome(parse, text):
+    """The value parsed, or the exception's type, message and position."""
+    try:
+        return "value", parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _assert_same_as_reference(parse, reference, text):
+    assert _outcome(parse, text) == _outcome(reference, text), text
+
+
+# Texts at the edges of the token regex: Unicode digits and spaces, stray
+# characters inside and after words and numbers, and signs without digits.
+_EDGE_TEXTS = [
+    "L(٣,1)", "L(3,١)", "L(3,1) #　L(4,1) ",
+    "Sé", "L(3,1)é", "_x", "L_(3,1)", "-", "L(3,-)", "L(3,--1)",
+    "1_000", "L(1_0,3)", "b(7/3)\x1c", "\x1cb(7/3)", " b(7/3)",
+    "b(-7/-3)", "b(7/3)+", "U[", "U[ST#", "tag(x-y_2)", "tag(-x)",
+    "SFS(0;1/2,1/3,1/5)#L(3,1)", "mont(0;1/2,1/3,1/5)+unknot",
+]
+
+
+@pytest.mark.parametrize("parse, reference, table", [
+    (parse_manifold_expr, _ref_parse_manifold_expr, _MANIFOLD_ERRORS),
+    (parse_link_expr, _ref_parse_link_expr, _LINK_ERRORS),
+], ids=["manifold", "link"])
+def test_error_tables_match_reference(parse, reference, table):
+    for text, _, _ in table:
+        _assert_same_as_reference(parse, reference, text)
+    for text in _EDGE_TEXTS:
+        _assert_same_as_reference(parse, reference, text)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_texts(_MANIFOLD_WORDS, _random_manifold))
+def test_manifold_parser_matches_reference(text):
+    _assert_same_as_reference(parse_manifold_expr, _ref_parse_manifold_expr, text)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_texts(_LINK_WORDS, _random_link))
+def test_link_parser_matches_reference(text):
+    _assert_same_as_reference(parse_link_expr, _ref_parse_link_expr, text)
