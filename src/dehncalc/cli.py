@@ -13,9 +13,10 @@ import functools
 import importlib
 import re
 import sys
+from itertools import chain, repeat
+from operator import attrgetter
 
-from .reports import (FORMATS, STATUS_WORDS, Report, Status, combine_status,
-                      emit_report, exit_code)
+from .reports import FORMATS, STATUS_WORDS, RowWriter, Status, emit_report, exit_code
 from .slopes import distance, format_slope, int_limit_error, parse_slope
 
 
@@ -100,150 +101,120 @@ def _family_points(args) -> tuple:
     return spec, claim, ranges
 
 
-def _params_text(spec, params: dict) -> str:
-    return ",".join([f"{n}={params[n]}" for n in spec.param_names])
+def _params_text(spec):
+    """The function from a point to its "p=..,q=.." text: one format_map."""
+    return ",".join([f"{n}={{{n}}}" for n in spec.param_names]).format_map
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers: each returns a Report
+# Verb handlers: each adds its rows to the report, a RowWriter whose
+# columns are the verb's "columns" default, in TSV order
 
 
-def _cmd_distance(args, command: str) -> Report:
-    r1 = parse_slope(args.r1)
-    r2 = parse_slope(args.r2)
-    row = {"r1": format_slope(r1), "r2": format_slope(r2),
-           "distance": distance(r1, r2)}
-    return Report(command, Status.PASS, (row,))
+def _cmd_distance(args, report: RowWriter) -> None:
+    r1, r2 = parse_slope(args.r1), parse_slope(args.r2)
+    report.add((format_slope(r1), format_slope(r2), distance(r1, r2)))
 
 
-def _cmd_classify(args, command: str) -> Report:
+def _cmd_classify(args, report: RowWriter) -> None:
     manifolds = _lib("manifolds")
     m = _lib("parsing").parse_manifold_expr(args.manifold)
     ft = manifolds.classify_finite_type(m)
     hom = m.homology  # None when the description does not decide H1
-    row = {"manifold": str(m), "finite_type": ft.value,
-           "h1_order": None if hom is None else hom.order}
     unknown = ft is manifolds.FiniteType.UNKNOWN
-    status = Status.INDETERMINATE if unknown else Status.PASS
-    return Report(command, status, (row,))
+    report.add((str(m), ft.value, None if hom is None else hom.order),
+               Status.INDETERMINATE if unknown else Status.PASS)
 
 
-def _cmd_cover(args, command: str) -> Report:
+def _cmd_cover(args, report: RowWriter) -> None:
     link = _lib("parsing").parse_link_expr(args.link)
     m = _lib("cover").double_branched_cover(link)
     res = _lib("manifolds").h1(m)
-    row = {"link": str(link), "manifold": str(m), "determinant": res.order or 0,
-           "h1_order": res.order, "h1_free_rank": res.free_rank}
-    return Report(command, Status.PASS, (row,))
+    report.add((str(link), str(m), res.order or 0, res.order, res.free_rank))
 
 
-def _cmd_cable(args, command: str) -> Report:
+def _cmd_cable(args, report: RowWriter) -> None:
     cables = _lib("cables")
     space = _lib("manifolds").CableSpace(args.s, args.t)
-    gamma = parse_slope(args.gamma)
-    r = parse_slope(args.r)
+    gamma, r = parse_slope(args.gamma), parse_slope(args.r)
     d = distance(r, gamma)
     # A distance of 2 or more is an extension beyond the claim tables.
-    row = {"s": space.s, "t": space.t, "cabling_slope": format_slope(gamma),
-           "r": format_slope(r), "distance_from_cabling": d,
-           "pushforward_distance": cables.meridian_distance_cabled(space.t, d),
-           "manifold": str(cables.cable_fill(space, gamma, r)),
-           "extension": d >= 2}
-    return Report(command, Status.PASS, (row,))
+    report.add((space.s, space.t, format_slope(gamma), format_slope(r), d,
+                cables.meridian_distance_cabled(space.t, d),
+                str(cables.cable_fill(space, gamma, r)), d >= 2))
 
 
-def _cmd_family_list(args, command: str) -> Report:
-    rows = []
+def _cmd_family_list(args, report: RowWriter) -> None:
     for spec in _lib("families").family_catalog():
-        rows.append({
-            "name": spec.name,
-            "params": ",".join(spec.param_names),
-            "domain": spec.domain_doc,
-            "claims": ", ".join(format_slope(c.slope) for c in spec.claims),
-            "designated_pair": (
-                "" if spec.designated_pair is None else
-                ",".join(format_slope(r) for r in spec.designated_pair)),
-            "edges": "; ".join(
-                e.target if e.slope_text is None else f"{e.target}@{e.slope_text}"
-                for e in spec.edges),
-            "description": spec.description,
-        })
-    return Report(command, Status.PASS, tuple(rows))
+        report.add((
+            spec.name, ",".join(spec.param_names), spec.domain_doc,
+            ", ".join(format_slope(c.slope) for c in spec.claims),
+            "" if spec.designated_pair is None else
+            ",".join(format_slope(r) for r in spec.designated_pair),
+            "; ".join(e.target if e.slope_text is None else
+                      f"{e.target}@{e.slope_text}" for e in spec.edges),
+            spec.description))
 
 
-def _cmd_family_fill(args, command: str) -> Report:
+def _cmd_family_fill(args, report: RowWriter) -> None:
     spec, claim, ranges = _family_points(args)
-    slope = format_slope(claim.slope)
-    rows = tuple([{"family": spec.name, "params": _params_text(spec, params),
-                   "slope": slope, "formula": claim.formula,
-                   "manifold": str(claim.build(**params))}
-                  for params in _lib("families").grid_points(spec, ranges)])
-    return Report(command, Status.PASS, rows)
+    slope, params_text = format_slope(claim.slope), _params_text(spec)
+    for params in _lib("families").grid_points(spec, ranges):
+        report.add((spec.name, params_text(params), slope, claim.formula,
+                    str(claim.build(**params))))
 
 
-def _cmd_family_verify(args, command: str) -> Report:
+def _cmd_family_verify(args, report: RowWriter) -> None:
     spec, _, ranges = _family_points(args)
-    rows, statuses = [], []
-    for rep in _lib("families").sweep_point_reports(spec.name, ranges):
-        statuses.append(rep.status)
-        params = _params_text(spec, rep.params)
+    add, name, params_text = report.add, spec.name, _params_text(spec)
+    for rep in _lib("families").sweep_point_reports(name, ranges):
+        params = params_text(rep.params)
         for check in rep.checks:
-            rows.append({"family": spec.name, "params": params,
-                         "check": check.kind, "detail": check.detail,
-                         "status": STATUS_WORDS[check.status],
-                         "observed": check.observed})
-    return Report(command, combine_status(statuses), tuple(rows))
+            add((name, params, check.kind, check.detail,
+                 STATUS_WORDS[check.status], check.observed), check.status)
 
 
-def _cmd_family_sweep(args, command: str) -> Report:
+def _cmd_family_sweep(args, report: RowWriter) -> None:
     spec, _, ranges = _family_points(args)
-    rows, statuses = [], []
-    for rep in _lib("families").sweep_point_reports(spec.name, ranges):
-        statuses.append(rep.status)
-        checks = [check.status for check in rep.checks]
-        rows.append({"family": spec.name,
-                     "params": _params_text(spec, rep.params),
-                     "status": STATUS_WORDS[rep.status],
-                     "passed": checks.count(Status.PASS),
-                     "failed": checks.count(Status.FAIL),
-                     "indeterminate": checks.count(Status.INDETERMINATE)})
-    return Report(command, combine_status(statuses), tuple(rows))
+    add, name, params_text = report.add, spec.name, _params_text(spec)
+    status_of, passed, tallied = attrgetter("status"), Status.PASS, tuple(Status)
+    for rep in _lib("families").sweep_point_reports(name, ranges):
+        if rep.status is passed:  # every check passed
+            tally = len(rep.checks), 0, 0
+        else:
+            tally = tuple(map(list(map(status_of, rep.checks)).count, tallied))
+        add((name, params_text(rep.params), STATUS_WORDS[rep.status], *tally),
+            rep.status)
 
 
-def _cmd_oracle(args, command: str) -> Report:
+def _cmd_oracle(args, report: RowWriter) -> None:
     lines = []
     if args.batch is not None:
-        # utf-8-sig drops a byte-order mark.
-        with open(args.batch, encoding="utf-8-sig") as fh:
-            lines = list(enumerate(fh, 1))
+        with open(args.batch, "rb") as fh:
+            lines = fh.read().splitlines()  # at \n, \r or \r\n, as text mode
     parsing = _lib("parsing")
     links = [parsing.parse_link_expr(t) for t in args.links]
-    for number, line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        # Whitespace is insignificant, so the line parses as written and
-        # an error position counts in it.
+    for number, line in enumerate(lines, 1):
+        # Decoded alone, a bad byte's error names its line; whitespace is
+        # insignificant, so an error position counts in the line as written.
         try:
-            links.append(parsing.parse_link_expr(line.rstrip("\n")))
-        except ValueError as exc:  # ParseError, IllFormedClaimError
+            line = line.decode("utf-8-sig" if number == 1 else "utf-8")
+            if line.strip()[:1] not in ("", "#"):  # not blank, not a comment
+                links.append(parsing.parse_link_expr(line))
+        except ValueError as exc:  # UnicodeDecodeError, ParseError, ...
             raise ValueError(f"{args.batch} line {number}: {exc}") from None
+    if not links and not args.sample:
+        raise _UsageError("oracle needs link expressions, --batch, or --sample")
     diagrams = _lib("diagrams")
     if args.sample:
         import random
         rng = random.Random(args.seed)
-        links.extend(diagrams.random_montesinos(rng)
-                     for _ in range(args.sample))
-    if not links:
-        raise _UsageError("oracle needs link expressions, --batch, or --sample")
-    rows = []
-    any_mismatch = False
+        links = chain(links, map(diagrams.random_montesinos,
+                                 repeat(rng, args.sample)))
+    cells = attrgetter(*report.columns)
     for link in links:
         rep = diagrams.oracle_cross_check(link)
-        any_mismatch = any_mismatch or not rep.match
-        rows.append(rep.as_dict())
-    status = Status.FAIL if any_mismatch else Status.PASS
-    return Report(command, status, tuple(rows))
+        report.add(cells(rep), Status.PASS if rep.match else Status.FAIL)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +238,19 @@ def _build_parser() -> _Parser:
                        help="distance between two slopes")
     p.add_argument("r1")
     p.add_argument("r2")
-    p.set_defaults(handler=_cmd_distance)
+    p.set_defaults(handler=_cmd_distance, columns="r1 r2 distance")
 
     p = sub.add_parser("classify", parents=[shared],
                        help="finite-type classification of a manifold")
     p.add_argument("manifold")
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=_cmd_classify,
+                   columns="manifold finite_type h1_order")
 
     p = sub.add_parser("cover", parents=[shared],
                        help="double branched cover of a link expression")
     p.add_argument("link")
-    p.set_defaults(handler=_cmd_cover)
+    p.set_defaults(handler=_cmd_cover, columns="link manifold determinant "
+                   "h1_order h1_free_rank")
 
     p = sub.add_parser("cable", parents=[shared],
                        help="fill the outer boundary of a cable space")
@@ -285,26 +258,31 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=_integer, required=True, help="cable parameter t")
     p.add_argument("--gamma", required=True, help="cabling slope")
     p.add_argument("r", help="filling slope")
-    p.set_defaults(handler=_cmd_cable)
+    p.set_defaults(handler=_cmd_cable, columns="s t cabling_slope r "
+                   "distance_from_cabling pushforward_distance manifold extension")
 
     p = sub.add_parser("family-list", parents=[shared],
                        help="list the claim-table families")
-    p.set_defaults(handler=_cmd_family_list)
+    p.set_defaults(handler=_cmd_family_list, columns="name params domain "
+                   "claims designated_pair edges description")
 
-    for verb, handler, needs_slope, summary in (
+    for verb, handler, needs_slope, summary, columns in (
             ("family-fill", _cmd_family_fill, True,
-             "closed-form fillings of a family at one slope"),
+             "closed-form fillings of a family at one slope",
+             "family params slope formula manifold"),
             ("family-verify", _cmd_family_verify, False,
-             "every check of a family at each grid point"),
+             "every check of a family at each grid point",
+             "family params check detail status observed"),
             ("family-sweep", _cmd_family_sweep, False,
-             "check tallies of a family at each grid point")):
+             "check tallies of a family at each grid point",
+             "family params status passed failed indeterminate")):
         p = sub.add_parser(verb, parents=[shared], help=summary)
         p.add_argument("family")
         if needs_slope:
             p.add_argument("slope")
         p.add_argument("--p", help="parameter p (N or A..B)")
         p.add_argument("--q", help="parameter q (N or A..B)")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, columns=columns)
 
     p = sub.add_parser("oracle", parents=[shared],
                        help="cross-check link determinants two ways")
@@ -313,7 +291,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--sample", type=_count, default=0,
                    help="number of random Montesinos links to add")
     p.add_argument("--seed", type=_integer, default=0, help="RNG seed for --sample")
-    p.set_defaults(handler=_cmd_oracle)
+    p.set_defaults(handler=_cmd_oracle,
+                   columns="link crossings goeritz formula h1_order match")
 
     return parser
 
@@ -322,8 +301,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
-        report = args.handler(args, " ".join(["dehncalc"] + argv))
-        text = emit_report(report, args.format)
+        report = RowWriter(" ".join(["dehncalc"] + argv), args.format,
+                           tuple(args.columns.split()))
+        args.handler(args, report)
+        text, code = emit_report(report, args.format), exit_code(report.status)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except _UsageError as exc:
@@ -335,8 +316,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: expression nested too deeply", file=sys.stderr)
         return 2
+    del report  # its rows take as much memory as the text
     sys.stdout.write(text)
-    return exit_code(report.status)
+    return code
 
 
 if __name__ == "__main__":

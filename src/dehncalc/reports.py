@@ -1,24 +1,23 @@
 """Machine-readable report emission (JSON and TSV).
 
-Every command produces one Report: an echo of the command line, an
-overall status, and a list of flat result records.  Emission is
-deterministic byte for byte: JSON uses sorted keys and fixed
-indentation, TSV orders columns as the keys of the rows first appear,
-and both carry the mandatory schema_version.
-
-TSV layout: three leading comment lines ("# schema_version", "# command"
-and "# status", each with a tab-separated value), then a header row
-naming the columns, then one row per result record.  Empty cells stand
-for missing/null values; booleans are "true"/"false".
+Every command produces one report: an echo of the command line, an
+overall status, and flat result rows.  A command makes it with a
+RowWriter, which encodes each row as it is added and keeps only the
+text; a library Report of dict rows goes through the same encoder.  JSON
+is byte for byte json.dumps(payload, sort_keys=True, indent=2).  TSV has
+three comment lines ("# schema_version", "# command" and "# status",
+each with a tab-separated value), a header row naming the columns (a
+Report's in the order its rows' keys first appear), and one line per
+row; empty cells stand for missing/null values, booleans are
+"true"/"false".
 """
 
 from __future__ import annotations
 
-import json
+import operator
 from enum import Enum
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 SCHEMA_VERSION = "1"
 
@@ -32,12 +31,18 @@ class Status(Enum):
     FAIL = "fail"
     INDETERMINATE = "indeterminate"
 
+    # Hashed by identity, in C: Enum's __hash__ is a Python-level call.
+    __hash__ = object.__hash__
+
 
 _EXIT_CODES = {Status.PASS: 0, Status.FAIL: 1, Status.INDETERMINATE: 3}
 
 # The word of each status, read per row from a plain dict rather than
 # through the enum's Python-level value property.
 STATUS_WORDS = {status: status.value for status in Status}
+
+# Read once: Status.PASS is a lookup through the enum's metaclass.
+_PASS, _FAIL, _UNSURE = Status.PASS, Status.FAIL, Status.INDETERMINATE
 
 
 class Report:
@@ -60,12 +65,11 @@ class Report:
 
 def combine_status(statuses) -> Status:
     """The worst status: any fail wins, else any indeterminate, else pass."""
-    passed, failed, unsure = Status.PASS, Status.FAIL, Status.INDETERMINATE
-    worst = passed
+    worst = _PASS
     for status in statuses:
-        if status is failed or (status is unsure and worst is passed):
+        if status is _FAIL or (status is _UNSURE and worst is _PASS):
             worst = status
-        elif status is not passed and status is not unsure:
+        elif status is not _PASS and status is not _UNSURE:
             raise ValueError(f"unknown status {status!r}")
     return worst
 
@@ -75,88 +79,102 @@ def exit_code(status: Status) -> int:
     return _EXIT_CODES[status]
 
 
-# The rows of a JSON report, encoded in one call of the C encoder with
-# the item separator of a row's keys under json.dumps(indent=2).  JSON
-# escapes every control character, so the only newlines in its output are
-# separators, and a flat row cannot hold the row break "},\n      {".
-_encode_rows = json.JSONEncoder(sort_keys=True,
-                                separators=(",\n      ", ": ")).encode
-_ROW_BREAK = "},\n      {"
-_FLAT = frozenset((str, int, bool, type(None)))
+# The text of a cell of each flat type: a row is encoded by one map of
+# C-level calls, with no Python call per cell (on Python 3.11 and later).
+_call = getattr(operator, "call", lambda function, value: function(value))
+_FLAT = (str, int, bool, type(None))
+_BOOL = {True: "true", False: "false"}.__getitem__
+_JSON_OF = {str: encode_basestring_ascii, int: int.__repr__, bool: _BOOL,
+            type(None): {None: "null"}.__getitem__}.__getitem__
+_TSV_OF = {str: str, int: int.__repr__, bool: _BOOL,
+           type(None): {None: ""}.__getitem__}.__getitem__
 
 
-def _json_rows(rows: tuple[dict, ...]) -> str:
-    """The "results" list as json.dumps(indent=2) lays it out in a report."""
-    if not _FLAT.issuperset(map(type, chain.from_iterable(map(dict.values, rows)))):
-        bad = next(v for row in rows for v in row.values() if type(v) not in _FLAT)
-        raise ValueError(f"value not representable in a flat row: {bad!r}")
-    if not rows:
-        return "[]"
-    rows_text = _encode_rows(rows)[2:-2].split(_ROW_BREAK)
-    return "[\n    " + ",\n    ".join(
-        "{\n      " + text + "\n    }" if text else "{}" for text in rows_text
-    ) + "\n  ]"
+class RowWriter:
+    """A report made row by row.  ``add`` encodes one row's cells, a
+    sequence in the order of ``columns``, keeps only the row's text, and
+    folds the row's status into ``status``, the worst status so far.
+    A JSON row is one str.format of a template laid out once with sorted
+    keys (JSON escapes every control character, so no cell breaks the
+    layout); a TSV row is one join."""
 
+    def __init__(self, command: str, fmt: str, columns: tuple[str, ...]) -> None:
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r}")
+        self.command, self.fmt, self.columns = command, fmt, columns
+        self.status, self.rows, self._fill = _PASS, [], None
+        self._width, self._tabs = len(columns), max(len(columns) - 1, 0)
+        if fmt == "json":
+            pairs = ",\n      ".join(
+                encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}")
+                + f": {{{i}}}" for key, i in sorted(zip(columns, range(self._width))))
+            self._fill = ("{{\n      %s\n    }}" % pairs if columns else "{{}}").format
 
-def _tsv_text(value) -> str:
-    """A cell that is not a str."""
-    if value is None:
-        return ""
-    if type(value) is bool:
-        return "true" if value else "false"
-    if type(value) is int:
-        return str(value)
-    raise ValueError(f"value not representable in TSV: {value!r}")
-
-
-def _tsv_line(cells: list) -> str:
-    line = "\t".join([c if type(c) is str else _tsv_text(c) for c in cells])
-    # A tab inside a cell shows as a tab beyond the separators.
-    if "\n" in line or line.count("\t") > max(len(cells) - 1, 0):
-        bad = next(c for c in cells
-                   if type(c) is str and ("\t" in c or "\n" in c))
-        raise ValueError(f"value not representable in TSV: {bad!r}")
-    return line
-
-
-def _tsv_rows(rows: tuple[dict, ...], columns: list) -> str:
-    """The row lines.  When every row holds every column as a str, each
-    row is one join and the whole text is checked once, since a tab or
-    newline in a cell shows beyond the separators; else, and to name
-    such a cell, row by row."""
-    if len(columns) > 1:  # itemgetter then gives a tuple of cells
+    def add(self, cells, status: Status = _PASS) -> None:
+        if len(cells) != self._width:
+            raise ValueError(f"{len(cells)} cells for {self._width} columns")
+        fill = self._fill
         try:
-            text = "\n".join(map("\t".join, map(itemgetter(*columns), rows)))
-        except (KeyError, TypeError):  # a missing or a non-str cell
-            pass
-        else:
-            if (text.count("\n") == len(rows) - 1
-                    and text.count("\t") == len(rows) * (len(columns) - 1)):
-                return text
-    return "\n".join([_tsv_line(list(map(row.get, columns))) for row in rows])
+            if fill is not None:
+                text = fill(*map(_call, map(_JSON_OF, map(type, cells)), cells))
+            else:
+                try:
+                    text = "\t".join(cells)  # every cell a str
+                except TypeError:
+                    text = "\t".join(map(_call, map(_TSV_OF, map(type, cells)), cells))
+                if "\n" in text or text.count("\t") != self._tabs:
+                    bad = next(c for c in cells if type(c) is str
+                               and ("\t" in c or "\n" in c))
+                    raise ValueError(f"value not representable in TSV: {bad!r}")
+        except KeyError:  # a cell of no flat type
+            bad = next(c for c in cells if type(c) not in _FLAT)
+            raise ValueError(f"value not representable: {bad!r}") from None
+        self.rows.append(text)
+        if status is not _PASS:
+            self.status = combine_status((self.status, status))
 
 
-def emit_report(report: Report, fmt: str) -> str:
+def _written(report: Report, fmt: str) -> RowWriter:
+    """A Report through row writers sharing one row list: in TSV one for
+    the union of the rows' keys, in JSON one per key tuple."""
+    columns = tuple(dict.fromkeys(chain.from_iterable(report.results)))
+    writer = RowWriter(report.command, fmt, columns if fmt == "tsv" else ())
+    writer.status = report.status
+    writers = {writer.columns: writer}
+    for row in report.results:
+        keys = writer.columns if fmt == "tsv" else tuple(row)
+        if keys not in writers:
+            writers[keys] = RowWriter(report.command, fmt, keys)
+            writers[keys].rows = writer.rows
+        writers[keys].add(tuple(map(row.get, keys)))
+    return writer
+
+
+def emit_report(report: RowWriter | Report, fmt: str) -> str:
     """Render a report as JSON or TSV text (newline-terminated).
 
     JSON is byte for byte json.dumps(payload, sort_keys=True, indent=2).
     Rows are flat records of str, int, bool and None; any other value,
-    and a tab or newline in a TSV cell, raises ValueError."""
-    status = "ok" if report.status is Status.PASS else STATUS_WORDS[report.status]
-    if fmt == "json":
-        return (f'{{\n  "command": {encode_basestring_ascii(report.command)},'
-                f'\n  "results": {_json_rows(report.results)},'
-                f'\n  "schema_version": "{SCHEMA_VERSION}",'
-                f'\n  "status": "{status}"\n}}\n')
+    and a tab or newline in a TSV cell, raises ValueError.  The rows'
+    text is copied once, by one join."""
+    if isinstance(report, Report):
+        report = _written(report, fmt)
+    elif report.fmt != fmt:
+        raise ValueError(f"a {report.fmt} report emitted as {fmt}")
+    status = "ok" if report.status is _PASS else STATUS_WORDS[report.status]
     if fmt == "tsv":
-        columns = list(dict.fromkeys(chain.from_iterable(report.results)))
-        lines = [
-            f"# schema_version\t{SCHEMA_VERSION}",
-            _tsv_line(["# command", report.command]),
-            f"# status\t{status}",
-            "\t".join(columns),
-        ]
-        if report.results:
-            lines.append(_tsv_rows(report.results, columns))
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+        command = RowWriter("", fmt, ("", ""))
+        command.add(("# command", report.command))
+        return "\n".join([f"# schema_version\t{SCHEMA_VERSION}", *command.rows,
+                          f"# status\t{status}", "\t".join(report.columns),
+                          *report.rows, ""])
+    head = (f'{{\n  "command": {encode_basestring_ascii(report.command)},'
+            f'\n  "results": [')
+    tail = (f'],\n  "schema_version": "{SCHEMA_VERSION}",'
+            f'\n  "status": "{status}"\n}}\n')
+    if not report.rows:
+        return head + tail
+    rows = list(report.rows)
+    rows[0] = f"{head}\n    {rows[0]}"
+    rows[-1] += "\n  " + tail
+    return ",\n    ".join(rows)

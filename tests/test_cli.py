@@ -349,6 +349,17 @@ def test_oracle_batch_parse_error_names_its_line(tmp_path, capsys):
                   "with fewer the link is 2-bridge\n"
 
 
+def test_oracle_batch_bad_byte_names_its_line(tmp_path, capsys):
+    # The bad byte is at file offset 21,006, far into the file: its error
+    # names its line, and its position counts in that line.
+    batch = tmp_path / "links.txt"
+    batch.write_bytes(b"b(7/3)\n" * 3000 + b"b(9/2)\xff\n")
+    code, out, err = _run(capsys, ["oracle", "--batch", str(batch)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {batch} line 3001: 'utf-8' codec can't decode " \
+                  "byte 0xff in position 6: invalid start byte\n"
+
+
 # ---------------------------------------------------------------------------
 # Determinism and exit codes
 

@@ -1,9 +1,11 @@
 import copy
 import hashlib
+import io
 import pickle
 import re
 import tracemalloc
 import weakref
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -265,6 +267,34 @@ def test_sweeps_drop_each_report_once_read(monkeypatch, capsys, sweep):
     capsys.readouterr()
     assert len(alive) == 25
     assert max(alive) <= 1
+
+
+def _peak_bytes(argv: list[str]) -> int:
+    """Peak traced allocation of one in-process CLI run, its output kept."""
+    with redirect_stdout(io.StringIO()):
+        main(argv[:2] + ["--p", "2", "--q", "4"])  # imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            main(argv)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("verb, fmt, bound", [
+    ("family-verify", "tsv", 2000),
+    ("family-sweep", "json", 700),
+])
+def test_family_verbs_keep_only_row_text(verb, fmt, bound):
+    # Growing the cyclic grid from 1,000 to 4,000 points costs at most
+    # ``bound`` bytes of peak per point: each row's encoded text. A dict
+    # kept per row costs 2,864 and 1,306 bytes a point.
+    small = _peak_bytes([verb, "cyclic", "--p", "2..41", "--q", "4..28",
+                         "--format", fmt])
+    large = _peak_bytes([verb, "cyclic", "--p", "2..81", "--q", "4..53",
+                         "--format", fmt])
+    assert (large - small) / 3000 <= bound
 
 
 def test_sweep_verify_records_every_check_that_does_not_pass(monkeypatch):

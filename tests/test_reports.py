@@ -1,4 +1,5 @@
-"""Differential test of the report emitter against reference renderings.
+"""Differential tests of the report emitter and the row writer against
+reference renderings.
 
 The references are the straightforward ones: ``json.dumps`` with
 ``indent=2`` for JSON, and a per-cell join for TSV."""
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dehncalc.reports import SCHEMA_VERSION, Report, Status, emit_report
+from dehncalc.reports import (FORMATS, SCHEMA_VERSION, Report, RowWriter,
+                              Status, combine_status, emit_report)
 
 
 def _reference_json(report: Report) -> str:
@@ -119,3 +121,64 @@ def test_report_checks_its_status_and_is_immutable():
             change()
     assert (report.command, report.status, report.results) == \
         ("cmd", Status.FAIL, rows)
+
+
+def _written(command, fmt, columns, rows, statuses):
+    """The writer's output, or the ValueError it raises, and its status."""
+    writer = RowWriter(command, fmt, columns)
+    try:
+        for cells, status in zip(rows, statuses):
+            writer.add(cells, status)
+        return emit_report(writer, fmt), writer.status
+    except ValueError as exc:
+        return exc.args, writer.status
+
+
+def _reference_rows_tsv(command, columns, rows, word):
+    """TSV as documented: the first tab or newline in a cell, row by row
+    and then in the command, is named in the error."""
+    for cells in (*rows, ("", command)):
+        bad = [c for c in cells if type(c) is str and ("\t" in c or "\n" in c)]
+        if bad:
+            return (f"value not representable in TSV: {bad[0]!r}",)
+    lines = [f"# schema_version\t{SCHEMA_VERSION}", f"# command\t{command}",
+             f"# status\t{word}", "\t".join(columns)]
+    lines += ["\t".join(map(_cell, cells)) for cells in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_text, st.data())
+def test_writer_matches_the_standard_library(command, data):
+    columns = tuple(data.draw(st.lists(_text, unique=True, max_size=5)))
+    rows = data.draw(st.lists(st.tuples(*[_values] * len(columns)), max_size=6))
+    statuses = data.draw(st.lists(st.sampled_from(list(Status)),
+                                  min_size=len(rows), max_size=len(rows)))
+    status = combine_status(statuses)
+    word = "ok" if status is Status.PASS else status.value
+    payload = {"schema_version": SCHEMA_VERSION, "command": command,
+               "status": word,
+               "results": [dict(zip(columns, cells)) for cells in rows]}
+    assert _written(command, "json", columns, rows, statuses) == \
+        (json.dumps(payload, sort_keys=True, indent=2) + "\n", status)
+    text, seen = _written(command, "tsv", columns, rows, statuses)
+    assert text == _reference_rows_tsv(command, columns, rows, word)
+    if type(text) is str:
+        assert seen is status
+
+
+@pytest.mark.parametrize("nested", [[1, 2], (1,), {"a": 1}, 1.5, b"a"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_writer_rejects_nested_values_and_wrong_widths(nested, fmt):
+    writer = RowWriter("cmd", fmt, ("a", "b"))
+    writer.add(("x", 1))
+    with pytest.raises(ValueError, match="not representable"):
+        writer.add(("y", nested))
+    for cells in ((), ("x",), ("x", 1, 2)):
+        with pytest.raises(ValueError, match=f"{len(cells)} cells for 2 columns"):
+            writer.add(cells)
+    assert len(writer.rows) == 1
+    with pytest.raises(ValueError, match="unknown format"):
+        RowWriter("cmd", "xml", ("a",))
+    with pytest.raises(ValueError, match="emitted as"):
+        emit_report(writer, "tsv" if fmt == "json" else "json")
