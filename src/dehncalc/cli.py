@@ -107,44 +107,50 @@ def _params_text(spec):
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers: each adds its rows to the report, a RowWriter whose
-# columns are the verb's "columns" default, in TSV order
+# Verb handlers: each returns its report, new_report(columns) with its rows
 
 
-def _cmd_distance(args, report: RowWriter) -> None:
+def _cmd_distance(args, new_report) -> RowWriter:
     r1, r2 = parse_slope(args.r1), parse_slope(args.r2)
-    report.add((format_slope(r1), format_slope(r2), distance(r1, r2)))
+    return new_report(("r1", "r2", "distance")).add(
+        (format_slope(r1), format_slope(r2), distance(r1, r2)))
 
 
-def _cmd_classify(args, report: RowWriter) -> None:
+def _cmd_classify(args, new_report) -> RowWriter:
     manifolds = _lib("manifolds")
     m = _lib("parsing").parse_manifold_expr(args.manifold)
     ft = manifolds.classify_finite_type(m)
     hom = m.homology  # None when the description does not decide H1
-    unknown = ft is manifolds.FiniteType.UNKNOWN
-    report.add((str(m), ft.value, None if hom is None else hom.order),
-               Status.INDETERMINATE if unknown else Status.PASS)
+    return new_report(("manifold", "finite_type", "h1_order")).add(
+        (str(m), ft.value, None if hom is None else hom.order),
+        Status.INDETERMINATE if ft is manifolds.FiniteType.UNKNOWN else Status.PASS)
 
 
-def _cmd_cover(args, report: RowWriter) -> None:
+def _cmd_cover(args, new_report) -> RowWriter:
     link = _lib("parsing").parse_link_expr(args.link)
     m = _lib("cover").double_branched_cover(link)
     res = _lib("manifolds").h1(m)
-    report.add((str(link), str(m), res.order or 0, res.order, res.free_rank))
+    return new_report(("link", "manifold", "determinant", "h1_order",
+                       "h1_free_rank")).add(
+        (str(link), str(m), res.order or 0, res.order, res.free_rank))
 
 
-def _cmd_cable(args, report: RowWriter) -> None:
+def _cmd_cable(args, new_report) -> RowWriter:
     cables = _lib("cables")
     space = _lib("manifolds").CableSpace(args.s, args.t)
     gamma, r = parse_slope(args.gamma), parse_slope(args.r)
     d = distance(r, gamma)
     # A distance of 2 or more is an extension beyond the claim tables.
-    report.add((space.s, space.t, format_slope(gamma), format_slope(r), d,
-                cables.meridian_distance_cabled(space.t, d),
-                str(cables.cable_fill(space, gamma, r)), d >= 2))
+    return new_report(("s", "t", "cabling_slope", "r", "distance_from_cabling",
+                       "pushforward_distance", "manifold", "extension")).add(
+        (space.s, space.t, format_slope(gamma), format_slope(r), d,
+         cables.meridian_distance_cabled(space.t, d),
+         str(cables.cable_fill(space, gamma, r)), d >= 2))
 
 
-def _cmd_family_list(args, report: RowWriter) -> None:
+def _cmd_family_list(args, new_report) -> RowWriter:
+    report = new_report(("name", "params", "domain", "claims",
+                         "designated_pair", "edges", "description"))
     for spec in _lib("families").family_catalog():
         report.add((
             spec.name, ",".join(spec.param_names), spec.domain_doc,
@@ -154,40 +160,44 @@ def _cmd_family_list(args, report: RowWriter) -> None:
             "; ".join(e.target if e.slope_text is None else
                       f"{e.target}@{e.slope_text}" for e in spec.edges),
             spec.description))
+    return report
 
 
-def _cmd_family_fill(args, report: RowWriter) -> None:
+def _cmd_family_fill(args, new_report) -> RowWriter:
     spec, claim, ranges = _family_points(args)
     slope, params_text = format_slope(claim.slope), _params_text(spec)
+    report = new_report(("family", "params", "slope", "formula", "manifold"))
     for params in _lib("families").grid_points(spec, ranges):
         report.add((spec.name, params_text(params), slope, claim.formula,
                     str(claim.build(**params))))
+    return report
 
 
-def _cmd_family_verify(args, report: RowWriter) -> None:
+def _cmd_family_verify(args, new_report) -> RowWriter:
     spec, _, ranges = _family_points(args)
+    report = new_report(("family", "params", "check", "detail", "status", "observed"))
     add, name, params_text = report.add, spec.name, _params_text(spec)
     for rep in _lib("families").sweep_point_reports(name, ranges):
         params = params_text(rep.params)
         for check in rep.checks:
             add((name, params, check.kind, check.detail,
                  STATUS_WORDS[check.status], check.observed), check.status)
+    return report
 
 
-def _cmd_family_sweep(args, report: RowWriter) -> None:
+def _cmd_family_sweep(args, new_report) -> RowWriter:
     spec, _, ranges = _family_points(args)
+    report = new_report(("family", "params", "status", "passed", "failed",
+                         "indeterminate"))
     add, name, params_text = report.add, spec.name, _params_text(spec)
-    status_of, passed, tallied = attrgetter("status"), Status.PASS, tuple(Status)
+    status_of, tallied = attrgetter("status"), tuple(Status)
     for rep in _lib("families").sweep_point_reports(name, ranges):
-        if rep.status is passed:  # every check passed
-            tally = len(rep.checks), 0, 0
-        else:
-            tally = tuple(map(list(map(status_of, rep.checks)).count, tallied))
-        add((name, params_text(rep.params), STATUS_WORDS[rep.status], *tally),
-            rep.status)
+        add((name, params_text(rep.params), STATUS_WORDS[rep.status],
+             *map(list(map(status_of, rep.checks)).count, tallied)), rep.status)
+    return report
 
 
-def _cmd_oracle(args, report: RowWriter) -> None:
+def _cmd_oracle(args, new_report) -> RowWriter:
     lines = []
     if args.batch is not None:
         with open(args.batch, "rb") as fh:
@@ -211,10 +221,12 @@ def _cmd_oracle(args, report: RowWriter) -> None:
         rng = random.Random(args.seed)
         links = chain(links, map(diagrams.random_montesinos,
                                  repeat(rng, args.sample)))
-    cells = attrgetter(*report.columns)
-    for link in links:
-        rep = diagrams.oracle_cross_check(link)
-        report.add(cells(rep), Status.PASS if rep.match else Status.FAIL)
+    checked = map(diagrams.oracle_cross_check, links)
+    first = next(checked)  # there is at least one link
+    report = new_report(tuple(vars(first)))  # an OracleReport's fields, in order
+    for rep in chain((first,), checked):
+        report.add(tuple(vars(rep).values()), Status.PASS if rep.match else Status.FAIL)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -238,19 +250,17 @@ def _build_parser() -> _Parser:
                        help="distance between two slopes")
     p.add_argument("r1")
     p.add_argument("r2")
-    p.set_defaults(handler=_cmd_distance, columns="r1 r2 distance")
+    p.set_defaults(handler=_cmd_distance)
 
     p = sub.add_parser("classify", parents=[shared],
                        help="finite-type classification of a manifold")
     p.add_argument("manifold")
-    p.set_defaults(handler=_cmd_classify,
-                   columns="manifold finite_type h1_order")
+    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("cover", parents=[shared],
                        help="double branched cover of a link expression")
     p.add_argument("link")
-    p.set_defaults(handler=_cmd_cover, columns="link manifold determinant "
-                   "h1_order h1_free_rank")
+    p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser("cable", parents=[shared],
                        help="fill the outer boundary of a cable space")
@@ -258,31 +268,26 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=_integer, required=True, help="cable parameter t")
     p.add_argument("--gamma", required=True, help="cabling slope")
     p.add_argument("r", help="filling slope")
-    p.set_defaults(handler=_cmd_cable, columns="s t cabling_slope r "
-                   "distance_from_cabling pushforward_distance manifold extension")
+    p.set_defaults(handler=_cmd_cable)
 
     p = sub.add_parser("family-list", parents=[shared],
                        help="list the claim-table families")
-    p.set_defaults(handler=_cmd_family_list, columns="name params domain "
-                   "claims designated_pair edges description")
+    p.set_defaults(handler=_cmd_family_list)
 
-    for verb, handler, needs_slope, summary, columns in (
+    for verb, handler, needs_slope, summary in (
             ("family-fill", _cmd_family_fill, True,
-             "closed-form fillings of a family at one slope",
-             "family params slope formula manifold"),
+             "closed-form fillings of a family at one slope"),
             ("family-verify", _cmd_family_verify, False,
-             "every check of a family at each grid point",
-             "family params check detail status observed"),
+             "every check of a family at each grid point"),
             ("family-sweep", _cmd_family_sweep, False,
-             "check tallies of a family at each grid point",
-             "family params status passed failed indeterminate")):
+             "check tallies of a family at each grid point")):
         p = sub.add_parser(verb, parents=[shared], help=summary)
         p.add_argument("family")
         if needs_slope:
             p.add_argument("slope")
         p.add_argument("--p", help="parameter p (N or A..B)")
         p.add_argument("--q", help="parameter q (N or A..B)")
-        p.set_defaults(handler=handler, columns=columns)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("oracle", parents=[shared],
                        help="cross-check link determinants two ways")
@@ -291,8 +296,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--sample", type=_count, default=0,
                    help="number of random Montesinos links to add")
     p.add_argument("--seed", type=_integer, default=0, help="RNG seed for --sample")
-    p.set_defaults(handler=_cmd_oracle,
-                   columns="link crossings goeritz formula h1_order match")
+    p.set_defaults(handler=_cmd_oracle)
 
     return parser
 
@@ -301,9 +305,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
-        report = RowWriter(" ".join(["dehncalc"] + argv), args.format,
-                           tuple(args.columns.split()))
-        args.handler(args, report)
+        report = args.handler(args, functools.partial(
+            RowWriter, " ".join(["dehncalc"] + argv), args.format))
         text, code = emit_report(report, args.format), exit_code(report.status)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -1,15 +1,14 @@
 """Machine-readable report emission (JSON and TSV).
 
 Every command produces one report: an echo of the command line, an
-overall status, and flat result rows.  A command makes it with a
-RowWriter, which encodes each row as it is added and keeps only the
-text; a library Report of dict rows goes through the same encoder.  JSON
-is byte for byte json.dumps(payload, sort_keys=True, indent=2).  TSV has
-three comment lines ("# schema_version", "# command" and "# status",
-each with a tab-separated value), a header row naming the columns (a
-Report's in the order its rows' keys first appear), and one line per
-row; empty cells stand for missing/null values, booleans are
-"true"/"false".
+overall status, and flat result rows, made by a RowWriter, which encodes
+each row as it is added and keeps only its text (a library Report of
+dict rows goes through the same encoder).  JSON is byte for byte
+json.dumps(payload, sort_keys=True, indent=2).  TSV has three comment
+lines ("# schema_version", "# command" and "# status", each with a
+tab-separated value), a header row naming the columns (a Report's in the
+order its rows' keys first appear), and one line per row; empty cells
+stand for missing/null values, booleans are "true"/"false".
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ class Status(Enum):
 
 _EXIT_CODES = {Status.PASS: 0, Status.FAIL: 1, Status.INDETERMINATE: 3}
 
-# The word of each status, read per row from a plain dict rather than
-# through the enum's Python-level value property.
+# Each status's word, from a plain dict: Enum's value is a Python property.
 STATUS_WORDS = {status: status.value for status in Status}
 
 # Read once: Status.PASS is a lookup through the enum's metaclass.
@@ -91,12 +89,12 @@ _TSV_OF = {str: str, int: int.__repr__, bool: _BOOL,
 
 
 class RowWriter:
-    """A report made row by row.  ``add`` encodes one row's cells, a
-    sequence in the order of ``columns``, keeps only the row's text, and
-    folds the row's status into ``status``, the worst status so far.
-    A JSON row is one str.format of a template laid out once with sorted
-    keys (JSON escapes every control character, so no cell breaks the
-    layout); a TSV row is one join."""
+    """A report made row by row: ``add`` encodes one row's cells, given in
+    the order of ``columns``, keeps only its text, folds its status into
+    ``status`` (the worst so far) and returns the writer.  A JSON row is
+    one str.format of a template laid out once with sorted keys (JSON
+    escapes every control character, so no cell breaks the layout); a TSV
+    row is one join."""
 
     def __init__(self, command: str, fmt: str, columns: tuple[str, ...]) -> None:
         if fmt not in FORMATS:
@@ -123,7 +121,7 @@ class RowWriter:
                 except TypeError:
                     text = "\t".join(map(_call, map(_TSV_OF, map(type, cells)), cells))
                 if "\n" in text or text.count("\t") != self._tabs:
-                    bad = next(c for c in cells if type(c) is str
+                    bad = next(c for c in cells if isinstance(c, str)
                                and ("\t" in c or "\n" in c))
                     raise ValueError(f"value not representable in TSV: {bad!r}")
         except KeyError:  # a cell of no flat type
@@ -132,6 +130,7 @@ class RowWriter:
         self.rows.append(text)
         if status is not _PASS:
             self.status = combine_status((self.status, status))
+        return self
 
 
 def _written(report: Report, fmt: str) -> RowWriter:
@@ -139,8 +138,7 @@ def _written(report: Report, fmt: str) -> RowWriter:
     the union of the rows' keys, in JSON one per key tuple."""
     columns = tuple(dict.fromkeys(chain.from_iterable(report.results)))
     writer = RowWriter(report.command, fmt, columns if fmt == "tsv" else ())
-    writer.status = report.status
-    writers = {writer.columns: writer}
+    writer.status, writers = report.status, {writer.columns: writer}
     for row in report.results:
         keys = writer.columns if fmt == "tsv" else tuple(row)
         if keys not in writers:
@@ -163,8 +161,7 @@ def emit_report(report: RowWriter | Report, fmt: str) -> str:
         raise ValueError(f"a {report.fmt} report emitted as {fmt}")
     status = "ok" if report.status is _PASS else STATUS_WORDS[report.status]
     if fmt == "tsv":
-        command = RowWriter("", fmt, ("", ""))
-        command.add(("# command", report.command))
+        command = RowWriter("", fmt, ("", "")).add(("# command", report.command))
         return "\n".join([f"# schema_version\t{SCHEMA_VERSION}", *command.rows,
                           f"# status\t{status}", "\t".join(report.columns),
                           *report.rows, ""])

@@ -167,6 +167,10 @@ def test_writer_matches_the_standard_library(command, data):
         assert seen is status
 
 
+class _Text(str):
+    """A str subclass, as a library caller may hold one."""
+
+
 @pytest.mark.parametrize("nested", [[1, 2], (1,), {"a": 1}, 1.5, b"a"])
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_writer_rejects_nested_values_and_wrong_widths(nested, fmt):
@@ -174,6 +178,12 @@ def test_writer_rejects_nested_values_and_wrong_widths(nested, fmt):
     writer.add(("x", 1))
     with pytest.raises(ValueError, match="not representable"):
         writer.add(("y", nested))
+    # A str subclass is refused in JSON, and named by its tab in TSV.
+    with pytest.raises(ValueError, match=r"not representable.*'a\\tb'"):
+        writer.add(("y", _Text("a\tb")))
+    if fmt == "tsv":
+        with pytest.raises(ValueError, match=r"not representable in TSV: 'c\\nd'"):
+            emit_report(Report(_Text("c\nd"), Status.PASS, ()), fmt)
     for cells in ((), ("x",), ("x", 1, 2)):
         with pytest.raises(ValueError, match=f"{len(cells)} cells for 2 columns"):
             writer.add(cells)
