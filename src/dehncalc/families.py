@@ -68,6 +68,15 @@ class Edge:
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A family's claim table, compiled once when it is made.
+
+    A claim whose builder names no parameter (``lambda **_: S1xS2()``, or
+    ``lambda: ...`` in a family without parameters) is built here, once,
+    unless building it raises; then every point builds it.  Every check
+    that reads only claims built here is settled here too, as a distance
+    check, which reads none, always is.
+    """
+
     name: str
     description: str
     param_names: tuple[str, ...]
@@ -77,10 +86,13 @@ class FamilySpec:
     checks: tuple[Check, ...]
     designated_pair: tuple[Slope, Slope] | None = None
     edges: tuple[Edge, ...] = ()
-    # The checks compiled once into (when, run) pairs; see _compile_check.
+    # The fillings built once (None where each point builds its own), and
+    # the checks compiled into (when, run) pairs; see _compile_check.
+    built: tuple = field(init=False, repr=False, compare=False)
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "built", tuple(map(_built_once, self.claims)))
         object.__setattr__(self, "plan", tuple(
             (check.when, _compile_check(self, check)) for check in self.checks))
 
@@ -144,17 +156,29 @@ _FINITE_TYPE_WORDS = {t: t.value for t in FiniteType}
 _COMPARISON_WORDS = {c: c.value for c in Comparison}
 
 
+def _built_once(claim: Claim) -> Manifold | None:
+    """The claim's filling, if its builder names no parameter and builds."""
+    code = getattr(claim.build, "__code__", None)
+    if code is None or code.co_argcount or code.co_kwonlyargcount:
+        return None
+    try:
+        return claim.build()
+    except Exception:  # raised again, and reported, at every point
+        return None
+
+
 def _compile_check(spec: FamilySpec, check: Check):
     """One check as ``run(fill)``, where ``fill(i)`` is the point's filling
-    at claim position i.  The kind, the detail text, the claim positions
-    and a distance check's whole result depend on the family alone, so
-    they are settled here; an unknown kind, or an unclaimed slope that a
-    check would build, raises ``ValueError``.
+    at claim position i.  The kind, the detail text and the claim positions
+    depend on the family alone, so they are settled here, and so is the
+    whole result of a check whose claims were all built once; an unknown
+    kind, or an unclaimed slope that a check would build, raises
+    ``ValueError``.
     """
     slot = lambda r: spec.claims.index(spec.claim_at(r))
 
     if check.kind == "wellformed":
-        slots = range(len(spec.claims))
+        slots = [i for i, m in enumerate(spec.built) if m is None]
         ok = CheckResult("wellformed", "all claims build", Status.PASS, "ok")
 
         def run(fill):
@@ -165,29 +189,31 @@ def _compile_check(spec: FamilySpec, check: Check):
                 return CheckResult("wellformed", "all claims build", Status.FAIL,
                                    str(exc))
             return ok
-        return run
 
-    if check.kind == "distance":
+    elif check.kind == "distance":
+        slots = ()
         r1, r2 = check.slopes
         detail = f"distance({format_slope(r1)}, {format_slope(r2)}) = {check.expected}"
-        d = distance(r1, r2)
-        result = CheckResult("distance", detail, _STATUS[d == check.expected],
-                             str(d))
-        return lambda fill: result
 
-    if check.kind == "reducible":
+        def run(fill):
+            d = distance(r1, r2)
+            return CheckResult("distance", detail, _STATUS[d == check.expected],
+                               str(d))
+
+    elif check.kind == "reducible":
         (r,) = check.slopes
         i = slot(r)
+        slots = (i,)
         detail = f"filling({format_slope(r)}) is reducible"
 
         def run(fill):
             m = fill(i)
             return CheckResult("reducible", detail, _STATUS[m.reducible], str(m))
-        return run
 
-    if check.kind == "finite_type":
+    elif check.kind == "finite_type":
         (r,) = check.slopes
         i = slot(r)
+        slots = (i,)
         expected, unknown = check.expected, FiniteType.UNKNOWN
         detail = f"classify(filling({format_slope(r)})) = {expected.value}"
 
@@ -197,11 +223,11 @@ def _compile_check(spec: FamilySpec, check: Check):
             answer = None if observed is unknown else observed is expected
             return CheckResult("finite_type", detail, _STATUS[answer],
                                f"{m} -> {_FINITE_TYPE_WORDS[observed]}")
-        return run
 
-    if check.kind == "distinct":
+    elif check.kind == "distinct":
         r1, r2 = check.slopes
         i1, i2 = slot(r1), slot(r2)
+        slots = (i1, i2)
         detail = f"filling({format_slope(r1)}) != filling({format_slope(r2)})"
         answers = {Comparison.DISTINCT: True, Comparison.EQUAL: False}
 
@@ -210,9 +236,14 @@ def _compile_check(spec: FamilySpec, check: Check):
             outcome = manifold_compare(m1, m2)
             return CheckResult("distinct", detail, _STATUS[answers.get(outcome)],
                                f"{m1} vs {m2}: {_COMPARISON_WORDS[outcome]}")
-        return run
 
-    raise ValueError(f"family {spec.name}: unknown check kind {check.kind!r}")
+    else:
+        raise ValueError(f"family {spec.name}: unknown check kind {check.kind!r}")
+
+    if any(spec.built[i] is None for i in slots):
+        return run
+    result = run(spec.built.__getitem__)
+    return lambda fill: result
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +264,7 @@ _CYCLIC = FamilySpec(
               lambda p, q: lens_space((3 * p + 2) * (-2 * q + 1) + 6,
                                       (3 * p + 2) * q - 3)),
         Claim(Slope(-1), "tag(toroidal_irreducible_nonSFS)",
-              lambda p, q: OpaqueTag(TAG_TOROIDAL_IRREDUCIBLE)),
+              lambda **_: OpaqueTag(TAG_TOROIDAL_IRREDUCIBLE)),
     ),
     checks=(
         Check("wellformed"),
@@ -256,7 +287,7 @@ _EW_PRIOR = FamilySpec(
         Claim(Slope(0), "L((p-1)(p+3)+1, p+3)",
               lambda p: lens_space((p - 1) * (p + 3) + 1, p + 3)),
         Claim(Slope(1, 3), "L(3,1) # L(2,1)",
-              lambda p: connected_sum(lens_space(3, 1), lens_space(2, 1))),
+              lambda **_: connected_sum(lens_space(3, 1), lens_space(2, 1))),
     ),
     checks=(
         Check("wellformed"),
@@ -328,7 +359,7 @@ _DIHEDRAL_AUX = FamilySpec(
                                     sfs_orders(BASE_D2, (2, p)))),
         Claim(Slope(1), "D2(2,p-2)",
               lambda p: sfs_orders(BASE_D2, (2, p - 2))),
-        Claim(Slope(2), "ZxS1", lambda p: ZxS1()),
+        Claim(Slope(2), "ZxS1", lambda **_: ZxS1()),
     ),
     checks=(
         Check("wellformed"),
@@ -377,7 +408,7 @@ _OCTAHEDRAL = FamilySpec(
               lambda p: connected_sum(lens_space(2, 1),
                                       sfs_orders(BASE_S2, (4, p, 2 * p + 1)))),
         Claim(INFINITY, "S2(2,3,4)",
-              lambda p: sfs_orders(BASE_S2, (2, 3, 4))),
+              lambda **_: sfs_orders(BASE_S2, (2, 3, 4))),
     ),
     checks=(
         Check("wellformed"),
@@ -422,14 +453,14 @@ _ICOSAHEDRAL_LEE = FamilySpec(
     domain_doc="|p| >= 2, q != 0, (p, q) not in {(+-2, +-1)}",
     in_domain=lambda p, q: abs(p) >= 2 and q != 0 and (abs(p), abs(q)) != (2, 1),
     claims=(
-        Claim(Slope(-1, 2), "S1xS2", lambda p, q: S1xS2()),
+        Claim(Slope(-1, 2), "S1xS2", lambda **_: S1xS2()),
         Claim(Slope(0), "S2(|p-1|, |2q-1|, |pq+q-1|)",
               lambda p, q: sfs_orders(BASE_S2, (abs(p - 1), abs(2 * q - 1),
                                                 abs(p * q + q - 1)))),
         Claim(Slope(-1), "S2(|p+1|, |2q+1|, |pq-q-1|)",
               lambda p, q: sfs_orders(BASE_S2, (abs(p + 1), abs(2 * q + 1),
                                                 abs(p * q - q - 1)))),
-        Claim(INFINITY, "tag(toroidal)", lambda p, q: OpaqueTag(TAG_TOROIDAL)),
+        Claim(INFINITY, "tag(toroidal)", lambda **_: OpaqueTag(TAG_TOROIDAL)),
     ),
     checks=(
         Check("wellformed"),
@@ -519,13 +550,14 @@ def evaluate_filling(name: str, params: dict, r: Slope) -> Manifold:
 def verify_family(name: str, params: dict) -> VerificationReport:
     """Run every applicable check of a family at one parameter point.
 
-    Each claim is built on first use and memoized by position; one that
+    The point starts from the fillings the spec built once; each other
+    claim is built on first use and memoized by position, and one that
     fails to build is not memoized, so every check needing it raises.
     """
     spec = get_family(name)
     _check_params(spec, params)
     claims = spec.claims
-    built: list[Manifold | None] = [None] * len(claims)
+    built: list[Manifold | None] = list(spec.built)
 
     def fill(i: int) -> Manifold:
         m = built[i]

@@ -80,6 +80,9 @@ class FiniteType(Enum):
     NOT_FINITE = "not_finite"
     UNKNOWN = "unknown"
 
+    # Hashed by identity, in C: Enum's __hash__ is a Python-level call.
+    __hash__ = object.__hash__
+
 
 _EUCLIDEAN_TRIPLES = ((2, 3, 6), (2, 4, 4), (3, 3, 3))
 _TETRA_OCTA_ICOSA = {3: FiniteType.TETRAHEDRAL, 4: FiniteType.OCTAHEDRAL,
@@ -615,6 +618,13 @@ class Comparison(Enum):
     DISTINCT = "distinct"
     INDETERMINATE = "indeterminate"
 
+    __hash__ = object.__hash__  # as FiniteType's
+
+
+# Read once: Comparison.EQUAL is a lookup through the enum's metaclass.
+_EQUAL, _DISTINCT, _UNSURE = (Comparison.EQUAL, Comparison.DISTINCT,
+                              Comparison.INDETERMINATE)
+
 
 # Facts that are homeomorphism invariants: two descriptions that both
 # decide one of them, differently, are distinct.  Homology is not among
@@ -628,12 +638,12 @@ def _compare_conn_sums(m1: ConnSum, m2: ConnSum) -> Comparison:
     decompositions: the summands must biject.  A partial summand never
     compares EQUAL, so the best a bijection can show is INDETERMINATE."""
     if len(m1.summands) != len(m2.summands):
-        return Comparison.DISTINCT
+        return _DISTINCT
     for perm in itertools.permutations(m2.summands):
-        if all(manifold_compare(a, b) is not Comparison.DISTINCT
+        if all(manifold_compare(a, b) is not _DISTINCT
                for a, b in zip(m1.summands, perm)):
-            return Comparison.INDETERMINATE
-    return Comparison.DISTINCT
+            return _UNSURE
+    return _DISTINCT
 
 
 def manifold_compare(m1: Manifold, m2: Manifold) -> Comparison:
@@ -647,17 +657,16 @@ def manifold_compare(m1: Manifold, m2: Manifold) -> Comparison:
         # A rigid normal form is complete up to mirror image, and a sum is
         # its oriented prime summands up to one global orientation
         # (Kneser-Milnor), so its mirror flips every summand at once.
-        return (Comparison.EQUAL if m2 == m1 or m2 == m1.mirror()
-                else Comparison.DISTINCT)
+        return _EQUAL if m2 == m1 or m2 == m1.mirror() else _DISTINCT
     if m1 == m2:
         # Identical partial descriptions may still denote different manifolds.
-        return Comparison.INDETERMINATE
+        return _UNSURE
 
     # One side (at least) is partial: run the invariant battery.
     for fact in _INVARIANT_FACTS:
         a, b = getattr(m1, fact), getattr(m2, fact)
         if a is not None and b is not None and a != b:
-            return Comparison.DISTINCT
+            return _DISTINCT
 
     sum1, sum2 = isinstance(m1, ConnSum), isinstance(m2, ConnSum)
     if sum1 and sum2:
@@ -666,8 +675,8 @@ def manifold_compare(m1: Manifold, m2: Manifold) -> Comparison:
         total, single = (m1, m2) if sum1 else (m2, m1)
         # A sum of >= 2 provably prime pieces cannot be a prime manifold.
         if single.prime and all(m.prime for m in total.summands):
-            return Comparison.DISTINCT
-        return Comparison.INDETERMINATE
+            return _DISTINCT
+        return _UNSURE
     return _compare_seifert(m1, m2)
 
 
@@ -678,18 +687,18 @@ def _compare_seifert(m1: Manifold, m2: Manifold) -> Comparison:
     if orders1 is not None and orders2 is not None:
         # Seifert spaces over S^2 with >= 3 fibers have a unique such
         # presentation, so the order multiset is a homeomorphism invariant.
-        return Comparison.INDETERMINATE if orders1 == orders2 else Comparison.DISTINCT
+        return _UNSURE if orders1 == orders2 else _DISTINCT
     if (orders1 is None) != (orders2 is None) and (m1.lens_like or m2.lens_like):
         # Lens-like spaces never fiber over S^2 with >= 3 exceptional fibers.
-        return Comparison.DISTINCT
+        return _DISTINCT
 
     if m1.closed is False and m2.closed is False:
         # Sums aside, only the rigid bounded atoms (solid torus, T2xI, ZxS1,
         # cable space) and orders-only pieces over D2/M2 declare closed
         # False, and not both sides are rigid.  Such a piece has a unique
         # Seifert structure, so no other piece or rigid atom equals it.
-        return Comparison.DISTINCT
-    return Comparison.INDETERMINATE
+        return _DISTINCT
+    return _UNSURE
 
 
 def manifold_equal(m1: Manifold, m2: Manifold) -> bool:

@@ -94,7 +94,7 @@ class RowWriter:
     ``status`` (the worst so far) and returns the writer.  A JSON row is
     one str.format of a template laid out once with sorted keys (JSON
     escapes every control character, so no cell breaks the layout); a TSV
-    row is one join."""
+    row is one join, and the TSV header is checked as a row is."""
 
     def __init__(self, command: str, fmt: str, columns: tuple[str, ...]) -> None:
         if fmt not in FORMATS:
@@ -107,6 +107,10 @@ class RowWriter:
                 encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}")
                 + f": {{{i}}}" for key, i in sorted(zip(columns, range(self._width))))
             self._fill = ("{{\n      %s\n    }}" % pairs if columns else "{{}}").format
+        else:
+            self.header = "\t".join(columns)
+            if "\n" in self.header or self.header.count("\t") != self._tabs:
+                self.add(columns)  # raises, naming the column as it would a cell
 
     def add(self, cells, status: Status = _PASS) -> None:
         if len(cells) != self._width:
@@ -163,7 +167,7 @@ def emit_report(report: RowWriter | Report, fmt: str) -> str:
     if fmt == "tsv":
         command = RowWriter("", fmt, ("", "")).add(("# command", report.command))
         return "\n".join([f"# schema_version\t{SCHEMA_VERSION}", *command.rows,
-                          f"# status\t{status}", "\t".join(report.columns),
+                          f"# status\t{status}", report.header,
                           *report.rows, ""])
     head = (f'{{\n  "command": {encode_basestring_ascii(report.command)},'
             f'\n  "results": [')

@@ -5,6 +5,7 @@ import pickle
 import re
 import tracemalloc
 import weakref
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
@@ -17,13 +18,14 @@ from dehncalc.families import (FAMILIES, Check, CheckResult, Claim,
                                family_catalog, get_family, grid_points,
                                scan_icosahedral_pairs, sweep_point_reports,
                                sweep_verify, verify_family)
-from dehncalc.manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
-                                IllFormedClaimError, Lens, OpaqueTag, S1xS2,
+from dehncalc.manifolds import (BASE_D2, BASE_S2, CableSpace, Comparison,
+                                FiniteType, IllFormedClaimError, Lens, OpaqueTag, S1xS2,
                                 SolidTorus, TAG_TOROIDAL,
                                 TAG_TOROIDAL_IRREDUCIBLE, ZxS1,
                                 classify_finite_type, connected_sum,
                                 is_reducible, lens_homeomorphic, lens_space,
-                                sfs_orders, torus_union)
+                                manifold_compare, sfs_orders, torus_union)
+from dehncalc.reports import combine_status
 from dehncalc.parsing import parse_manifold_expr
 from dehncalc.slopes import INFINITY, Slope, distance, format_slope
 
@@ -487,6 +489,122 @@ def test_family_verbs_bytes_pinned(capsys):
     assert digest.hexdigest() == _PIN_SHA256
 
 
+def _pin_ranges(spec: FamilySpec) -> dict[str, tuple[int, int]]:
+    window = iter(_PIN_WINDOWS.get(spec.name, ()))
+    return {flag[2:]: tuple(map(int, text.split("..")))
+            for flag, text in zip(window, window)}
+
+
+_ANSWER = {True: Status.PASS, False: Status.FAIL, None: Status.INDETERMINATE}
+
+
+def _check_from_scratch(spec: FamilySpec, check: Check, params: dict):
+    """A check's (kind, detail, status, observed), restated from claims
+    built afresh at the point, without the compiled plan."""
+    fill = lambda r: spec.claim_at(r).build(**params)
+    names = [format_slope(r) for r in check.slopes]
+    if check.kind == "wellformed":
+        try:
+            for claim in spec.claims:
+                claim.build(**params)
+        except IllFormedClaimError as exc:
+            return ("wellformed", "all claims build", Status.FAIL, str(exc))
+        return ("wellformed", "all claims build", Status.PASS, "ok")
+    if check.kind == "distance":
+        d = distance(*check.slopes)
+        return ("distance", f"distance({names[0]}, {names[1]}) = {check.expected}",
+                _ANSWER[d == check.expected], str(d))
+    if check.kind == "reducible":
+        m = fill(check.slopes[0])
+        return ("reducible", f"filling({names[0]}) is reducible",
+                _ANSWER[m.reducible], str(m))
+    if check.kind == "finite_type":
+        m = fill(check.slopes[0])
+        observed = classify_finite_type(m)
+        answer = (None if observed is FiniteType.UNKNOWN
+                  else observed is check.expected)
+        return ("finite_type",
+                f"classify(filling({names[0]})) = {check.expected.value}",
+                _ANSWER[answer], f"{m} -> {observed.value}")
+    assert check.kind == "distinct", check.kind
+    m1, m2 = fill(check.slopes[0]), fill(check.slopes[1])
+    outcome = manifold_compare(m1, m2)
+    answer = {Comparison.DISTINCT: True, Comparison.EQUAL: False}.get(outcome)
+    return ("distinct", f"filling({names[0]}) != filling({names[1]})",
+            _ANSWER[answer], f"{m1} vs {m2}: {outcome.value}")
+
+
+def test_settled_checks_equal_checks_made_at_each_point():
+    # Claims and checks settled once per family must give at every point
+    # what building the claims there gives.
+    points = 0
+    for spec in family_catalog():
+        ranges = _pin_ranges(spec)
+        assert ranges or not spec.param_names, spec.name
+        for params in grid_points(spec, ranges):
+            points += 1
+            report = verify_family(spec.name, params)
+            expected = [_check_from_scratch(spec, check, params)
+                        for check in spec.checks
+                        if check.when is None or check.when(params)]
+            assert [(c.kind, c.detail, c.status, c.observed)
+                    for c in report.checks] == expected, (spec.name, params)
+            assert report.status is combine_status(e[2] for e in expected)
+    assert points == 85
+
+
+def test_parameter_free_claims_are_built_once_per_family(monkeypatch):
+    calls = Counter()
+    for name in ("lens_space", "sfs_orders", "connected_sum", "torus_union"):
+        def counted(*args, _name=name, _build=getattr(families, name)):
+            calls[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(families, name, counted)
+    # The 1/3-filling L(3,1) # L(2,1) is built with the table, not here.
+    for params in grid_points(get_family("ew_prior"), {"p": (2, 101)}):
+        verify_family("ew_prior", params)
+    assert calls == {"lens_space": 100}
+    calls.clear()
+    for name in ("bz_w6", "tetrahedral", "icosahedral_second"):
+        assert verify_family(name, {}).status is Status.PASS
+    assert not calls
+    built = {spec.name: [format_slope(c.slope)
+                         for c, m in zip(spec.claims, spec.built) if m is not None]
+             for spec in family_catalog() if spec.param_names}
+    assert built == {"cyclic": ["-1"], "ew_prior": ["1/3"], "dihedral": [],
+                     "dihedral_aux_Np": ["2"], "octahedral": ["inf"],
+                     "octahedral_aux_Np": [], "icosahedral_lee": ["-1/2", "inf"]}
+
+
+def _one_parameter_spec(*checks: Check) -> FamilySpec:
+    return FamilySpec(
+        name="broken", description="", param_names=("p",),
+        domain_doc="p >= 2", in_domain=lambda p: p >= 2,
+        claims=(Claim(Slope(0), "L(p,1)", lambda p: lens_space(p, 1)),
+                Claim(INFINITY, "L(4,2)", lambda **_: Lens(4, 2))),
+        checks=checks)
+
+
+def test_ill_formed_parameter_free_claim_fails_at_every_point(monkeypatch):
+    # A claim that raises when built is not settled: each point builds it.
+    broken = _one_parameter_spec(Check("wellformed"),
+                                 Check("reducible", (Slope(0),)))
+    assert broken.built[1] is None
+    monkeypatch.setitem(FAMILIES, "broken", broken)
+    reports = list(sweep_point_reports("broken", {"p": (2, 6)}))
+    assert len(reports) == 5
+    for report in reports:
+        wellformed, reducible = report.checks
+        assert wellformed.status is Status.FAIL
+        assert wellformed.observed == "L(4,2) needs gcd(p, q) = 1"
+        assert reducible.status is Status.FAIL
+    monkeypatch.setitem(FAMILIES, "broken", _one_parameter_spec(
+        Check("wellformed"), Check("finite_type", (INFINITY,), FiniteType.CYCLIC)))
+    for p in (2, 3):
+        with pytest.raises(IllFormedClaimError, match="gcd"):
+            verify_family("broken", {"p": p})
+
+
 _FINITE_TYPES = frozenset({FiniteType.CYCLIC, FiniteType.DIHEDRAL,
                            FiniteType.TETRAHEDRAL, FiniteType.OCTAHEDRAL,
                            FiniteType.ICOSAHEDRAL})
@@ -622,8 +740,10 @@ def test_printed_formulas_are_what_is_built():
     for spec in family_catalog():
         window = {name: (-8, 11) for name in spec.param_names}
         for params in grid_points(spec, window):
-            for claim in spec.claims:
+            for claim, once in zip(spec.claims, spec.built):
                 text = _substitute(claim.formula, params)
+                if once is not None:  # a claim that reads no parameter
+                    assert text == claim.formula, (spec.name, claim.formula)
                 assert parse_manifold_expr(text) == claim.build(**params), \
                     (spec.name, params, claim.formula, text)
                 claims.add((spec.name, claim.slope))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from math import gcd, prod
 
@@ -19,6 +21,7 @@ from dehncalc.manifolds import (BASE_D2, BASE_M2, BASE_S2, SHAPE_FACTS,
                                 lens_parameter_orbit, lens_space,
                                 manifold_compare, manifold_equal, sfs_orders,
                                 torus_union)
+from dehncalc.reports import Status
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +435,19 @@ def test_shape_missing_a_fact_is_rejected():
     with pytest.raises(TypeError, match="undeclared facts"):
         class Half(Manifold, closed=True):
             pass
+
+
+@pytest.mark.parametrize("verdicts", [FiniteType, Comparison, Status])
+def test_verdict_members_hash_by_identity(verdicts):
+    # Hashed in C by identity, not through Enum's Python-level __hash__;
+    # members must still work as dict keys, compare by identity and
+    # come back as themselves from a pickle or a copy.
+    words = {member: member.value for member in verdicts}
+    for member in verdicts:
+        assert hash(member) == object.__hash__(member)
+        assert verdicts(member.value) is verdicts[member.name] is member
+        for twin in (pickle.loads(pickle.dumps(member)), copy.copy(member),
+                     copy.deepcopy(member)):
+            assert twin is member
+            assert words[twin] == member.value
+        assert [m for m in verdicts if m == member] == [member]

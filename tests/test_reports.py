@@ -38,7 +38,7 @@ def _reference_tsv(report: Report) -> str:
     lines = [f"# schema_version\t{SCHEMA_VERSION}",
              f"# command\t{_cell(report.command)}",
              f"# status\t{status}",
-             "\t".join(columns)]
+             "\t".join(map(_cell, columns))]
     for row in report.results:
         lines.append("\t".join(_cell(row.get(c)) for c in columns))
     return "\n".join(lines) + "\n"
@@ -106,6 +106,19 @@ def test_tsv_names_a_tab_in_the_command(rows):
         "value not representable in TSV: 'dehncalc\\tdistance'"
 
 
+@pytest.mark.parametrize("bad", ["a\tb", "a\nb"])
+def test_tsv_names_a_tab_or_newline_in_a_column_name(bad):
+    with pytest.raises(ValueError) as err:
+        emit_report(Report("cmd", Status.PASS, ({bad: 1},)), "tsv")
+    assert str(err.value) == f"value not representable in TSV: {bad!r}"
+    with pytest.raises(ValueError) as err:
+        RowWriter("cmd", "tsv", ("x", bad))
+    assert str(err.value) == f"value not representable in TSV: {bad!r}"
+    # JSON escapes both, as in a cell.
+    assert emit_report(Report("cmd", Status.PASS, ({bad: 1},)), "json") == \
+        _reference_json(Report("cmd", Status.PASS, ({bad: 1},)))
+
+
 def test_report_checks_its_status_and_is_immutable():
     rows = ({"a": 1},)
     report = Report("cmd", Status.FAIL, rows)
@@ -124,20 +137,20 @@ def test_report_checks_its_status_and_is_immutable():
 
 
 def _written(command, fmt, columns, rows, statuses):
-    """The writer's output, or the ValueError it raises, and its status."""
-    writer = RowWriter(command, fmt, columns)
+    """The writer's output and its status, or the ValueError it raises."""
     try:
+        writer = RowWriter(command, fmt, columns)
         for cells, status in zip(rows, statuses):
             writer.add(cells, status)
         return emit_report(writer, fmt), writer.status
     except ValueError as exc:
-        return exc.args, writer.status
+        return exc.args, None
 
 
 def _reference_rows_tsv(command, columns, rows, word):
-    """TSV as documented: the first tab or newline in a cell, row by row
-    and then in the command, is named in the error."""
-    for cells in (*rows, ("", command)):
+    """TSV as documented: the first tab or newline in a column name, then
+    in a cell row by row, then in the command, is named in the error."""
+    for cells in (columns, *rows, ("", command)):
         bad = [c for c in cells if type(c) is str and ("\t" in c or "\n" in c)]
         if bad:
             return (f"value not representable in TSV: {bad[0]!r}",)
