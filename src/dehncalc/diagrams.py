@@ -21,26 +21,25 @@ Conventions (pinned by the b(p, q) determinant suite):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .cover import double_branched_cover
 from .links import ConnSumLink, Link, MontesinosLink, TwoBridge, montesinos
 from .manifolds import h1
 from .slopes import Slope, continued_fraction
+from .value import Value
 
 _OVER_RIGHT = 0
 _OVER_BOTTOM = 0
 
 
-@dataclass
-class CombinatorialMap:
+class CombinatorialMap(Value):
     """A link diagram: ``crossings[k]`` is the over flag of crossing k,
     which owns darts 4k..4k+3, and ``pairing[d]`` is the dart joined to
-    dart d."""
+    dart d.  The builders below extend both lists in place."""
 
-    crossings: list[int]
-    pairing: list[int]
+    def __init__(self, crossings: list[int], pairing: list[int]) -> None:
+        self.__dict__.update(crossings=crossings, pairing=pairing)
 
     def validate(self) -> None:
         """Check 4-regularity, the edge involution, connectivity, and the
@@ -96,8 +95,7 @@ def faces(m: CombinatorialMap) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass
-class Checkerboard:
+class Checkerboard(Value):
     """A checkerboard colouring, one bit per crossing: the face at dart d
     has colour ``bits[d >> 2] ^ (d & 1)``, so corners alternate at every
     crossing, and index ``face_of[d]`` within its colour class, a class
@@ -105,10 +103,10 @@ class Checkerboard:
     go to the colour of dart 0's face), and ``white[k]`` is the lowest
     dart of white face k."""
 
-    bits: bytearray
-    face_of: list[int]
-    white_color: int
-    white: list[int]
+    def __init__(self, bits: bytearray, face_of: list[int], white_color: int,
+                 white: list[int]) -> None:
+        self.__dict__.update(bits=bits, face_of=face_of,
+                             white_color=white_color, white=white)
 
 
 def checkerboard(m: CombinatorialMap) -> Checkerboard:
@@ -270,16 +268,6 @@ def goeritz_determinant(m: CombinatorialMap) -> int:
 # Standard diagrams from continued fractions
 
 
-@dataclass
-class _Tangle:
-    """Dangling boundary darts of a partial tangle."""
-
-    nw: int
-    ne: int
-    sw: int
-    se: int
-
-
 def _join(m: CombinatorialMap, d1: int, d2: int) -> None:
     m.pairing[d1] = d2
     m.pairing[d2] = d1
@@ -289,40 +277,47 @@ def _flag(base: int, count: int) -> int:
     return base if count >= 0 else 1 - base
 
 
-def _add_right(m: CombinatorialMap, t: _Tangle, count: int) -> None:
-    """Twist |count| crossings onto the east side: each crossing's NW and
-    SW darts join the NE and SE darts of the one before it.  The last
-    crossing's NE and SE entries are placeholders until they are joined."""
+def _add_right(m: CombinatorialMap, ne: int, se: int,
+               count: int) -> tuple[int, int]:
+    """Twist |count| crossings onto the east side, whose dangling darts are
+    ne and se: each crossing's NW and SW darts join the NE and SE darts of
+    the one before it.  Returns the new east darts, the last crossing's NE
+    and SE entries, which are placeholders until they are joined."""
     n = abs(count)
     if not n:
-        return
+        return ne, se
     first = len(m.pairing)
-    m.crossings += [_flag(_OVER_RIGHT, count)] * n
+    m.crossings.extend([_flag(_OVER_RIGHT, count)] * n)
     for c in range(first, first + 4 * n, 4):
-        m.pairing += (c + 5, c - 4, c - 1, c + 6)
-    _join(m, t.ne, first + 1)
-    _join(m, t.se, first + 2)
-    t.ne, t.se = len(m.pairing) - 4, len(m.pairing) - 1
+        m.pairing.extend((c + 5, c - 4, c - 1, c + 6))
+    _join(m, ne, first + 1)
+    _join(m, se, first + 2)
+    return len(m.pairing) - 4, len(m.pairing) - 1
 
 
-def _add_bottom(m: CombinatorialMap, t: _Tangle, count: int) -> None:
-    """Twist |count| crossings onto the south side: each crossing's NE and
-    NW darts join the SE and SW darts of the one before it.  The last
-    crossing's SW and SE entries are placeholders until they are joined."""
+def _add_bottom(m: CombinatorialMap, sw: int, se: int,
+                count: int) -> tuple[int, int]:
+    """Twist |count| crossings onto the south side, whose dangling darts
+    are sw and se: each crossing's NE and NW darts join the SE and SW
+    darts of the one before it.  Returns the new south darts, the last
+    crossing's SW and SE entries, which are placeholders until they are
+    joined."""
     n = abs(count)
     if not n:
-        return
+        return sw, se
     first = len(m.pairing)
-    m.crossings += [_flag(_OVER_BOTTOM, count)] * n
+    m.crossings.extend([_flag(_OVER_BOTTOM, count)] * n)
     for c in range(first, first + 4 * n, 4):
-        m.pairing += (c - 1, c - 2, c + 5, c + 4)
-    _join(m, t.se, first)
-    _join(m, t.sw, first + 1)
-    t.sw, t.se = len(m.pairing) - 2, len(m.pairing) - 1
+        m.pairing.extend((c - 1, c - 2, c + 5, c + 4))
+    _join(m, se, first)
+    _join(m, sw, first + 1)
+    return len(m.pairing) - 2, len(m.pairing) - 1
 
 
-def _rational_tangle(m: CombinatorialMap, terms: tuple[int, ...]) -> _Tangle:
-    """Build the rational tangle of the continued fraction [a1, ..., an].
+def _rational_tangle(m: CombinatorialMap,
+                     terms: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """Build the rational tangle of the continued fraction [a1, ..., an]
+    and return its dangling boundary darts (nw, ne, sw, se).
 
     Twist batches are applied from a_n down to a_1, alternating bottom
     and right steps so that step k is a right batch exactly when k is
@@ -337,16 +332,19 @@ def _rational_tangle(m: CombinatorialMap, terms: tuple[int, ...]) -> _Tangle:
     # twists on the rest.
     right = n % 2 == 1
     ne = len(m.pairing)
+    nw, sw, se = ne + 1, ne + 2, ne + 3
     m.crossings.append(_OVER_RIGHT if right else _OVER_BOTTOM)
-    m.pairing += (-1, -1, -1, -1)
-    t = _Tangle(nw=ne + 1, ne=ne, sw=ne + 2, se=ne + 3)
-    (_add_right if right else _add_bottom)(m, t, terms[-1] - 1)
+    m.pairing.extend((-1, -1, -1, -1))
+    if right:
+        ne, se = _add_right(m, ne, se, terms[-1] - 1)
+    else:
+        sw, se = _add_bottom(m, sw, se, terms[-1] - 1)
     for k in range(n - 1, 0, -1):
         if k % 2 == 1:
-            _add_right(m, t, terms[k - 1])
+            ne, se = _add_right(m, ne, se, terms[k - 1])
         else:
-            _add_bottom(m, t, terms[k - 1])
-    return t
+            sw, se = _add_bottom(m, sw, se, terms[k - 1])
+    return nw, ne, sw, se
 
 
 def two_bridge_diagram(p: int, q: int) -> CombinatorialMap:
@@ -358,21 +356,18 @@ def two_bridge_diagram(p: int, q: int) -> CombinatorialMap:
 
 def montesinos_diagram(e: int, branches: tuple[Slope, ...]) -> CombinatorialMap:
     """Numerator closure of the branch tangles side by side plus e twists."""
-    m = CombinatorialMap([], [])
-    t: _Tangle | None = None
-    for r in branches:
-        branch = _rational_tangle(m, continued_fraction(r))
-        if t is None:
-            t = branch
-        else:
-            _join(m, t.ne, branch.nw)
-            _join(m, t.se, branch.sw)
-            t.ne, t.se = branch.ne, branch.se
-    if t is None:
+    if not branches:
         raise ValueError("montesinos diagram needs at least one branch")
-    _add_right(m, t, e)
-    _join(m, t.nw, t.ne)
-    _join(m, t.sw, t.se)
+    m = CombinatorialMap([], [])
+    nw, ne, sw, se = _rational_tangle(m, continued_fraction(branches[0]))
+    for r in branches[1:]:
+        b_nw, b_ne, b_sw, b_se = _rational_tangle(m, continued_fraction(r))
+        _join(m, ne, b_nw)
+        _join(m, se, b_sw)
+        ne, se = b_ne, b_se
+    ne, se = _add_right(m, ne, se, e)
+    _join(m, nw, ne)
+    _join(m, sw, se)
     return m
 
 
@@ -391,21 +386,15 @@ def build_standard_diagram(l: Link) -> CombinatorialMap:
 # Cross-checking the two computation routes
 
 
-class OracleReport:
+class OracleReport(Value):
     """The Goeritz determinant of one link against |H1| of its double
     branched cover; ``formula`` is that order, or 0 when H1 is infinite.
-    The fields, in order, are the columns of the oracle verb.  Immutable;
-    a plain class rather than a frozen dataclass."""
+    The fields, in order, are the columns of the oracle verb."""
 
     def __init__(self, link: str, crossings: int, goeritz: int, formula: int,
                  h1_order: int | None, match: bool) -> None:
         self.__dict__.update(link=link, crossings=crossings, goeritz=goeritz,
                              formula=formula, h1_order=h1_order, match=match)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"OracleReport is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     def as_dict(self) -> dict:
         return dict(vars(self))

@@ -12,7 +12,6 @@ three-valued outcome.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 
 from .manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
                         Comparison, IllFormedClaimError, Manifold, OpaqueTag,
@@ -21,23 +20,22 @@ from .manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
                         lens_space, manifold_compare, sfs_orders, torus_union)
 from .reports import STATUS_WORDS, Status, combine_status
 from .slopes import INFINITY, Slope, distance, format_slope
+from .value import Value
 
 
 class DomainError(ValueError):
     """Parameters are outside the family's domain of validity."""
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Value):
     """One slope of a family: the filled manifold in closed form."""
 
-    slope: Slope
-    formula: str
-    build: Callable[..., Manifold]
+    def __init__(self, slope: Slope, formula: str,
+                 build: Callable[..., Manifold]) -> None:
+        self.__dict__.update(slope=slope, formula=formula, build=build)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Value):
     """A verifiable assertion about a family's claims.
 
     Kinds: "wellformed", "distance", "reducible", "finite_type",
@@ -45,14 +43,14 @@ class Check:
     check whose predicate rejects the parameters is simply not run.
     """
 
-    kind: str
-    slopes: tuple[Slope, ...] = ()
-    expected: object = None
-    when: Callable[[dict], bool] | None = None
+    def __init__(self, kind: str, slopes: tuple[Slope, ...] = (),
+                 expected: object = None,
+                 when: Callable[[dict], bool] | None = None) -> None:
+        self.__dict__.update(kind=kind, slopes=slopes, expected=expected,
+                             when=when)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Value):
     """A pointer from one family to a related one (e.g. closed members).
 
     ``slope_text`` names the filling slope the edge lives at, when there
@@ -61,13 +59,12 @@ class Edge:
     refer to them.
     """
 
-    target: str
-    note: str
-    slope_text: str | None = None
+    def __init__(self, target: str, note: str,
+                 slope_text: str | None = None) -> None:
+        self.__dict__.update(target=target, note=note, slope_text=slope_text)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Value):
     """A family's claim table, compiled once when it is made.
 
     A claim whose builder names no parameter (``lambda **_: S1xS2()``, or
@@ -77,24 +74,24 @@ class FamilySpec:
     check, which reads none, always is.
     """
 
-    name: str
-    description: str
-    param_names: tuple[str, ...]
-    domain_doc: str
-    in_domain: Callable[..., bool]
-    claims: tuple[Claim, ...]
-    checks: tuple[Check, ...]
-    designated_pair: tuple[Slope, Slope] | None = None
-    edges: tuple[Edge, ...] = ()
-    # The fillings built once (None where each point builds its own), and
-    # the checks compiled into (when, run) pairs; see _compile_check.
-    built: tuple = field(init=False, repr=False, compare=False)
-    plan: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "built", tuple(map(_built_once, self.claims)))
-        object.__setattr__(self, "plan", tuple(
-            (check.when, _compile_check(self, check)) for check in self.checks))
+    def __init__(self, name: str, description: str,
+                 param_names: tuple[str, ...], domain_doc: str,
+                 in_domain: Callable[..., bool], claims: tuple[Claim, ...],
+                 checks: tuple[Check, ...],
+                 designated_pair: tuple[Slope, Slope] | None = None,
+                 edges: tuple[Edge, ...] = ()) -> None:
+        fields = self.__dict__
+        fields.update(name=name, description=description,
+                      param_names=param_names, domain_doc=domain_doc,
+                      in_domain=in_domain, claims=claims, checks=checks,
+                      designated_pair=designated_pair, edges=edges)
+        # Not fields: the fillings built once (None where each point builds
+        # its own), and the checks compiled into (when, run, args) triples,
+        # which are data, so equal tables compile to equal plans; see
+        # _compile_check.
+        fields["built"] = tuple(map(_built_once, claims))
+        fields["plan"] = tuple((check.when, *_compile_check(self, check))
+                               for check in checks)
 
     def claim_at(self, r: Slope) -> Claim:
         for c in self.claims:
@@ -107,18 +104,7 @@ class FamilySpec:
         )
 
 
-class _Record:
-    """A plain class, cheaper to build than a frozen dataclass: __init__
-    fills the instance __dict__, and then assignment and deletion raise."""
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable; "
-                             f"cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-
-class CheckResult(_Record):
+class CheckResult(Value):
     def __init__(self, kind: str, detail: str, status: Status,
                  observed: str) -> None:
         fields = self.__dict__  # item writes beat __dict__.update
@@ -128,7 +114,7 @@ class CheckResult(_Record):
         fields["observed"] = observed
 
 
-class VerificationReport(_Record):
+class VerificationReport(Value):
     def __init__(self, family: str, params: dict, status: Status,
                  checks: tuple[CheckResult, ...]) -> None:
         fields = self.__dict__
@@ -138,7 +124,7 @@ class VerificationReport(_Record):
         fields["checks"] = checks
 
 
-class SweepReport(_Record):
+class SweepReport(Value):
     def __init__(self, family: str, ranges: dict, points: int, passed: int,
                  failed: int, indeterminate: int,
                  failures: tuple[dict, ...] = ()) -> None:
@@ -154,6 +140,8 @@ _STATUS = {True: Status.PASS, False: Status.FAIL, None: Status.INDETERMINATE}
 # than through the enums' Python-level value property.
 _FINITE_TYPE_WORDS = {t: t.value for t in FiniteType}
 _COMPARISON_WORDS = {c: c.value for c in Comparison}
+_UNKNOWN = FiniteType.UNKNOWN
+_DISTINCT_ANSWERS = {Comparison.DISTINCT: True, Comparison.EQUAL: False}
 
 
 def _built_once(claim: Claim) -> Manifold | None:
@@ -167,83 +155,89 @@ def _built_once(claim: Claim) -> Manifold | None:
         return None
 
 
+def _wellformed(fill, args):
+    slots, ok = args
+    try:
+        for i in slots:
+            fill(i)
+    except IllFormedClaimError as exc:
+        return CheckResult("wellformed", "all claims build", Status.FAIL,
+                           str(exc))
+    return ok
+
+
+def _distance(fill, args):
+    r1, r2, expected, detail = args
+    d = distance(r1, r2)
+    return CheckResult("distance", detail, _STATUS[d == expected], str(d))
+
+
+def _reducible(fill, args):
+    i, detail = args
+    m = fill(i)
+    return CheckResult("reducible", detail, _STATUS[m.reducible], str(m))
+
+
+def _finite_type(fill, args):
+    i, expected, detail = args
+    m = fill(i)
+    observed = classify_finite_type(m)
+    answer = None if observed is _UNKNOWN else observed is expected
+    return CheckResult("finite_type", detail, _STATUS[answer],
+                       f"{m} -> {_FINITE_TYPE_WORDS[observed]}")
+
+
+def _distinct(fill, args):
+    i1, i2, detail = args
+    m1, m2 = fill(i1), fill(i2)
+    outcome = manifold_compare(m1, m2)
+    return CheckResult("distinct", detail, _STATUS[_DISTINCT_ANSWERS.get(outcome)],
+                       f"{m1} vs {m2}: {_COMPARISON_WORDS[outcome]}")
+
+
+def _settled(fill, result):
+    return result
+
+
 def _compile_check(spec: FamilySpec, check: Check):
-    """One check as ``run(fill)``, where ``fill(i)`` is the point's filling
-    at claim position i.  The kind, the detail text and the claim positions
-    depend on the family alone, so they are settled here, and so is the
-    whole result of a check whose claims were all built once; an unknown
-    kind, or an unclaimed slope that a check would build, raises
-    ``ValueError``.
+    """One check as ``(run, args)``: ``run(fill, args)`` is its result at a
+    point, where ``fill(i)`` is the point's filling at claim position i.
+    The kind, the detail text and the claim positions depend on the family
+    alone, so they are settled here, and so is the whole result of a check
+    whose claims were all built once; an unknown kind, or an unclaimed
+    slope that a check would build, raises ``ValueError``.
     """
     slot = lambda r: spec.claims.index(spec.claim_at(r))
-
-    if check.kind == "wellformed":
-        slots = [i for i, m in enumerate(spec.built) if m is None]
-        ok = CheckResult("wellformed", "all claims build", Status.PASS, "ok")
-
-        def run(fill):
-            try:
-                for i in slots:
-                    fill(i)
-            except IllFormedClaimError as exc:
-                return CheckResult("wellformed", "all claims build", Status.FAIL,
-                                   str(exc))
-            return ok
-
-    elif check.kind == "distance":
+    kind = check.kind
+    if kind == "wellformed":
+        slots = tuple(i for i, m in enumerate(spec.built) if m is None)
+        run, args = _wellformed, (slots, CheckResult(
+            "wellformed", "all claims build", Status.PASS, "ok"))
+    elif kind == "distance":
+        r1, r2 = check.slopes
         slots = ()
-        r1, r2 = check.slopes
-        detail = f"distance({format_slope(r1)}, {format_slope(r2)}) = {check.expected}"
-
-        def run(fill):
-            d = distance(r1, r2)
-            return CheckResult("distance", detail, _STATUS[d == check.expected],
-                               str(d))
-
-    elif check.kind == "reducible":
+        run, args = _distance, (r1, r2, check.expected, (
+            f"distance({format_slope(r1)}, {format_slope(r2)}) = {check.expected}"))
+    elif kind == "reducible":
         (r,) = check.slopes
-        i = slot(r)
-        slots = (i,)
-        detail = f"filling({format_slope(r)}) is reducible"
-
-        def run(fill):
-            m = fill(i)
-            return CheckResult("reducible", detail, _STATUS[m.reducible], str(m))
-
-    elif check.kind == "finite_type":
+        slots = (slot(r),)
+        run, args = _reducible, (*slots, f"filling({format_slope(r)}) is reducible")
+    elif kind == "finite_type":
         (r,) = check.slopes
-        i = slot(r)
-        slots = (i,)
-        expected, unknown = check.expected, FiniteType.UNKNOWN
-        detail = f"classify(filling({format_slope(r)})) = {expected.value}"
-
-        def run(fill):
-            m = fill(i)
-            observed = classify_finite_type(m)
-            answer = None if observed is unknown else observed is expected
-            return CheckResult("finite_type", detail, _STATUS[answer],
-                               f"{m} -> {_FINITE_TYPE_WORDS[observed]}")
-
-    elif check.kind == "distinct":
+        slots = (slot(r),)
+        run, args = _finite_type, (*slots, check.expected, (
+            f"classify(filling({format_slope(r)})) = {check.expected.value}"))
+    elif kind == "distinct":
         r1, r2 = check.slopes
-        i1, i2 = slot(r1), slot(r2)
-        slots = (i1, i2)
-        detail = f"filling({format_slope(r1)}) != filling({format_slope(r2)})"
-        answers = {Comparison.DISTINCT: True, Comparison.EQUAL: False}
-
-        def run(fill):
-            m1, m2 = fill(i1), fill(i2)
-            outcome = manifold_compare(m1, m2)
-            return CheckResult("distinct", detail, _STATUS[answers.get(outcome)],
-                               f"{m1} vs {m2}: {_COMPARISON_WORDS[outcome]}")
-
+        slots = (slot(r1), slot(r2))
+        run, args = _distinct, (*slots, (
+            f"filling({format_slope(r1)}) != filling({format_slope(r2)})"))
     else:
-        raise ValueError(f"family {spec.name}: unknown check kind {check.kind!r}")
+        raise ValueError(f"family {spec.name}: unknown check kind {kind!r}")
 
     if any(spec.built[i] is None for i in slots):
-        return run
-    result = run(spec.built.__getitem__)
-    return lambda fill: result
+        return run, args
+    return _settled, run(spec.built.__getitem__, args)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +559,7 @@ def verify_family(name: str, params: dict) -> VerificationReport:
             m = built[i] = claims[i].build(**params)
         return m
 
-    results = tuple([run(fill) for when, run in spec.plan
+    results = tuple([run(fill, args) for when, run, args in spec.plan
                      if when is None or when(params)])
     return VerificationReport(spec.name, dict(params),
                               combine_status([r.status for r in results]),

@@ -8,19 +8,20 @@ normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .manifolds import (IllFormedClaimError, Lens, Manifold, S3, S1xS2, SfsS2,
                         _normal_form, connected_sum, flat_summands, h1,
                         normalize_lens_pair)
 from .slopes import Slope
+from .value import Value
 
 
-class Link:
-    """Base class for link descriptions.  Each shape declares the facts
-    annotated here in its own class: as a class attribute when the fact is
-    fixed for the shape, or as a property when it depends on its fields."""
+class Link(Value):
+    """Base class for link descriptions, each an immutable value.  Each
+    shape declares the facts annotated here in its own class: as a class
+    attribute when the fact is fixed for the shape, or as a property when
+    it depends on its fields."""
 
     cover: Manifold  # the double cover of S^3 branched over the link
     sort_key: tuple  # orders the parts of a sum
@@ -29,7 +30,6 @@ class Link:
         return type(self).__name__
 
 
-@dataclass(frozen=True)
 class Unknot(Link):
     cover = S3()
     sort_key = ("Unknot", ())
@@ -38,13 +38,11 @@ class Unknot(Link):
         return "unknot"
 
 
-@dataclass(frozen=True)
 class Unlink(Link):
-    components: int
-
-    def __post_init__(self) -> None:
-        if self.components < 2:
+    def __init__(self, components: int) -> None:
+        if components < 2:
             raise IllFormedClaimError("Unlink needs >= 2 components; use unlink()")
+        self.__dict__.update(components=components)
 
     cover = property(lambda self: connected_sum(
         *(S1xS2() for _ in range(self.components - 1))))
@@ -60,17 +58,12 @@ def unlink(components: int) -> Link:
     return Unknot() if components == 1 else Unlink(components)
 
 
-@dataclass(frozen=True)
 class TwoBridge(Link):
     """The 2-bridge link b(p, q), normalized to the minimal equivalent q."""
 
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        p, q = normalize_lens_pair(self.p, self.q, "b", "two_bridge")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+    def __init__(self, p: int, q: int) -> None:
+        p, q = normalize_lens_pair(p, q, "b", "two_bridge")
+        self.__dict__.update(p=p, q=q)
 
     cover = property(lambda self: Lens(self.p, self.q))
     sort_key = property(lambda self: ("TwoBridge", (self.p, self.q)))
@@ -99,7 +92,6 @@ def numerator_closure(r: Slope) -> Link:
     return two_bridge(r.p, r.q)
 
 
-@dataclass(frozen=True)
 class MontesinosLink(Link):
     """Montesinos link with integer twist e and branch fractions beta/alpha.
 
@@ -108,13 +100,9 @@ class MontesinosLink(Link):
     (with fewer the link is 2-bridge and should be written that way).
     """
 
-    e: int
-    branches: tuple[Slope, ...]
-
-    def __post_init__(self) -> None:
-        e = self.e
+    def __init__(self, e: int, branches: tuple[Slope, ...]) -> None:
         normalized = []
-        for r in self.branches:
+        for r in branches:
             if r.is_infinite:
                 raise IllFormedClaimError("montesinos branch must be finite")
             e += r.p // r.q
@@ -129,8 +117,7 @@ class MontesinosLink(Link):
                 "montesinos needs >= 3 branches; with fewer the link is 2-bridge"
             )
         normalized.sort(key=lambda r: (r.q, r.p))
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "branches", tuple(normalized))
+        self.__dict__.update(e=e, branches=tuple(normalized))
 
     # The branches as Seifert fibers (alpha, beta), already in SfsS2 order.
     fibers = property(lambda self: tuple((r.q, r.p) for r in self.branches))
@@ -146,19 +133,16 @@ def montesinos(e: int, branches) -> MontesinosLink:
     return MontesinosLink(e, tuple(branches))
 
 
-@dataclass(frozen=True)
 class ConnSumLink(Link):
     """Connected sum of links, kept flat, unknot-free and sorted like ConnSum."""
 
-    summands: tuple[Link, ...]
-
-    def __post_init__(self) -> None:
-        summands = flat_summands(self.summands, ConnSumLink, Unknot)
+    def __init__(self, summands: tuple[Link, ...]) -> None:
+        summands = flat_summands(summands, ConnSumLink, Unknot)
         if len(summands) < 2:
             raise IllFormedClaimError(
                 "ConnSumLink needs >= 2 nontrivial parts; use link_connected_sum()"
             )
-        object.__setattr__(self, "summands", summands)
+        self.__dict__.update(summands=summands)
 
     cover = property(
         lambda self: connected_sum(*(l.cover for l in self.summands)))

@@ -19,10 +19,11 @@ Conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
 from operator import attrgetter
+
+from .value import Value
 
 
 class IllFormedClaimError(ValueError):
@@ -51,12 +52,11 @@ _TAG_PROPS: dict[str, dict[str, bool]] = {
 # Values of the shape facts: first homology and finite type
 
 
-@dataclass(frozen=True)
-class H1Result:
+class H1Result(Value):
     """|H1| when finite (free_rank = 0), otherwise the free rank with order None."""
 
-    order: int | None
-    free_rank: int
+    def __init__(self, order: int | None, free_rank: int) -> None:
+        self.__dict__.update(order=order, free_rank=free_rank)
 
     @classmethod
     def finite(cls, order: int) -> "H1Result":
@@ -106,14 +106,14 @@ def _s2_finite_type(orders: tuple[int, ...] | None) -> FiniteType:
 # The shapes
 
 
-class Manifold:
-    """Base class; all concrete shapes are frozen dataclasses below.
+class Manifold(Value):
+    """Base class of the shapes below, each an immutable value.
 
     The facts are the class variables annotated here.  Each shape
     declares every one in its own class: as a class keyword when the fact
     is fixed for the shape, or as a property when it depends on the
     shape's fields.  A fact is None where the description does not decide
-    it.  This class is not a dataclass, so its annotations make no fields.
+    it.
     """
 
     closed: bool | None
@@ -162,13 +162,12 @@ _sort_key = attrgetter("sort_key")
 
 def _normal_form(cls, **fields) -> Manifold:
     """A shape from fields already in its normal form, skipping the checks
-    and rewrites of its __post_init__."""
+    and rewrites of its __init__."""
     shape = object.__new__(cls)
     shape.__dict__.update(fields)
     return shape
 
 
-@dataclass(frozen=True)
 class S3(Manifold, closed=True, reducible=False, prime=True, toroidal=False,
          rigid=True, incompressible_boundary=False, lens_like=True,
          s2_orders=None, homology=H1Result.finite(1),
@@ -177,7 +176,6 @@ class S3(Manifold, closed=True, reducible=False, prime=True, toroidal=False,
         return "S3"
 
 
-@dataclass(frozen=True)
 class S1xS2(Manifold, closed=True, reducible=True, prime=True, toroidal=False,
             rigid=True, incompressible_boundary=False, lens_like=True,
             s2_orders=None, homology=H1Result.infinite(1),
@@ -186,7 +184,6 @@ class S1xS2(Manifold, closed=True, reducible=True, prime=True, toroidal=False,
         return "S1xS2"
 
 
-@dataclass(frozen=True)
 class SolidTorus(Manifold, closed=False, reducible=False, prime=True,
                  toroidal=None, rigid=True, incompressible_boundary=False,
                  lens_like=False, s2_orders=None,
@@ -197,7 +194,6 @@ class SolidTorus(Manifold, closed=False, reducible=False, prime=True,
         return "ST"
 
 
-@dataclass(frozen=True)
 class T2xI(Manifold, closed=False, reducible=False, prime=True, toroidal=None,
            rigid=True, incompressible_boundary=True, lens_like=False,
            s2_orders=None, homology=H1Result.infinite(2),
@@ -206,7 +202,6 @@ class T2xI(Manifold, closed=False, reducible=False, prime=True, toroidal=None,
         return "T2xI"
 
 
-@dataclass(frozen=True)
 class ZxS1(Manifold, closed=False, reducible=False, prime=True, toroidal=None,
            rigid=True, incompressible_boundary=True, lens_like=False,
            s2_orders=None, homology=H1Result.infinite(3),
@@ -244,19 +239,14 @@ def normalize_lens_pair(p: int, q: int, name: str,
     return n, min(q, n - q, inv, n - inv)
 
 
-@dataclass(frozen=True)
 class Lens(Manifold, closed=True, reducible=False, prime=True, toroidal=False,
            rigid=True, incompressible_boundary=False, lens_like=True,
            s2_orders=None, finite_type=FiniteType.CYCLIC):
     """L(p, q), normalized on construction to the canonical unoriented form."""
 
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        p, q = normalize_lens_pair(self.p, self.q, "L", "lens_space")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+    def __init__(self, p: int, q: int) -> None:
+        p, q = normalize_lens_pair(p, q, "L", "lens_space")
+        self.__dict__.update(p=p, q=q)
 
     homology = property(lambda self: H1Result.finite(self.p))
     sort_key = property(lambda self: ("Lens", (self.p, self.q)))
@@ -287,18 +277,13 @@ def lens_homeomorphic(a: Manifold, b: Manifold) -> bool:
     return manifold_compare(a, b) is Comparison.EQUAL
 
 
-@dataclass(frozen=True)
 class SfsS2(Manifold, closed=True, reducible=False, prime=True, rigid=True,
             incompressible_boundary=False, lens_like=False):
     """Seifert space over S^2 with exact invariants (e; beta1/alpha1, ...)."""
 
-    e: int
-    fibers: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        e = self.e
+    def __init__(self, e: int, fibers: tuple[tuple[int, int], ...]) -> None:
         normalized = []
-        for alpha, beta in self.fibers:
+        for alpha, beta in fibers:
             if alpha == 0:
                 raise IllFormedClaimError("exceptional fiber with alpha = 0")
             if alpha < 0:
@@ -313,8 +298,7 @@ class SfsS2(Manifold, closed=True, reducible=False, prime=True, rigid=True,
             raise IllFormedClaimError(
                 "SfsS2 needs at least three exceptional fibers; fewer is lens-type"
             )
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "fibers", tuple(sorted(normalized)))
+        self.__dict__.update(e=e, fibers=tuple(sorted(normalized)))
 
     orders = property(lambda self: tuple(alpha for alpha, _ in self.fibers))
 
@@ -356,26 +340,22 @@ BASE_M2 = "M2"
 _MIN_ORDER_COUNT = {BASE_S2: 3, BASE_D2: 2, BASE_M2: 1}
 
 
-@dataclass(frozen=True)
 class SfsOrdersOnly(Manifold, reducible=False, prime=True, rigid=False,
                     lens_like=False, homology=None):
     """A Seifert space known only by base and exceptional-fiber orders."""
 
-    base: str
-    orders: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.base not in _MIN_ORDER_COUNT:
-            raise IllFormedClaimError(f"unknown base {self.base!r}")
-        orders = tuple(sorted(self.orders))
-        if orders and orders[0] < 2:
-            raise IllFormedClaimError(f"orders must be >= 2, got {self.orders}")
-        if len(orders) < _MIN_ORDER_COUNT[self.base]:
+    def __init__(self, base: str, orders: tuple[int, ...]) -> None:
+        if base not in _MIN_ORDER_COUNT:
+            raise IllFormedClaimError(f"unknown base {base!r}")
+        normalized = tuple(sorted(orders))
+        if normalized and normalized[0] < 2:
+            raise IllFormedClaimError(f"orders must be >= 2, got {orders}")
+        if len(normalized) < _MIN_ORDER_COUNT[base]:
             raise IllFormedClaimError(
-                f"{self.base} base with {len(orders)} orders has an exact form; "
+                f"{base} base with {len(normalized)} orders has an exact form; "
                 "use sfs_orders()"
             )
-        object.__setattr__(self, "orders", orders)
+        self.__dict__.update(base=base, orders=normalized)
 
     closed = property(lambda self: self.base == BASE_S2)
     incompressible_boundary = property(
@@ -424,7 +404,6 @@ def sfs_orders(base: str, orders: tuple[int, ...] | list[int]) -> Manifold:
     return _normal_form(SfsOrdersOnly, base=base, orders=tuple(cleaned))
 
 
-@dataclass(frozen=True)
 class CableSpace(Manifold, closed=False, reducible=False, prime=True,
                  toroidal=None, rigid=True, incompressible_boundary=True,
                  lens_like=False, s2_orders=None,
@@ -432,17 +411,14 @@ class CableSpace(Manifold, closed=False, reducible=False, prime=True,
                  finite_type=FiniteType.NOT_FINITE):
     """C(s, t): the exterior of an (s, t)-curve in a solid torus, t >= 2 strands."""
 
-    s: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.t < 2:
-            raise IllFormedClaimError(f"C({self.s},{self.t}) needs t >= 2")
-        if gcd(self.s, self.t) != 1:
-            raise IllFormedClaimError(f"C({self.s},{self.t}) needs gcd(s, t) = 1")
+    def __init__(self, s: int, t: int) -> None:
+        if t < 2:
+            raise IllFormedClaimError(f"C({s},{t}) needs t >= 2")
+        if gcd(s, t) != 1:
+            raise IllFormedClaimError(f"C({s},{t}) needs gcd(s, t) = 1")
         # s up to sign mod t: a meridional twist of the solid torus takes
         # C(s, t) to C(s + t, t), and the mirror takes it to C(-s, t).
-        object.__setattr__(self, "s", min(self.s % self.t, -self.s % self.t))
+        self.__dict__.update(s=min(s % t, -s % t), t=t)
 
     sort_key = property(lambda self: ("Cable", (self.s, self.t)))
 
@@ -454,12 +430,12 @@ def _tag_prop(name: str, unknown: bool | None = None) -> property:
     return property(lambda self: _TAG_PROPS.get(self.label, {}).get(name, unknown))
 
 
-@dataclass(frozen=True)
 class OpaqueTag(Manifold, rigid=False, incompressible_boundary=False,
                 lens_like=False, s2_orders=None, homology=None):
     """A manifold known only through qualitative properties (see _TAG_PROPS)."""
 
-    label: str
+    def __init__(self, label: str) -> None:
+        self.__dict__.update(label=label)
 
     closed = _tag_prop("closed")
     reducible = _tag_prop("reducible")
@@ -497,21 +473,18 @@ def flat_summands(parts, sum_type: type, unit_type: type) -> tuple:
     return tuple(flat)
 
 
-@dataclass(frozen=True)
 class ConnSum(Manifold, reducible=True, prime=False,
               incompressible_boundary=False, lens_like=False, s2_orders=None,
               finite_type=FiniteType.NOT_FINITE):
     """Connected sum, kept flat, S3-free, and sorted so equality is structural."""
 
-    summands: tuple[Manifold, ...]
-
-    def __post_init__(self) -> None:
-        summands = flat_summands(self.summands, ConnSum, S3)
+    def __init__(self, summands: tuple[Manifold, ...]) -> None:
+        summands = flat_summands(summands, ConnSum, S3)
         if len(summands) < 2:
             raise IllFormedClaimError(
                 "ConnSum needs >= 2 nontrivial summands; use connected_sum()"
             )
-        object.__setattr__(self, "summands", summands)
+        self.__dict__.update(summands=summands)
 
     closed = property(
         lambda self: _sum_fact((m.closed for m in self.summands), False))
@@ -546,7 +519,6 @@ def connected_sum(*summands: Manifold) -> Manifold:
     return _normal_form(ConnSum, summands=flat)
 
 
-@dataclass(frozen=True)
 class TorusUnion(Manifold, prime=False, toroidal=None, rigid=False,
                  incompressible_boundary=False, lens_like=False,
                  s2_orders=None, homology=None,
@@ -554,12 +526,10 @@ class TorusUnion(Manifold, prime=False, toroidal=None, rigid=False,
                  closed=None):  # it may or may not use up all its boundary
     """A union of two or more pieces glued along boundary tori, gluing unspecified."""
 
-    pieces: tuple[Manifold, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.pieces) < 2:
+    def __init__(self, pieces: tuple[Manifold, ...]) -> None:
+        if len(pieces) < 2:
             raise IllFormedClaimError("TorusUnion needs >= 2 pieces")
-        object.__setattr__(self, "pieces", tuple(sorted(self.pieces, key=_sort_key)))
+        self.__dict__.update(pieces=tuple(sorted(pieces, key=_sort_key)))
 
     @property
     def reducible(self) -> bool | None:

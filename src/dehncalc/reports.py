@@ -18,6 +18,8 @@ from enum import Enum
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
+from .value import Value
+
 SCHEMA_VERSION = "1"
 
 FORMATS = ("json", "tsv")
@@ -43,22 +45,14 @@ STATUS_WORDS = {status: status.value for status in Status}
 _PASS, _FAIL, _UNSURE = Status.PASS, Status.FAIL, Status.INDETERMINATE
 
 
-class Report:
-    """One command's outcome: echo, overall status, and result rows.
-
-    Immutable; a plain class rather than a dataclass, so that the CLI
-    core loads no dataclasses module at start-up."""
+class Report(Value):
+    """One command's outcome: echo, overall status, and result rows."""
 
     def __init__(self, command: str, status: Status,
                  results: tuple[dict, ...]) -> None:
         if not isinstance(status, Status):
             raise TypeError(f"report status must be a Status, got {status!r}")
         self.__dict__.update(command=command, status=status, results=results)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Report is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
 
 def combine_status(statuses) -> Status:
@@ -99,6 +93,9 @@ class RowWriter:
     def __init__(self, command: str, fmt: str, columns: tuple[str, ...]) -> None:
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}")
+        for name in columns:
+            if not isinstance(name, str):
+                raise ValueError(f"column name not representable: {name!r}")
         self.command, self.fmt, self.columns = command, fmt, columns
         self.status, self.rows, self._fill = _PASS, [], None
         self._width, self._tabs = len(columns), max(len(columns) - 1, 0)
@@ -156,9 +153,9 @@ def emit_report(report: RowWriter | Report, fmt: str) -> str:
     """Render a report as JSON or TSV text (newline-terminated).
 
     JSON is byte for byte json.dumps(payload, sort_keys=True, indent=2).
-    Rows are flat records of str, int, bool and None; any other value,
-    and a tab or newline in a TSV cell, raises ValueError.  The rows'
-    text is copied once, by one join."""
+    Rows are flat records of str, int, bool and None under str keys; any
+    other key or value, and a tab or newline in a TSV cell, raises
+    ValueError.  The rows' text is copied once, by one join."""
     if isinstance(report, Report):
         report = _written(report, fmt)
     elif report.fmt != fmt:

@@ -12,16 +12,14 @@ import re
 import sys
 from math import gcd
 
+from .value import Value
+
 # A decimal integer as int() reads it: digits, maybe grouped by single "_".
 _DECIMAL = re.compile(r"([+-]?)(\d+(?:_\d+)*)")
 
 
-class Slope:
-    """A slope p/q, stored in lowest terms with q >= 0 (and p = 1 when q = 0).
-
-    Immutable, and equal only to a Slope with the same p and q.  A plain
-    class rather than a dataclass, so that the CLI core loads no
-    dataclasses module at start-up."""
+class Slope(Value):
+    """A slope p/q, stored in lowest terms with q >= 0 (and p = 1 when q = 0)."""
 
     def __init__(self, p: int, q: int = 1) -> None:
         if p == 0 and q == 0:
@@ -36,22 +34,6 @@ class Slope:
         fields = self.__dict__
         fields["p"] = p
         fields["q"] = q
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"Slope is immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is Slope:
-            return self.p == other.p and self.q == other.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
-    def __repr__(self) -> str:
-        return f"Slope(p={self.p!r}, q={self.q!r})"
 
     @property
     def is_infinite(self) -> bool:

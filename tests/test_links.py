@@ -87,6 +87,17 @@ def test_link_connected_sum():
     assert nested.summands == (two_bridge(3, 1), two_bridge(3, 1), two_bridge(4, 1))
 
 
+def test_conn_sum_link_built_directly_is_normalised():
+    a, b, c = TwoBridge(3, 1), TwoBridge(5, 2), TwoBridge(7, 3)
+    s = ConnSumLink((c, Unknot(), ConnSumLink((b, a)), Unknot()))
+    assert s.summands == (a, b, c)
+    assert s == link_connected_sum(a, b, c)
+    assert str(s) == "b(3/1) + b(5/2) + b(7/2)"
+    for parts in ((), (a,), (Unknot(), a, Unknot())):
+        with pytest.raises(IllFormedClaimError, match="ConnSumLink needs >= 2"):
+            ConnSumLink(parts)
+
+
 def test_link_determinant_two_bridge():
     for p in range(2, 40):
         for q in range(1, p):

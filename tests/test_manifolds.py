@@ -42,6 +42,13 @@ def test_lens_parameter_orbit():
     assert lens_parameter_orbit(2, 1) == (1,)
 
 
+def test_lens_parameter_orbit_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="orbit needs p >= 2"):
+        lens_parameter_orbit(1, 1)
+    with pytest.raises(ValueError, match=r"gcd\(6, 4\) != 1"):
+        lens_parameter_orbit(6, 10)
+
+
 def test_lens_laws_exhaustive_small():
     for p in range(2, 31):
         for q in range(1, p):
@@ -117,6 +124,17 @@ def test_sfs_s2_normalization():
         SfsS2(0, ((2, 1), (3, 1)))
 
 
+def test_sfs_s2_fiber_rewrites_and_rejections():
+    # A negative alpha flips both signs, and an alpha of 1 folds into e.
+    m = SfsS2(0, ((-2, 1), (3, 1), (5, 2), (1, 4)))  # 1/-2 = -1 + 1/2
+    assert (m.e, m.fibers) == (3, ((2, 1), (3, 1), (5, 2)))
+    assert m == SfsS2(3, ((5, 2), (2, 1), (3, 1)))
+    with pytest.raises(IllFormedClaimError, match="alpha = 0"):
+        SfsS2(0, ((2, 1), (0, 1), (3, 1), (5, 1)))
+    with pytest.raises(IllFormedClaimError, match=r"fiber \(4,2\) needs gcd = 1"):
+        SfsS2(0, ((2, 1), (3, 1), (4, 6)))
+
+
 def test_sfs_s2_toroidal():
     # e0 = 0 over a hyperbolic triple: H2 x R, atoroidal.
     assert not SfsS2(-1, ((5, 1), (5, 1), (5, 3))).toroidal
@@ -186,6 +204,16 @@ def test_connected_sum_normalization():
     assert nested.summands == (a, a, b)
     with pytest.raises(IllFormedClaimError):
         ConnSum((a,))
+
+
+def test_conn_sum_built_directly_is_normalised():
+    a, b, c = Lens(2, 1), Lens(3, 1), Lens(5, 2)
+    m = ConnSum((c, S3(), ConnSum((b, a)), S3()))
+    assert m.summands == (a, b, c)
+    assert m == connected_sum(a, b, c)
+    assert str(m) == "L(2,1) # L(3,1) # L(5,2)"
+    with pytest.raises(IllFormedClaimError, match="ConnSum needs >= 2"):
+        ConnSum((S3(), a, S3()))
 
 
 def test_torus_union_sorted_equality():

@@ -119,6 +119,21 @@ def test_tsv_names_a_tab_or_newline_in_a_column_name(bad):
         _reference_json(Report("cmd", Status.PASS, ({bad: 1},)))
 
 
+@pytest.mark.parametrize("bad", [1, None, ("a",)])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_column_name_that_is_not_a_str_is_named(bad, fmt):
+    with pytest.raises(ValueError) as err:
+        emit_report(Report("c", Status.PASS, ({"a": 1, bad: "x"},)), fmt)
+    assert str(err.value) == f"column name not representable: {bad!r}"
+    with pytest.raises(ValueError) as err:
+        RowWriter("c", fmt, ("a", bad))
+    assert str(err.value) == f"column name not representable: {bad!r}"
+    # A str subclass is a str, as json.dumps takes it.
+    name = _Text("b")
+    assert emit_report(Report("c", Status.PASS, ({name: 1},)), fmt) == \
+        emit_report(Report("c", Status.PASS, ({"b": 1},)), fmt)
+
+
 def test_report_checks_its_status_and_is_immutable():
     rows = ({"a": 1},)
     report = Report("cmd", Status.FAIL, rows)

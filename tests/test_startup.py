@@ -19,7 +19,8 @@ _CHILD = ("import sys\n"
           "code = main(sys.argv[1:])\n"
           "print(code, *sorted(sys.modules))\n")
 
-_BASE = {"dehncalc", "dehncalc.cli", "dehncalc.reports", "dehncalc.slopes"}
+_BASE = {"dehncalc", "dehncalc.cli", "dehncalc.reports", "dehncalc.slopes",
+         "dehncalc.value"}
 
 
 def _all_loaded(argv: list[str]) -> tuple[int, set[str]]:
@@ -46,6 +47,24 @@ def _loaded(argv: list[str]) -> tuple[int, set[str]]:
 ], ids=["help", "usage-error", "distance"])
 def test_cheap_entries_load_only_the_cli_core(argv, code):
     assert _loaded(argv) == (code, _BASE)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["distance"],
+    ["distance", "1/2", "3/4"],
+    ["classify", "L(6,5) # S2(2,2,3)"],
+    ["cover", "b(3/1) + mont(-1; 1/2, 1/3, 1/5)"],
+    ["cable", "--s", "1", "--t", "2", "--gamma", "0", "3"],
+    ["family-list"],
+    ["family-fill", "cyclic", "--p", "2", "--q", "4", "0"],
+    ["family-verify", "octahedral", "--p", "3..5"],
+    ["family-sweep", "dihedral", "--p", "3..4", "--q", "3..4"],
+    ["oracle", "b(7/3)", "mont(-1; 1/2, 1/3, 1/5)", "b(3/1) + b(4/1)"],
+], ids=["help", "usage-error", "distance", "classify", "cover", "cable",
+        "family-list", "family-fill", "family-verify", "family-sweep",
+        "oracle"])
+def test_no_verb_loads_dataclasses(argv):
     # dataclasses alone would import inspect, ast and dis.
     _, modules = _all_loaded(argv)
     assert not modules & {"dataclasses", "inspect"}
