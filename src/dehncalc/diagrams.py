@@ -7,9 +7,11 @@ next dart of the same crossing is arithmetic: rho(d) = d - d % 4 +
 (d + 1) % 4.  An involution ``pairing`` joins darts into edges.  Faces
 are recovered purely combinatorially as orbits of rho composed with the
 pairing, so nothing here trusts the tangle calculus: the standard
-diagrams are rebuilt from continued fractions crossing by crossing,
-checkerboard colored, and fed through the Goeritz matrix to an exact
-integer determinant.
+diagrams are rebuilt from continued fractions crossing by crossing and
+checkerboard colored.  Their Goeritz matrix is the Laplacian of the
+white-face (Tait) graph, so its first minor is a weighted spanning-tree
+sum, folded over leaves, series and parallel edges in exact integers;
+only what does not fold reaches an exact integer elimination.
 
 Conventions (pinned by the b(p, q) determinant suite):
   * the strand through NE and SW (darts 4k and 4k+2) is the overstrand
@@ -21,7 +23,7 @@ Conventions (pinned by the b(p, q) determinant suite):
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from .cover import double_branched_cover
 from .links import ConnSumLink, Link, MontesinosLink, TwoBridge, montesinos
@@ -241,27 +243,103 @@ def exact_determinant(rows: SparseRows) -> int:
     return sign * piv[-1]
 
 
+def spanning_tree_sum(g: list[dict[int, int]]) -> int:
+    """The first minor of a symmetric matrix with zero row sums, given as
+    rows {column: value}; ``g`` is consumed.
+
+    Such a matrix is the Laplacian of the graph on its rows with an edge
+    of weight -g[i][j] between i and j, so every first minor is the sum
+    over spanning trees T of the product of their weights (Kirchhoff).
+    Each edge carries an integer pair (t, f), the conductance t / f,
+    which starts as (-g[i][j], 1), and the sum is kept as factor * S,
+    S being the sum over spanning trees T of prod(t, e in T) *
+    prod(f, e not in T).  Vertices of degree at most 2 fold away:
+      * a leaf's edge is in every tree, so the factor takes its t;
+      * a vertex on edges (ta, fa) and (tb, fb) becomes one edge
+        (ta * tb, ta * fb + fa * tb) between its neighbours, which merges
+        with an edge (td, fd) already there as (t * fd + f * td, f * fd);
+      * a vertex left with no edge while others remain means no tree,
+        so 0.
+    A series step whose f would be 0 is skipped.  What is left when more
+    than one vertex is, a core of vertices of degree 3 or more and of
+    skipped series steps (standard 2-bridge and Montesinos diagrams leave
+    none), goes to ``exact_determinant``: its Laplacian in conductances,
+    each row scaled to integers by the product of its edges' f, with the
+    row and column of the vertex with the most edges deleted.  S is that
+    determinant times the deleted row's scale over the product of every
+    core edge's f, an exact division.
+
+    An edge is stored as the entry g[i][j] itself until a fold replaces
+    it by its pair, which saves building a pair for every entry.
+    """
+    for i, row in enumerate(g):
+        row.pop(i, None)
+    factor, left = 1, len(g)
+    work = [*range(left)]
+    while left > 1 and work:
+        v = work.pop()
+        nbrs = g[v]
+        if nbrs is None or len(nbrs) > 2:
+            continue
+        if len(nbrs) == 2:
+            (a, ea), (b, eb) = nbrs.items()
+            ta, fa = ea if type(ea) is tuple else (-ea, 1)
+            tb, fb = eb if type(eb) is tuple else (-eb, 1)
+            f = ta * fb + fa * tb
+            if not f:
+                continue
+            t = ta * tb
+            ra, rb = g[a], g[b]
+            del ra[v], rb[v]
+            d = ra.get(b)
+            if d is not None:
+                td, fd = d if type(d) is tuple else (-d, 1)
+                t, f = t * fd + f * td, f * fd
+            ra[b] = rb[a] = (t, f)
+            if len(ra) <= 2:
+                work.append(a)
+            if len(rb) <= 2:
+                work.append(b)
+        elif nbrs:
+            (u, e), = nbrs.items()
+            factor *= e[0] if type(e) is tuple else -e
+            ru = g[u]
+            del ru[v]
+            if len(ru) <= 2:
+                work.append(u)
+        else:
+            return 0
+        g[v] = None
+        left -= 1
+    rows = []
+    root_scale = edges_f = 1
+    if left > 1:
+        core = [i for i, nbrs in enumerate(g) if nbrs is not None]
+        root = max(core, key=lambda i: len(g[i]))
+        index = {i: k for k, i in enumerate(i for i in core if i != root)}
+        for i in core:
+            pairs = [(j, e if type(e) is tuple else (-e, 1))
+                     for j, e in g[i].items()]
+            edges_f *= prod(f for j, (_, f) in pairs if j > i)
+            scale = prod(f for _, (_, f) in pairs)
+            if i == root:
+                root_scale = scale
+                continue
+            row = [(index[i], sum(t * scale // f for _, (t, f) in pairs))]
+            row += [(index[j], -t * scale // f)
+                    for j, (t, f) in pairs if j != root]
+            rows.append(row)
+    return factor * exact_determinant(rows) * root_scale // edges_f
+
+
 def goeritz_determinant(m: CombinatorialMap) -> int:
     """|det| of the Goeritz matrix with one row and column deleted.
 
     The matrix is symmetric with zero row sums, so every first minor has
-    the same |det|.  The deleted face is the one with the most nonzeros
-    (the lowest index on ties): that hub row would otherwise take part in
-    every elimination step next to it and fill in the most.  The last face
-    takes the hub's slot, so only the rows next to either face change.
+    the same |det|: a sum over spanning trees of the white-face (Tait)
+    graph, which ``spanning_tree_sum`` folds in exact integers.
     """
-    g = goeritz_matrix(m)
-    hub = max(range(len(g)), key=lambda i: len(g[i]))
-    last = len(g) - 1
-    for i in g[hub]:
-        if i != hub:
-            del g[i][hub]
-    if hub != last:
-        for i in [*g[last]]:  # a copy: row last changes at i == last
-            g[i][hub] = g[i].pop(last)
-        g[hub] = g[last]
-    g.pop()
-    return abs(exact_determinant([row.items() for row in g]))
+    return abs(spanning_tree_sum(goeritz_matrix(m)))
 
 
 # ---------------------------------------------------------------------------

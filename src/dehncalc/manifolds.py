@@ -626,8 +626,12 @@ def manifold_compare(m1: Manifold, m2: Manifold) -> Comparison:
     if m1.rigid and m2.rigid:
         # A rigid normal form is complete up to mirror image, and a sum is
         # its oriented prime summands up to one global orientation
-        # (Kneser-Milnor), so its mirror flips every summand at once.
-        return _EQUAL if m2 == m1 or m2 == m1.mirror() else _DISTINCT
+        # (Kneser-Milnor), so its mirror flips every summand at once.  A
+        # normal form that forgets orientation is its own mirror.
+        if m2 == m1:
+            return _EQUAL
+        mirror = m1.mirror()
+        return _EQUAL if mirror is not m1 and m2 == mirror else _DISTINCT
     if m1 == m2:
         # Identical partial descriptions may still denote different manifolds.
         return _UNSURE

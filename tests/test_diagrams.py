@@ -1,7 +1,10 @@
 import copy
 import pickle
 import random
+from contextlib import contextmanager
+from itertools import combinations
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +16,7 @@ from dehncalc.diagrams import (CombinatorialMap, OracleReport,
                                exact_determinant, faces, goeritz_determinant,
                                goeritz_matrix, montesinos_diagram,
                                oracle_cross_check, random_montesinos,
-                               two_bridge_diagram)
+                               spanning_tree_sum, two_bridge_diagram)
 from dehncalc.links import (Unknot, link_connected_sum, link_determinant,
                             montesinos, two_bridge)
 from dehncalc.manifolds import Lens, connected_sum
@@ -58,14 +61,14 @@ def _dense(rows: list[dict[int, int]]) -> list[list[int]]:
     return out
 
 
-def _reference_checkerboard(m: CombinatorialMap):
+def _reference_checkerboard(m: CombinatorialMap, larger: bool = False):
     """The face-search colouring, the reference for ``checkerboard``.
 
     Faces come from ``faces``, colours from a search over the faces from
     face 0 (a face it never reaches keeps colour 0), and white is the
-    smaller class, ties going to face 0's.  Returns the face colours, the
-    white faces and one (wi, wj, eta) incidence per crossing, wi and wj
-    indexing the white faces.
+    smaller class, ties going to face 0's, or with ``larger`` the other
+    class.  Returns the face colours, the white faces and one (wi, wj,
+    eta) incidence per crossing, wi and wj indexing the white faces.
     """
     face_list = faces(m)
     face_of = [0] * len(m.pairing)
@@ -86,7 +89,7 @@ def _reference_checkerboard(m: CombinatorialMap):
             elif colors[j] != other:
                 raise ValueError("diagram faces are not checkerboard colorable")
     colors = [c if c >= 0 else 0 for c in colors]
-    white_color = 0 if colors.count(0) <= colors.count(1) else 1
+    white_color = (colors.count(0) > colors.count(1)) ^ larger
     white = [i for i, c in enumerate(colors) if c == white_color]
     white_index = {f: k for k, f in enumerate(white)}
     incidences = []
@@ -101,10 +104,11 @@ def _reference_checkerboard(m: CombinatorialMap):
     return colors, white, incidences
 
 
-def _reference_goeritz(m: CombinatorialMap) -> list[list[tuple[int, int]]]:
+def _reference_goeritz(m: CombinatorialMap, larger: bool = False
+                       ) -> list[list[tuple[int, int]]]:
     """The Goeritz matrix as lists of (column, value) pairs, built from the
     reference incidences, the reference for ``goeritz_matrix``."""
-    _, white, incidences = _reference_checkerboard(m)
+    _, white, incidences = _reference_checkerboard(m, larger)
     g: list[dict[int, int]] = [{} for _ in white]
     for wi, wj, eta in incidences:
         if wi != wj:
@@ -491,6 +495,181 @@ def test_hub_deleted_determinant_matches_dense_face_zero_minor():
         minor = [row[1:] for row in g[1:]]
         assert goeritz_determinant(diagram) == \
             abs(_bareiss_determinant(minor))
+
+
+_WEIGHTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+@st.composite
+def _tree_sum_graphs(draw) -> list[dict[int, int]]:
+    """Laplacian rows {column: value} of a signed weighted multigraph.
+
+    It starts from a K4, K5 or wheel core, which no leaf, series or
+    parallel step reduces, or from one vertex.  Then it hangs leaves,
+    splits edges in two, doubles edges and adds edges at random; a split
+    or a double may give the new edge the opposite weight, which makes a
+    series f of 0 or a parallel t of 0.  Parallel edges add up into one
+    entry, kept when it is 0.  A quarter of the graphs get a second
+    component, whose first minors are 0.
+    """
+    core = draw(st.sampled_from(("vertex", "K4", "K5", "wheel")))
+    if core == "wheel":
+        k = draw(st.integers(3, 6))
+        n = k + 1
+        pairs = [(0, i) for i in range(1, n)] + \
+            [(i, i % k + 1) for i in range(1, n)]
+    else:
+        n = {"vertex": 1, "K4": 4, "K5": 5}[core]
+        pairs = list(combinations(range(n), 2))
+    edges = [(i, j, draw(_WEIGHTS)) for i, j in pairs]
+    for _ in range(draw(st.integers(0, 12))):
+        step = draw(st.sampled_from(("leaf", "split", "double", "edge")))
+        w = draw(_WEIGHTS)
+        if step == "leaf" or not edges:
+            edges.append((draw(st.integers(0, n - 1)), n, w))
+            n += 1
+        elif step == "split":
+            i, j, x = edges.pop(draw(st.integers(0, len(edges) - 1)))
+            edges += [(i, n, x), (n, j, draw(st.sampled_from((w, -x))))]
+            n += 1
+        elif step == "double":
+            i, j, x = draw(st.sampled_from(edges))
+            edges.append((i, j, draw(st.sampled_from((w, -x)))))
+        else:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            edges.append((i, j, w))
+    if draw(st.integers(0, 3)) == 0:
+        size = draw(st.integers(1, 3))
+        edges += [(i, i + 1, draw(_WEIGHTS)) for i in range(n, n + size - 1)]
+        n += size
+    g: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, j, w in edges:
+        for a, b in ((i, j), (j, i)):
+            g[a][b] = g[a].get(b, 0) - w
+            g[a][a] = g[a].get(a, 0) + w
+    return g
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_tree_sum_graphs())
+# A path of edges 2, 2 beside an edge -1: a parallel t of 0.
+@example([{0: 1, 1: -2, 2: 1}, {0: -2, 1: 4, 2: -2}, {0: 1, 1: -2, 2: 1}])
+# A K4 with a path of edges 1, -1 beside one of its edges: a series f
+# of 0 left in the core.
+@example([{0: 4, 1: -1, 2: -1, 3: -1, 4: -1},
+          {0: -1, 1: 3, 2: -1, 3: -1},
+          {0: -1, 1: -1, 2: 3, 3: -1},
+          {0: -1, 1: -1, 2: -1, 3: 2, 4: 1},
+          {0: -1, 3: 1, 4: 0}])
+# Folds that merge onto an edge that is itself a fold: fd is not 1.
+@example([{0: 0, 1: 1, 2: -1}, {0: 1, 1: -1, 3: 1, 4: -1},
+          {0: -1, 2: 1, 3: 1, 4: -1}, {1: 1, 2: 1, 3: -2},
+          {1: -1, 2: -1, 4: 2}])
+def test_spanning_tree_sum_matches_bareiss(g):
+    """The fold against the dense Bareiss determinant of the first minor
+    that deletes row and column 0, sign included."""
+    minor = [[row.get(j, 0) for j in range(1, len(g))] for row in g[1:]]
+    assert spanning_tree_sum([dict(row) for row in g]) == \
+        _bareiss_determinant(minor)
+
+
+@contextmanager
+def _recorded_cores():
+    """A list of the rows that each ``exact_determinant`` call in the
+    block receives."""
+    cores = []
+
+    def record(rows):
+        cores.append(rows)
+        return exact_determinant(rows)
+
+    with mock.patch.object(diagrams, "exact_determinant", record):
+        yield cores
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(_links(), min_size=1, max_size=3))
+def test_standard_diagrams_fold_to_an_empty_core(parts):
+    """The Tait graphs of standard 2-bridge and Montesinos diagrams are
+    series-parallel, so the fold leaves ``exact_determinant`` nothing,
+    in every part of a sum too."""
+    with _recorded_cores() as cores:
+        report = oracle_cross_check(link_connected_sum(*parts))
+    assert report.match
+    assert cores == [[]] * len(parts)
+
+
+def _finger(m: CombinatorialMap, a: int, b: int) -> CombinatorialMap:
+    """A Reidemeister II move: the edge at dart a pushed over the edge at
+    dart b across the face on the right of both (a and b lie in one face
+    orbit), which adds two crossings and a bigon face between them.
+    Each new crossing has darts E, N, W, S counterclockwise, the old
+    edge b running E to W and the finger N to S over it."""
+    pairing = [*m.pairing, *[0] * 8]
+    p, q = len(m.pairing), len(m.pairing) + 4
+
+    def join(x, y):
+        pairing[x], pairing[y] = y, x
+
+    end_a, end_b = m.pairing[a], m.pairing[b]
+    join(a, p + 1)
+    join(p + 3, q + 3)
+    join(q + 1, end_a)
+    join(b, q)
+    join(q + 2, p)
+    join(p + 2, end_b)
+    return CombinatorialMap([*m.crossings, 1, 1], pairing)
+
+
+# The 2-crossing unknot: a circle's arc pushed over another of its arcs.
+_RII_UNKNOT = CombinatorialMap([1, 1], [6, 2, 1, 7, 5, 4, 0, 3])
+
+
+@pytest.mark.parametrize("base, moves, det, core", [
+    (_RII_UNKNOT, (), 1, False),
+    # The two new crossings join one pair of white faces with opposite
+    # signs, and nothing else joins them: goeritz_matrix drops a 0 entry.
+    (_RII_UNKNOT, ((1, 4),), 1, False),
+    # In the larger class a fold merges two opposite edges: t = 0.
+    (_RII_UNKNOT, ((1, 3), (1, 4)), 1, False),
+    # In the larger class a bigon's series f is 0 and stays in the core.
+    (_RII_UNKNOT, ((1, 4), (1, 6)), 1, True),
+    # A trefoil with one bigon, in one of its bigons and in a triangle.
+    (two_bridge_diagram(3, 1), ((0, 6),), 3, False),
+    (two_bridge_diagram(3, 1), ((1, 9),), 3, False),
+    (two_bridge_diagram(3, 1), ((1, 5), (15, 6)), 3, False),
+    (two_bridge_diagram(3, 1), ((1, 9), (14, 5)), 3, True),
+], ids=["unknot", "unknot-cancel", "unknot-t0", "unknot-core", "trefoil",
+        "trefoil-triangle", "trefoil-cancel", "trefoil-core"])
+def test_reidemeister_two_bigons(base, moves, det, core):
+    """Hand-built bigon maps keep their determinant through the Goeritz
+    matrix of either colour class."""
+    m = base
+    for a, b in moves:
+        m = _finger(m, a, b)
+    m.validate()
+    rows = goeritz_matrix(m)
+    assert all(all(row.values()) for row in rows)
+    assert rows == [dict(row) for row in _reference_goeritz(m)]
+    assert goeritz_determinant(m) == det
+    with _recorded_cores() as cores:
+        for larger in (False, True):
+            g = [dict(row) for row in _reference_goeritz(m, larger)]
+            assert abs(spanning_tree_sum(g)) == det
+    assert any(cores) == core
+
+
+def test_reidemeister_two_bigon_cancels_a_goeritz_entry():
+    """The map behind "unknot-cancel": its two crossings join one pair of
+    white faces with opposite signs, and no other crossing joins them."""
+    m = _finger(_RII_UNKNOT, 1, 4)
+    totals: dict[tuple[int, int], int] = {}
+    for wi, wj, eta in _reference_checkerboard(m)[2]:
+        if wi != wj:
+            pair = (min(wi, wj), max(wi, wj))
+            totals[pair] = totals.get(pair, 0) + eta
+    assert 0 in totals.values()
 
 
 def test_two_bridge_determinant_law():

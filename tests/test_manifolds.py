@@ -390,6 +390,21 @@ def test_compare_rigid_classes():
         Comparison.DISTINCT
 
 
+def test_compare_rigid_self_mirror_compares_once(monkeypatch):
+    """A lens space is its own mirror, so a DISTINCT pair needs one
+    equality test, not a second one against the same mirror."""
+    calls = []
+    eq = Lens.__eq__
+
+    def counted(self, other):
+        calls.append((str(self), str(other)))
+        return eq(self, other)
+
+    monkeypatch.setattr(Lens, "__eq__", counted)
+    assert manifold_compare(Lens(7, 1), Lens(7, 2)) is Comparison.DISTINCT
+    assert calls == [("L(7,2)", "L(7,1)")]
+
+
 def test_compare_sums():
     s1 = connected_sum(Lens(2, 1), Lens(3, 1))
     s2 = connected_sum(Lens(3, 1), Lens(2, 1))
