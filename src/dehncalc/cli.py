@@ -77,9 +77,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _family_points(args) -> tuple:
-    """The family named on argv, its claim at the slope argument (None
-    for verbs without one) and its --p/--q ranges, which hold at least
-    one in-domain point.
+    """The family named on argv, the position of its claim at the slope
+    argument (None for verbs without one) and its --p/--q ranges, which
+    hold at least one in-domain point.
 
     Faults are reported in this order: the family, its parameter
     options, the slope, and last a grid with no in-domain point.
@@ -95,10 +95,10 @@ def _family_points(args) -> tuple:
             ranges[name] = _parse_range(value)
         elif value is not None:
             raise _UsageError(f"family {spec.name} takes no parameter {name}")
-    claim = spec.claim_at(parse_slope(args.slope)) if "slope" in args else None
+    slot = spec.slot(parse_slope(args.slope)) if "slope" in args else None
     if next(families.grid_points(spec, ranges), None) is None:
         raise _UsageError("no in-domain parameter points in the given ranges")
-    return spec, claim, ranges
+    return spec, slot, ranges
 
 
 def _params_text(spec):
@@ -164,12 +164,13 @@ def _cmd_family_list(args, new_report) -> RowWriter:
 
 
 def _cmd_family_fill(args, new_report) -> RowWriter:
-    spec, claim, ranges = _family_points(args)
+    spec, slot, ranges = _family_points(args)
+    claim, build = spec.claims[slot], spec.builders[slot]
     slope, params_text = format_slope(claim.slope), _params_text(spec)
     report = new_report(("family", "params", "slope", "formula", "manifold"))
     for params in _lib("families").grid_points(spec, ranges):
         report.add((spec.name, params_text(params), slope, claim.formula,
-                    str(claim.build(**params))))
+                    str(build(**params))))
     return report
 
 

@@ -7,17 +7,40 @@ finite-type classifications, and provable distinctness of selected
 pairs.  Checks never assume what they are supposed to establish; they
 run the catalog's classifiers on the built manifolds and report a
 three-valued outcome.
+
+A claim is stated once, as the formula that ``family-fill`` prints; its
+table reads it into the one function that makes the constructor calls
+it names.  The grammar is the manifold grammar of ``parsing`` on the
+atoms the tables use, with each integer argument arithmetic in the
+family's parameters (one letter each), a product written by
+juxtaposition ("3p", "2pq", "(3p+2)q"):
+
+  formula := atom ('#' atom)*
+  atom    := 'S1xS2' | 'ZxS1' | 'ST' | 'tag' '(' label ')'
+           | ('L' | 'C') '(' num ',' num ')'
+           | ('S2' | 'D2') '(' num (',' num)* ')'
+           | 'U' '[' formula (',' formula)* ']'
+  num     := term (('+' | '-') term)*
+  term    := '-'? factor (param | '(' num ')')*
+  factor  := digits | param | '(' num ')' | '|' num '|'
+
+Whitespace between tokens is insignificant.  A claim whose formula
+reads no parameter is built once per family, when its table is made.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from collections.abc import Callable, Iterator
 
-from .manifolds import (BASE_D2, BASE_S2, CableSpace, FiniteType,
-                        Comparison, IllFormedClaimError, Manifold, OpaqueTag,
-                        S1xS2, TAG_TOROIDAL, TAG_TOROIDAL_IRREDUCIBLE, ZxS1,
-                        classify_finite_type, connected_sum,
-                        lens_space, manifold_compare, sfs_orders, torus_union)
+# The constructors a claim formula names are read from this module's
+# namespace when its function runs, so rebinding one here is seen.
+from .manifolds import (CableSpace, FiniteType, Comparison,
+                        IllFormedClaimError, Manifold, OpaqueTag, S1xS2,
+                        SolidTorus, ZxS1, classify_finite_type,
+                        connected_sum, lens_space, manifold_compare,
+                        sfs_orders, torus_union)
 from .reports import STATUS_WORDS, Status, combine_status
 from .slopes import INFINITY, Slope, distance, format_slope
 from .value import Value
@@ -28,11 +51,11 @@ class DomainError(ValueError):
 
 
 class Claim(Value):
-    """One slope of a family: the filled manifold in closed form."""
+    """One slope of a family: the filled manifold, as formula text in the
+    grammar of this module, which the family's table reads."""
 
-    def __init__(self, slope: Slope, formula: str,
-                 build: Callable[..., Manifold]) -> None:
-        self.__dict__.update(slope=slope, formula=formula, build=build)
+    def __init__(self, slope: Slope, formula: str) -> None:
+        self.__dict__.update(slope=slope, formula=formula)
 
 
 class Check(Value):
@@ -67,11 +90,13 @@ class Edge(Value):
 class FamilySpec(Value):
     """A family's claim table, compiled once when it is made.
 
-    A claim whose builder names no parameter (``lambda **_: S1xS2()``, or
-    ``lambda: ...`` in a family without parameters) is built here, once,
-    unless building it raises; then every point builds it.  Every check
-    that reads only claims built here is settled here too, as a distance
-    check, which reads none, always is.
+    Each claim's formula is read into ``builders[i]``, a function of the
+    parameters by name; a formula outside the grammar, a parameter not in
+    ``param_names`` or trailing text raises ``ValueError`` here.  A claim
+    whose formula reads no parameter is built here, once, unless building
+    it raises; then every point builds it.  Every check that reads only
+    claims built here is settled here too, as a distance check, which
+    reads none, always is.
     """
 
     def __init__(self, name: str, description: str,
@@ -85,23 +110,134 @@ class FamilySpec(Value):
                       param_names=param_names, domain_doc=domain_doc,
                       in_domain=in_domain, claims=claims, checks=checks,
                       designated_pair=designated_pair, edges=edges)
-        # Not fields: the fillings built once (None where each point builds
-        # its own), and the checks compiled into (when, run, args) triples,
-        # which are data, so equal tables compile to equal plans; see
-        # _compile_check.
-        fields["built"] = tuple(map(_built_once, claims))
+        # Not fields: each claim's builder, the fillings built once (None
+        # where each point builds its own), and the checks compiled into
+        # (when, run, args) triples, which are data, so equal tables
+        # compile to equal plans; see _compile_check.
+        compiled = [_builder(c.formula, param_names) for c in claims]
+        fields["builders"] = tuple(build for build, _ in compiled)
+        fields["built"] = tuple(None if reads else _built_once(build)
+                                for build, reads in compiled)
         fields["plan"] = tuple((check.when, *_compile_check(self, check))
                                for check in checks)
 
-    def claim_at(self, r: Slope) -> Claim:
-        for c in self.claims:
+    def slot(self, r: Slope) -> int:
+        """The position of the claim at slope r in ``claims``,
+        ``builders`` and ``built``."""
+        for i, c in enumerate(self.claims):
             if c.slope == r:
-                return c
+                return i
         slopes = ", ".join(format_slope(c.slope) for c in self.claims)
         raise ValueError(
             f"family {self.name} has no claim at slope {format_slope(r)} "
             f"(claimed slopes: {slopes})"
         )
+
+
+# A formula token: a multi-letter atom, a tag with its label, digits, or
+# any other one non-space character.
+_FORMULA_TOKEN = re.compile(
+    r"S1xS2|ZxS1|ST|S2|D2|tag\([A-Za-z][A-Za-z0-9_-]*\)|[0-9]+|\S")
+_FIXED_ATOMS = {"S1xS2": "S1xS2()", "ZxS1": "ZxS1()", "ST": "SolidTorus()"}
+
+
+class _FormulaReader:
+    """Reads a claim formula, by recursive descent, into the text of one
+    Python expression that calls the constructors; ``reads`` records
+    whether it names a parameter."""
+
+    def __init__(self, formula: str, names: tuple[str, ...]) -> None:
+        self.formula, self.names, self.reads = formula, names, False
+        self.tokens, self.i = _FORMULA_TOKEN.findall(formula) + [""], 0
+
+    def error(self, message: str) -> ValueError:
+        return ValueError(f"claim formula {self.formula!r}: {message}")
+
+    def take(self, expected: str | None = None) -> str:
+        token = self.tokens[self.i]
+        if not token or expected not in (None, token):
+            got = repr(token) if token else "the end"
+            raise self.error(f"expected {expected or 'more'}, got {got}")
+        self.i += 1
+        return token
+
+    def separated(self, read, sep: str) -> list[str]:
+        """read (sep read)*"""
+        items = [read()]
+        while self.tokens[self.i] == sep:
+            self.i += 1
+            items.append(read())
+        return items
+
+    def manifold(self) -> str:
+        parts = self.separated(self.atom, "#")
+        return parts[0] if len(parts) == 1 else f"connected_sum({', '.join(parts)})"
+
+    def atom(self) -> str:
+        head = self.take()
+        if head in _FIXED_ATOMS:
+            return _FIXED_ATOMS[head]
+        if head.startswith("tag("):
+            return f"OpaqueTag({head[4:-1]!r})"
+        if head not in ("U", "S2", "D2", "L", "C"):
+            raise self.error(f"unknown atom {head!r}")
+        self.take("[" if head == "U" else "(")
+        args = self.separated(self.manifold if head == "U" else self.number, ",")
+        self.take("]" if head == "U" else ")")
+        if head == "U":
+            return f"torus_union({', '.join(args)})"
+        if head in ("S2", "D2"):
+            return f"sfs_orders({head!r}, ({', '.join(args)},))"
+        if len(args) != 2:
+            raise self.error(f"{head} takes two arguments")
+        return f"{'lens_space' if head == 'L' else 'CableSpace'}({', '.join(args)})"
+
+    def number(self) -> str:
+        text = self.term()
+        while self.tokens[self.i] in ("+", "-"):
+            text += f" {self.take()} {self.term()}"
+        return text
+
+    def term(self) -> str:
+        text = "-" if self.tokens[self.i] == "-" else ""
+        self.i += len(text)
+        text += self.factor()
+        while self.tokens[self.i] == "(" or self.tokens[self.i] in self.names:
+            text += " * " + self.factor()
+        return text
+
+    def factor(self) -> str:
+        token = self.take()
+        if token.isdecimal():
+            return str(int(token))
+        if token in self.names:
+            self.reads = True
+            return token
+        if token in ("(", "|"):
+            inner = self.number()
+            self.take(")" if token == "(" else "|")
+            return f"({inner})" if token == "(" else f"abs({inner})"
+        if token.isalpha():
+            raise self.error(f"undeclared parameter {token!r}")
+        raise self.error(f"expected an integer argument, got {token!r}")
+
+
+@functools.cache
+def _builder(formula: str,
+             names: tuple[str, ...]) -> tuple[Callable[..., Manifold], bool]:
+    """The one function that builds a claim formula's filling from the
+    parameters by name, and whether the formula reads any of them (if
+    not, the function takes no argument but ``**_``).  It is compiled in
+    this module's namespace, once per formula and names."""
+    reader = _FormulaReader(formula, names)
+    body = reader.manifold()
+    if reader.tokens[reader.i]:
+        raise reader.error(f"trailing text from {reader.tokens[reader.i]!r}")
+    signature = ", ".join(names) if reader.reads else "**_"
+    namespace: dict = {}
+    exec(compile(f"def build({signature}):\n    return {body}\n",
+                 f"<claim {formula}>", "exec"), globals(), namespace)
+    return namespace["build"], reader.reads
 
 
 class CheckResult(Value):
@@ -144,13 +280,10 @@ _UNKNOWN = FiniteType.UNKNOWN
 _DISTINCT_ANSWERS = {Comparison.DISTINCT: True, Comparison.EQUAL: False}
 
 
-def _built_once(claim: Claim) -> Manifold | None:
-    """The claim's filling, if its builder names no parameter and builds."""
-    code = getattr(claim.build, "__code__", None)
-    if code is None or code.co_argcount or code.co_kwonlyargcount:
-        return None
+def _built_once(build: Callable[[], Manifold]) -> Manifold | None:
+    """The filling of a builder that reads no parameter, if it builds."""
     try:
-        return claim.build()
+        return build()
     except Exception:  # raised again, and reported, at every point
         return None
 
@@ -207,7 +340,7 @@ def _compile_check(spec: FamilySpec, check: Check):
     whose claims were all built once; an unknown kind, or an unclaimed
     slope that a check would build, raises ``ValueError``.
     """
-    slot = lambda r: spec.claims.index(spec.claim_at(r))
+    slot = spec.slot
     kind = check.kind
     if kind == "wellformed":
         slots = tuple(i for i, m in enumerate(spec.built) if m is None)
@@ -252,13 +385,9 @@ _CYCLIC = FamilySpec(
     domain_doc="p >= 2, q >= 4",
     in_domain=lambda p, q: p >= 2 and q >= 4,
     claims=(
-        Claim(Slope(0), "L(p,1) # L(q-2,1)",
-              lambda p, q: connected_sum(lens_space(p, 1), lens_space(q - 2, 1))),
-        Claim(INFINITY, "L((3p+2)(-2q+1)+6, (3p+2)q-3)",
-              lambda p, q: lens_space((3 * p + 2) * (-2 * q + 1) + 6,
-                                      (3 * p + 2) * q - 3)),
-        Claim(Slope(-1), "tag(toroidal_irreducible_nonSFS)",
-              lambda **_: OpaqueTag(TAG_TOROIDAL_IRREDUCIBLE)),
+        Claim(Slope(0), "L(p,1) # L(q-2,1)"),
+        Claim(INFINITY, "L((3p+2)(-2q+1)+6, (3p+2)q-3)"),
+        Claim(Slope(-1), "tag(toroidal_irreducible_nonSFS)"),
     ),
     checks=(
         Check("wellformed"),
@@ -278,10 +407,8 @@ _EW_PRIOR = FamilySpec(
     domain_doc="p >= 2",
     in_domain=lambda p: p >= 2,
     claims=(
-        Claim(Slope(0), "L((p-1)(p+3)+1, p+3)",
-              lambda p: lens_space((p - 1) * (p + 3) + 1, p + 3)),
-        Claim(Slope(1, 3), "L(3,1) # L(2,1)",
-              lambda **_: connected_sum(lens_space(3, 1), lens_space(2, 1))),
+        Claim(Slope(0), "L((p-1)(p+3)+1, p+3)"),
+        Claim(Slope(1, 3), "L(3,1) # L(2,1)"),
     ),
     checks=(
         Check("wellformed"),
@@ -302,9 +429,8 @@ _BZ_W6 = FamilySpec(
     domain_doc="no parameters",
     in_domain=lambda: True,
     claims=(
-        Claim(Slope(1), "L(3,1) # L(2,1)",
-              lambda: connected_sum(lens_space(3, 1), lens_space(2, 1))),
-        Claim(INFINITY, "L(6,1)", lambda: lens_space(6, 1)),
+        Claim(Slope(1), "L(3,1) # L(2,1)"),
+        Claim(INFINITY, "L(6,1)"),
     ),
     checks=(
         Check("wellformed"),
@@ -323,11 +449,8 @@ _DIHEDRAL = FamilySpec(
     domain_doc="p >= 3, q >= 3",
     in_domain=lambda p, q: p >= 3 and q >= 3,
     claims=(
-        Claim(Slope(0), "L(p,1) # L(2q+1,1)",
-              lambda p, q: connected_sum(lens_space(p, 1),
-                                         lens_space(2 * q + 1, 1))),
-        Claim(INFINITY, "S2(2,2,2pq-p-2)",
-              lambda p, q: sfs_orders(BASE_S2, (2, 2, 2 * p * q - p - 2))),
+        Claim(Slope(0), "L(p,1) # L(2q+1,1)"),
+        Claim(INFINITY, "S2(2,2,2pq-p-2)"),
     ),
     checks=(
         Check("wellformed"),
@@ -346,14 +469,10 @@ _DIHEDRAL_AUX = FamilySpec(
     domain_doc="p >= 3",
     in_domain=lambda p: p >= 3,
     claims=(
-        Claim(INFINITY, "D2(2,p+2)",
-              lambda p: sfs_orders(BASE_D2, (2, p + 2))),
-        Claim(Slope(0), "U[C(1,2), D2(2,p)]",
-              lambda p: torus_union(CableSpace(1, 2),
-                                    sfs_orders(BASE_D2, (2, p)))),
-        Claim(Slope(1), "D2(2,p-2)",
-              lambda p: sfs_orders(BASE_D2, (2, p - 2))),
-        Claim(Slope(2), "ZxS1", lambda **_: ZxS1()),
+        Claim(INFINITY, "D2(2,p+2)"),
+        Claim(Slope(0), "U[C(1,2), D2(2,p)]"),
+        Claim(Slope(1), "D2(2,p-2)"),
+        Claim(Slope(2), "ZxS1"),
     ),
     checks=(
         Check("wellformed"),
@@ -372,12 +491,9 @@ _TETRAHEDRAL = FamilySpec(
     domain_doc="no parameters",
     in_domain=lambda: True,
     claims=(
-        Claim(Slope(0), "L(3,1) # L(3,1)",
-              lambda: connected_sum(lens_space(3, 1), lens_space(3, 1))),
-        Claim(INFINITY, "S2(2,3,3)",
-              lambda: sfs_orders(BASE_S2, (2, 3, 3))),
-        Claim(Slope(1), "S2(2,2,7)",
-              lambda: sfs_orders(BASE_S2, (2, 2, 7))),
+        Claim(Slope(0), "L(3,1) # L(3,1)"),
+        Claim(INFINITY, "S2(2,3,3)"),
+        Claim(Slope(1), "S2(2,2,7)"),
     ),
     checks=(
         Check("wellformed"),
@@ -398,11 +514,8 @@ _OCTAHEDRAL = FamilySpec(
     domain_doc="p >= 3",
     in_domain=lambda p: p >= 3,
     claims=(
-        Claim(Slope(0), "L(2,1) # S2(4,p,2p+1)",
-              lambda p: connected_sum(lens_space(2, 1),
-                                      sfs_orders(BASE_S2, (4, p, 2 * p + 1)))),
-        Claim(INFINITY, "S2(2,3,4)",
-              lambda **_: sfs_orders(BASE_S2, (2, 3, 4))),
+        Claim(Slope(0), "L(2,1) # S2(4,p,2p+1)"),
+        Claim(INFINITY, "S2(2,3,4)"),
     ),
     checks=(
         Check("wellformed"),
@@ -421,9 +534,7 @@ _OCTAHEDRAL_AUX = FamilySpec(
     domain_doc="p >= 3",
     in_domain=lambda p: p >= 3,
     claims=(
-        Claim(Slope(0), "L(2,1) # D2(p,2p+1)",
-              lambda p: connected_sum(lens_space(2, 1),
-                                      sfs_orders(BASE_D2, (p, 2 * p + 1)))),
+        Claim(Slope(0), "L(2,1) # D2(p,2p+1)"),
     ),
     checks=(
         Check("wellformed"),
@@ -447,14 +558,10 @@ _ICOSAHEDRAL_LEE = FamilySpec(
     domain_doc="|p| >= 2, q != 0, (p, q) not in {(+-2, +-1)}",
     in_domain=lambda p, q: abs(p) >= 2 and q != 0 and (abs(p), abs(q)) != (2, 1),
     claims=(
-        Claim(Slope(-1, 2), "S1xS2", lambda **_: S1xS2()),
-        Claim(Slope(0), "S2(|p-1|, |2q-1|, |pq+q-1|)",
-              lambda p, q: sfs_orders(BASE_S2, (abs(p - 1), abs(2 * q - 1),
-                                                abs(p * q + q - 1)))),
-        Claim(Slope(-1), "S2(|p+1|, |2q+1|, |pq-q-1|)",
-              lambda p, q: sfs_orders(BASE_S2, (abs(p + 1), abs(2 * q + 1),
-                                                abs(p * q - q - 1)))),
-        Claim(INFINITY, "tag(toroidal)", lambda **_: OpaqueTag(TAG_TOROIDAL)),
+        Claim(Slope(-1, 2), "S1xS2"),
+        Claim(Slope(0), "S2(|p-1|, |2q-1|, |pq+q-1|)"),
+        Claim(Slope(-1), "S2(|p+1|, |2q+1|, |pq-q-1|)"),
+        Claim(INFINITY, "tag(toroidal)"),
     ),
     checks=(
         Check("wellformed"),
@@ -478,12 +585,9 @@ _ICOSAHEDRAL_SECOND = FamilySpec(
     domain_doc="no parameters",
     in_domain=lambda: True,
     claims=(
-        Claim(Slope(0), "L(3,1) # L(4,1)",
-              lambda: connected_sum(lens_space(3, 1), lens_space(4, 1))),
-        Claim(INFINITY, "S2(2,3,5)",
-              lambda: sfs_orders(BASE_S2, (2, 3, 5))),
-        Claim(Slope(1), "S2(2,3,7)",
-              lambda: sfs_orders(BASE_S2, (2, 3, 7))),
+        Claim(Slope(0), "L(3,1) # L(4,1)"),
+        Claim(INFINITY, "S2(2,3,5)"),
+        Claim(Slope(1), "S2(2,3,7)"),
     ),
     checks=(
         Check("wellformed"),
@@ -538,7 +642,7 @@ def evaluate_filling(name: str, params: dict, r: Slope) -> Manifold:
     """The closed-form filling of a family member at a claimed slope."""
     spec = get_family(name)
     _check_params(spec, params)
-    return spec.claim_at(r).build(**params)
+    return spec.builders[spec.slot(r)](**params)
 
 
 def verify_family(name: str, params: dict) -> VerificationReport:
@@ -550,13 +654,13 @@ def verify_family(name: str, params: dict) -> VerificationReport:
     """
     spec = get_family(name)
     _check_params(spec, params)
-    claims = spec.claims
+    builders = spec.builders
     built: list[Manifold | None] = list(spec.built)
 
     def fill(i: int) -> Manifold:
         m = built[i]
         if m is None:
-            m = built[i] = claims[i].build(**params)
+            m = built[i] = builders[i](**params)
         return m
 
     results = tuple([run(fill, args) for when, run, args in spec.plan
@@ -623,11 +727,12 @@ def scan_icosahedral_pairs(bound: int = 10) -> dict[str, tuple[tuple[int, int], 
     icosahedral, discovered by classifying the claimed fillings over the
     window |p|, |q| <= bound rather than asserted."""
     spec = get_family("icosahedral_lee")
-    claims = {text: spec.claim_at(Slope(int(text))) for text in ("0", "-1")}
-    hits: dict[str, list[tuple[int, int]]] = {text: [] for text in claims}
+    builders = {text: spec.builders[spec.slot(Slope(int(text)))]
+                for text in ("0", "-1")}
+    hits: dict[str, list[tuple[int, int]]] = {text: [] for text in builders}
     for params in grid_points(spec, {"p": (-bound, bound), "q": (-bound, bound)}):
-        for text, claim in claims.items():
-            m = claim.build(**params)
+        for text, build in builders.items():
+            m = build(**params)
             if classify_finite_type(m) is FiniteType.ICOSAHEDRAL:
                 hits[text].append((params["p"], params["q"]))
     return {k: tuple(sorted(v)) for k, v in hits.items()}

@@ -14,6 +14,7 @@ stand for missing/null values, booleans are "true"/"false".
 from __future__ import annotations
 
 import operator
+import sys
 from enum import Enum
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -121,13 +122,19 @@ class RowWriter:
                     text = "\t".join(cells)  # every cell a str
                 except TypeError:
                     text = "\t".join(map(_call, map(_TSV_OF, map(type, cells)), cells))
-                if "\n" in text or text.count("\t") != self._tabs:
-                    bad = next(c for c in cells if isinstance(c, str)
-                               and ("\t" in c or "\n" in c))
-                    raise ValueError(f"value not representable in TSV: {bad!r}")
         except KeyError:  # a cell of no flat type
             bad = next(c for c in cells if type(c) not in _FLAT)
             raise ValueError(f"value not representable: {bad!r}") from None
+        except ValueError:  # int.__repr__, past the int-string digit limit
+            raise ValueError(
+                f"an integer in the result has more than "
+                f"{sys.get_int_max_str_digits()} digits, the interpreter's "
+                f"limit for integer text; set the environment variable "
+                f"PYTHONINTMAXSTRDIGITS=0 to lift it") from None
+        if fill is None and ("\n" in text or text.count("\t") != self._tabs):
+            bad = next(c for c in cells if isinstance(c, str)
+                       and ("\t" in c or "\n" in c))
+            raise ValueError(f"value not representable in TSV: {bad!r}")
         self.rows.append(text)
         if status is not _PASS:
             self.status = combine_status((self.status, status))

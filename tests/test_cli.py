@@ -288,6 +288,23 @@ def test_oracle_without_a_standard_diagram_exits_two(capsys):
                        "draws 2-bridge and Montesinos parts only\n")
 
 
+def test_result_integer_past_the_digit_limit_exits_two(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    # |H1| of the cover of mont(1; 1/2, ..., 1/2) exceeds 2^branches,
+    # which has more than `limit` digits.
+    link = "mont(1; " + ", ".join(["1/2"] * (limit * 10 // 3)) + ")"
+    for verb in ("cover", "oracle"):
+        for fmt in ("tsv", "json"):
+            code, out, err = _run(capsys, [verb, link, "--format", fmt])
+            assert (code, out) == (2, ""), (verb, fmt)
+            assert err == (
+                f"error: an integer in the result has more than {limit} "
+                "digits, the interpreter's limit for integer text; set the "
+                "environment variable PYTHONINTMAXSTRDIGITS=0 to lift it\n")
+
+
 # A fault planted on either side of the oracle: the cover with an extra
 # L(2,1) summand (twice the order), or the Goeritz determinant off by one.
 PLANTED_ORACLE_FAULTS = [

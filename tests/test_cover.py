@@ -1,12 +1,14 @@
 import random
 from math import gcd
 
+import pytest
+
 from dehncalc.cover import double_branched_cover
 from dehncalc.diagrams import oracle_cross_check
 from dehncalc.links import (ConnSumLink, link_connected_sum, link_determinant,
                             montesinos, two_bridge, unlink, Unknot, Unlink)
-from dehncalc.manifolds import (Lens, S3, S1xS2, SfsS2, connected_sum, h1,
-                                lens_space)
+from dehncalc.manifolds import (Lens, S3, S1xS2, SfsS2, classify_finite_type,
+                                connected_sum, h1, lens_space)
 from dehncalc.slopes import Slope
 
 
@@ -80,3 +82,13 @@ def test_h1_of_cover_is_determinant_random_assemblies():
         parts = link.summands if isinstance(link, ConnSumLink) else (link,)
         if not any(isinstance(part, (Unknot, Unlink)) for part in parts):
             assert oracle_cross_check(link).match, str(link)
+
+
+@pytest.mark.parametrize("guard, wrong", [
+    (classify_finite_type, two_bridge(3, 1)),
+    (double_branched_cover, Lens(3, 1)),
+    (link_determinant, "b(3/1)"),
+])
+def test_guards_reject_what_is_not_their_shape(guard, wrong):
+    with pytest.raises(TypeError, match=r"^not a (manifold|link): "):
+        guard(wrong)

@@ -9,6 +9,8 @@ from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dehncalc import families
 from dehncalc.cli import main
@@ -203,9 +205,8 @@ def test_sweep_dihedral_all_dihedral():
     report = sweep_verify("dihedral", {"p": (3, 30), "q": (3, 30)})
     assert report.points == 28 * 28
     assert report.failed == 0 and report.indeterminate == 0
-    spec = get_family("dihedral")
     for p, q in ((3, 3), (17, 29), (30, 30)):
-        m = spec.claim_at(INFINITY).build(p=p, q=q)
+        m = evaluate_filling("dihedral", {"p": p, "q": q}, INFINITY)
         assert classify_finite_type(m) is FiniteType.DIHEDRAL
 
 
@@ -299,20 +300,24 @@ def test_family_verbs_keep_only_row_text(verb, fmt, bound):
     assert (large - small) / 3000 <= bound
 
 
+def _table(claims: dict, *checks: Check, params: tuple = ()) -> FamilySpec:
+    """A hand-built family "hand" over ``params``, every point in its
+    domain, with claims from a {slope: formula} dict."""
+    return FamilySpec(
+        name="hand", description="", param_names=params, domain_doc="",
+        in_domain=lambda **_: True, checks=checks,
+        claims=tuple(Claim(r, formula) for r, formula in claims.items()))
+
+
 def test_sweep_verify_records_every_check_that_does_not_pass(monkeypatch):
     # p = 1 fails one check and leaves one undecided, p = 2 leaves one
     # undecided, p = 3 passes.
-    planted = FamilySpec(
-        name="planted", description="", param_names=("p",),
-        domain_doc="", in_domain=lambda p: True,
-        claims=(Claim(Slope(0), "L(5,1)", lambda p: lens_space(5, 1)),
-                Claim(INFINITY, "tag(toroidal)",
-                      lambda p: OpaqueTag(TAG_TOROIDAL))),
-        checks=(Check("wellformed"),
-                Check("reducible", (Slope(0),), when=lambda ps: ps["p"] == 1),
-                Check("reducible", (INFINITY,), when=lambda ps: ps["p"] <= 2)))
-    monkeypatch.setitem(FAMILIES, "planted", planted)
-    report = sweep_verify("planted", {"p": (1, 3)})
+    monkeypatch.setitem(FAMILIES, "hand", _table(
+        {Slope(0): "L(5,1)", INFINITY: "tag(toroidal)"}, Check("wellformed"),
+        Check("reducible", (Slope(0),), when=lambda ps: ps["p"] == 1),
+        Check("reducible", (INFINITY,), when=lambda ps: ps["p"] <= 2),
+        params=("p",)))
+    report = sweep_verify("hand", {"p": (1, 3)})
     assert (report.points, report.passed, report.failed,
             report.indeterminate) == (3, 1, 1, 1)
     undecided = {"detail": "filling(inf) is reducible",
@@ -368,52 +373,33 @@ def test_result_records_keep_their_fields_and_are_immutable():
 
 
 def test_run_check_reports_failures(monkeypatch):
-    broken = FamilySpec(
-        name="broken", description="", param_names=(),
-        domain_doc="", in_domain=lambda: True,
-        claims=(Claim(Slope(0), "L(4,2)", lambda: Lens(4, 2)),),
-        checks=(Check("wellformed"),))
-    monkeypatch.setitem(FAMILIES, "broken", broken)
-    (result,) = verify_family("broken", {}).checks
+    monkeypatch.setitem(FAMILIES, "hand",
+                        _table({Slope(0): "L(4,2)"}, Check("wellformed")))
+    (result,) = verify_family("hand", {}).checks
     assert result.status is Status.FAIL
     assert "gcd" in result.observed
 
 
 def test_run_check_indeterminate_finite_type(monkeypatch):
-    shrug = FamilySpec(
-        name="shrug", description="", param_names=(),
-        domain_doc="", in_domain=lambda: True,
-        claims=(Claim(Slope(0), "tag(lens-type)",
-                      lambda: OpaqueTag("lens-type")),),
-        checks=(Check("finite_type", (Slope(0),), FiniteType.CYCLIC),))
-    monkeypatch.setitem(FAMILIES, "shrug", shrug)
-    (result,) = verify_family("shrug", {}).checks
+    monkeypatch.setitem(FAMILIES, "hand", _table(
+        {Slope(0): "tag(lens-type)"},
+        Check("finite_type", (Slope(0),), FiniteType.CYCLIC)))
+    (result,) = verify_family("hand", {}).checks
     assert result.status is Status.INDETERMINATE
 
 
 def test_run_check_indeterminate_reducible(monkeypatch):
     # Neither description decides reducibility, so the check cannot fail.
-    shrug = FamilySpec(
-        name="shrug", description="", param_names=(),
-        domain_doc="", in_domain=lambda: True,
-        claims=(Claim(Slope(0), "tag(lens-type)",
-                      lambda: OpaqueTag("lens-type")),
-                Claim(INFINITY, "U[ST, ST]",
-                      lambda: torus_union(SolidTorus(), SolidTorus()))),
-        checks=(Check("reducible", (Slope(0),)),
-                Check("reducible", (INFINITY,))))
-    monkeypatch.setitem(FAMILIES, "shrug", shrug)
-    report = verify_family("shrug", {})
+    monkeypatch.setitem(FAMILIES, "hand", _table(
+        {Slope(0): "tag(lens-type)", INFINITY: "U[ST, ST]"},
+        Check("reducible", (Slope(0),)), Check("reducible", (INFINITY,))))
+    report = verify_family("hand", {})
     assert [c.status for c in report.checks] == [Status.INDETERMINATE] * 2
     assert report.status is Status.INDETERMINATE
 
 
 def _spec_with(check: Check) -> FamilySpec:
-    return FamilySpec(
-        name="malformed", description="", param_names=(),
-        domain_doc="", in_domain=lambda: True,
-        claims=(Claim(Slope(0), "L(2,1)", lambda: lens_space(2, 1)),),
-        checks=(Check("wellformed"), check))
+    return _table({Slope(0): "L(2,1)"}, Check("wellformed"), check)
 
 
 def test_spec_rejects_unknown_check_kind():
@@ -431,33 +417,28 @@ def test_spec_rejects_check_on_unclaimed_slope():
 
 
 def test_verify_family_builds_each_claim_once(monkeypatch):
-    built = []
-    counted = FamilySpec(
-        name="counted", description="", param_names=(),
-        domain_doc="", in_domain=lambda: True,
-        claims=(Claim(Slope(0), "L(2,1) # L(3,1)",
-                      lambda: built.append("0") or connected_sum(
-                          lens_space(2, 1), lens_space(3, 1))),
-                Claim(INFINITY, "L(6,1)",
-                      lambda: built.append("1/0") or lens_space(6, 1))),
-        checks=(Check("wellformed"),
-                Check("reducible", (Slope(0),)),
-                Check("finite_type", (INFINITY,), FiniteType.CYCLIC),
-                Check("distinct", (Slope(0), INFINITY))))
-    monkeypatch.setitem(FAMILIES, "counted", counted)
-    assert verify_family("counted", {}).status is Status.PASS
-    assert sorted(built) == ["0", "1/0"]
+    # Four checks read the two claims; each is built once, by three
+    # lens_space calls and one connected_sum call in all.
+    monkeypatch.setitem(FAMILIES, "hand", _table(
+        {Slope(0): "L(2,1) # L(p,1)", INFINITY: "L(2p,1)"},
+        Check("wellformed"), Check("reducible", (Slope(0),)),
+        Check("finite_type", (INFINITY,), FiniteType.CYCLIC),
+        Check("distinct", (Slope(0), INFINITY)), params=("p",)))
+    calls = Counter()
+    for name in ("lens_space", "connected_sum"):
+        def counted_call(*args, _name=name, _build=getattr(families, name)):
+            calls[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(families, name, counted_call)
+    assert verify_family("hand", {"p": 3}).status is Status.PASS
+    assert calls == {"lens_space": 3, "connected_sum": 1}
 
 
 def test_ill_formed_claim_raises_from_later_checks(monkeypatch):
-    broken = FamilySpec(
-        name="broken", description="", param_names=(),
-        domain_doc="", in_domain=lambda: True,
-        claims=(Claim(Slope(0), "L(4,2)", lambda: Lens(4, 2)),),
-        checks=(Check("wellformed"), Check("reducible", (Slope(0),))))
-    monkeypatch.setitem(FAMILIES, "broken", broken)
+    monkeypatch.setitem(FAMILIES, "hand", _table(
+        {Slope(0): "L(4,2)"}, Check("wellformed"), Check("reducible", (Slope(0),))))
     with pytest.raises(IllFormedClaimError):
-        verify_family("broken", {})
+        verify_family("hand", {})
 
 
 # Small windows of every family.  _PIN_SHA256 is the sha256 of the
@@ -501,12 +482,12 @@ _ANSWER = {True: Status.PASS, False: Status.FAIL, None: Status.INDETERMINATE}
 def _check_from_scratch(spec: FamilySpec, check: Check, params: dict):
     """A check's (kind, detail, status, observed), restated from claims
     built afresh at the point, without the compiled plan."""
-    fill = lambda r: spec.claim_at(r).build(**params)
+    fill = lambda r: spec.builders[spec.slot(r)](**params)
     names = [format_slope(r) for r in check.slopes]
     if check.kind == "wellformed":
         try:
-            for claim in spec.claims:
-                claim.build(**params)
+            for build in spec.builders:
+                build(**params)
         except IllFormedClaimError as exc:
             return ("wellformed", "all claims build", Status.FAIL, str(exc))
         return ("wellformed", "all claims build", Status.PASS, "ok")
@@ -577,12 +558,8 @@ def test_parameter_free_claims_are_built_once_per_family(monkeypatch):
 
 
 def _one_parameter_spec(*checks: Check) -> FamilySpec:
-    return FamilySpec(
-        name="broken", description="", param_names=("p",),
-        domain_doc="p >= 2", in_domain=lambda p: p >= 2,
-        claims=(Claim(Slope(0), "L(p,1)", lambda p: lens_space(p, 1)),
-                Claim(INFINITY, "L(4,2)", lambda **_: Lens(4, 2))),
-        checks=checks)
+    return _table({Slope(0): "L(p,1)", INFINITY: "L(4,2)"}, *checks,
+                  params=("p",))
 
 
 def test_ill_formed_parameter_free_claim_fails_at_every_point(monkeypatch):
@@ -590,19 +567,19 @@ def test_ill_formed_parameter_free_claim_fails_at_every_point(monkeypatch):
     broken = _one_parameter_spec(Check("wellformed"),
                                  Check("reducible", (Slope(0),)))
     assert broken.built[1] is None
-    monkeypatch.setitem(FAMILIES, "broken", broken)
-    reports = list(sweep_point_reports("broken", {"p": (2, 6)}))
+    monkeypatch.setitem(FAMILIES, "hand", broken)
+    reports = list(sweep_point_reports("hand", {"p": (2, 6)}))
     assert len(reports) == 5
     for report in reports:
         wellformed, reducible = report.checks
         assert wellformed.status is Status.FAIL
         assert wellformed.observed == "L(4,2) needs gcd(p, q) = 1"
         assert reducible.status is Status.FAIL
-    monkeypatch.setitem(FAMILIES, "broken", _one_parameter_spec(
+    monkeypatch.setitem(FAMILIES, "hand", _one_parameter_spec(
         Check("wellformed"), Check("finite_type", (INFINITY,), FiniteType.CYCLIC)))
     for p in (2, 3):
         with pytest.raises(IllFormedClaimError, match="gcd"):
-            verify_family("broken", {"p": p})
+            verify_family("hand", {"p": p})
 
 
 _FINITE_TYPES = frozenset({FiniteType.CYCLIC, FiniteType.DIHEDRAL,
@@ -634,7 +611,8 @@ def test_catalog_distance_laws():
         spec = get_family(name)
         for params in grid_points(spec, ranges):
             points += 1
-            built = [(c.slope, c.build(**params)) for c in spec.claims]
+            built = [(c.slope, build(**params))
+                     for c, build in zip(spec.claims, spec.builders)]
             reducible = [r for r, m in built if is_reducible(m)]
             finite = [r for r, m in built
                       if classify_finite_type(m) in _FINITE_TYPES]
@@ -733,6 +711,53 @@ def test_substitute_reads_formula_arithmetic():
         "tag(toroidal) # S1xS2"
 
 
+# Argument texts in the formula grammar: integers, p and q, + and -,
+# juxtaposed products of parameters and parentheses, and |...|.  Any
+# two such texts joined by + or - form one, and so does one followed by
+# a parameter or a parenthesised text.
+_NUMBER = st.recursive(
+    st.integers(0, 40).map(str) | st.sampled_from("pq"),
+    lambda inner: st.one_of(
+        st.builds("{}{}{}".format, inner, st.sampled_from("+-"), inner),
+        st.builds("{}{}".format, inner, st.sampled_from("pq")),
+        st.builds("{}({})".format, inner, inner),
+        inner.map("({})".format), inner.map("|{}|".format),
+        inner.map(lambda t: t if t[0] == "-" else "-" + t)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=_NUMBER, p=st.integers(-50, 50), q=st.integers(-50, 50))
+def test_formula_arithmetic_matches_the_reference_reader(text, p, q):
+    reference = _Arithmetic(text, {"p": p, "q": q}, 0)
+    expected = reference.expr()
+    assert reference.pos == len(text)
+    build, _ = families._builder(f"C({text}, 0)", ("p", "q"))
+    # The builder looks CableSpace up when it runs, so this sees its
+    # first argument.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "CableSpace", lambda s, t: s)
+        assert build(p=p, q=q) == expected, text
+
+
+@pytest.mark.parametrize("formula, message", [
+    ("K(2,1)", "unknown atom 'K'"),
+    ("SFS(-1; 1/2, 1/3, 1/5)", "unknown atom 'S'"),
+    ("L(p, r)", "undeclared parameter 'r'"),
+    ("L(p,1) # L(q,1) L(5,1)", "trailing text from 'L'"),
+    ("L(2,1))", "trailing text from ')'"),
+    ("__import__('os')", "unknown atom '_'"),
+    ("L(__import__, 1)", "expected an integer argument, got '_'"),
+    ("L(2)", "L takes two arguments"),
+    ("S2(2,3", "expected ), got the end"),
+    ("tag(a b)", "unknown atom 't'"),
+])
+def test_spec_rejects_formula_outside_the_grammar(formula, message):
+    with pytest.raises(ValueError, match=re.escape(
+            f"claim formula {formula!r}: {message}")):
+        _table({Slope(0): formula}, params=("p", "q"))
+
+
 def test_printed_formulas_are_what_is_built():
     # The formula column of family-fill must name the manifold the claim
     # builds, at every in-domain point of the window.
@@ -740,11 +765,12 @@ def test_printed_formulas_are_what_is_built():
     for spec in family_catalog():
         window = {name: (-8, 11) for name in spec.param_names}
         for params in grid_points(spec, window):
-            for claim, once in zip(spec.claims, spec.built):
+            for claim, build, once in zip(spec.claims, spec.builders,
+                                          spec.built):
                 text = _substitute(claim.formula, params)
                 if once is not None:  # a claim that reads no parameter
                     assert text == claim.formula, (spec.name, claim.formula)
-                assert parse_manifold_expr(text) == claim.build(**params), \
+                assert parse_manifold_expr(text) == build(**params), \
                     (spec.name, params, claim.formula, text)
                 claims.add((spec.name, claim.slope))
                 evaluated += 1
