@@ -11,7 +11,7 @@ diagrams are rebuilt from continued fractions crossing by crossing and
 checkerboard colored.  Their Goeritz matrix is the Laplacian of the
 white-face (Tait) graph, so its first minor is a weighted spanning-tree
 sum, folded over leaves, series and parallel edges in exact integers;
-only what does not fold reaches an exact integer elimination.
+only what does not fold reaches a dense Bareiss elimination.
 
 Conventions (pinned by the b(p, q) determinant suite):
   * the strand through NE and SW (darts 4k and 4k+2) is the overstrand
@@ -176,71 +176,35 @@ def goeritz_matrix(m: CombinatorialMap) -> list[dict[int, int]]:
 
 
 def exact_determinant(rows: SparseRows) -> int:
-    """Exact determinant of a square integer matrix by sparse fraction-free
-    (Bareiss 1968) elimination, with no gcd and no row rescaling.
+    """Exact determinant of a square integer matrix by dense fraction-free
+    (Bareiss 1968) elimination, whose cost grows as the cube of its size.
 
-    ``rows`` lists each row's nonzeros as (column, value) pairs.  Rows
-    become pivot rows in order of their initial nonzero count; the pivot
-    is the diagonal entry when it is nonzero and the smallest remaining
-    column otherwise.  piv[k] is the pivot of step k and piv[0] = 1.  An
-    entry is stored as (value, s), standing for value * piv[k] / piv[s]
-    after any later step k, so a step rewrites only the pivot row's
-    columns of each row it eliminates from.  Entries are minors
-    (Sylvester's identity), so every division is exact, and the
-    determinant is sign(pivot permutation) * piv[-1].
-    """
+    ``rows`` lists each row's entries as (column, value) pairs; a column
+    left out is 0.  Step k swaps up the first row below with a nonzero in
+    column k when the pivot is 0, flipping the sign, and sets each entry
+    below and right of the pivot to (a * pivot - left * up) / prev, prev
+    being the pivot before.  Entries stay minors of the input (Sylvester's
+    identity), so every division is exact, and the last pivot is the
+    determinant up to the sign."""
     n = len(rows)
-    store = [{j: (v, 0) for j, v in row if v} for row in rows]
-    holders: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(store):
-        for j in row:
-            holders[j].append(i)
-    pivot_col = [0] * n
-    piv = [1]
-    for r in sorted(range(n), key=lambda i: len(store[i])):
-        row, store[r] = store[r], {}
-        if not row:
-            return 0
-        k = len(piv)
-        pivot_row = {j: v if s == k - 1 else v * piv[-1] // piv[s]
-                     for j, (v, s) in row.items()}
-        c = pivot_col[r] = r if r in row else min(row)
-        p = pivot_row.pop(c)
-        piv.append(p)
-        # holders[c] may list a row twice or one that lost column c.
-        for t in holders[c]:
-            target = store[t]
-            if c not in target:
-                continue
-            x, sx = target.pop(c)
-            dx = piv[sx]
-            for j, v in pivot_row.items():
-                e = target.get(j)
-                if e is None:
-                    target[j] = (-x * v // dx, k)
-                    holders[j].append(t)
-                    continue
-                w, sw = e
-                if sw == sx:
-                    w = (p * w - x * v) // dx
-                elif sw < sx:  # lift w to step sx
-                    w = (p * (w * dx // piv[sw]) - x * v) // dx
-                else:  # lift x to step sw
-                    w = (p * w - x * piv[sw] // dx * v) // piv[sw]
-                if w:
-                    target[j] = (w, k)
-                else:
-                    del target[j]
-    sign = 1
-    seen = [False] * n
-    for start in range(n):
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = pivot_col[i]
-            if i != start:
-                sign = -sign
-    return sign * piv[-1]
+    a = [[0] * n for _ in rows]
+    for dense, row in zip(a, rows):
+        for j, v in row:
+            dense[j] = v
+    sign = prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0
+            a[k], a[i], sign = a[i], a[k], -sign
+        pivot, up = a[k][k], a[k][k + 1:]
+        for row in a[k + 1:]:
+            left = row[k]
+            row[k + 1:] = [(v * pivot - left * u) // prev
+                           for v, u in zip(row[k + 1:], up)]
+        prev = pivot
+    return sign * prev
 
 
 def spanning_tree_sum(g: list[dict[int, int]]) -> int:

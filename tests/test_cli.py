@@ -165,16 +165,6 @@ def test_family_fill_verb(capsys):
 
 
 def test_family_fill_outputs_all_reparse(capsys):
-    smallest = {"cyclic": ["--p", "2", "--q", "4"],
-                "ew_prior": ["--p", "2"],
-                "bz_w6": [],
-                "dihedral": ["--p", "3", "--q", "3"],
-                "dihedral_aux_Np": ["--p", "3"],
-                "tetrahedral": [],
-                "octahedral": ["--p", "3"],
-                "octahedral_aux_Np": ["--p", "3"],
-                "icosahedral_lee": ["--p", "3", "--q", "-1"],
-                "icosahedral_second": []}
     from dehncalc.families import evaluate_filling
     params_of = {"cyclic": {"p": 2, "q": 4}, "ew_prior": {"p": 2},
                  "bz_w6": {}, "dihedral": {"p": 3, "q": 3},
@@ -184,7 +174,8 @@ def test_family_fill_outputs_all_reparse(capsys):
     for spec in family_catalog():
         for claim in spec.claims:
             argv = ["family-fill", spec.name, format_slope(claim.slope)]
-            argv += smallest[spec.name]
+            for name, value in params_of[spec.name].items():
+                argv += [f"--{name}", str(value)]
             code, out, _ = _run(capsys, argv)
             assert code == 0, (spec.name, out)
             text = json.loads(out)["results"][0]["manifold"]

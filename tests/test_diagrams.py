@@ -20,7 +20,7 @@ from dehncalc.diagrams import (CombinatorialMap, OracleReport,
 from dehncalc.links import (Unknot, link_connected_sum, link_determinant,
                             montesinos, two_bridge)
 from dehncalc.manifolds import Lens, connected_sum
-from dehncalc.slopes import Slope, from_continued_fraction
+from dehncalc.slopes import INFINITY, Slope, from_continued_fraction
 
 
 def _bareiss_determinant(rows: list[list[int]]) -> int:
@@ -216,6 +216,19 @@ def test_build_standard_diagram_dispatch():
     assert len(build_standard_diagram(two_bridge(5, 2)).crossings) > 0
     with pytest.raises(ValueError):
         build_standard_diagram(Unknot())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: montesinos_diagram(0, (INFINITY,)),
+     "unsupported twist sequence ()"),
+    (lambda: two_bridge_diagram(3, 3), "need 0 < q < p, got (3, 3)"),
+    (lambda: montesinos_diagram(0, ()),
+     "montesinos diagram needs at least one branch"),
+], ids=["infinite-branch", "q-not-below-p", "no-branch"])
+def test_builders_reject_what_they_cannot_draw(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_validate_rejects_broken_maps():
@@ -445,22 +458,28 @@ def test_exact_determinant_matches_bareiss(rows):
     assert exact_determinant(_sparse(rows)) == _bareiss_determinant(rows)
 
 
+_WEIGHTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
 @st.composite
 def _sparse_square_matrices(draw) -> list[list[int]]:
-    """n x n matrices, n in 9..24, each entry nonzero with probability
-    0.05-0.5, half of them symmetric.  At these sizes entries often sit
-    many elimination steps behind the pivot row."""
+    """n x n matrices, n in 9..24, half of them symmetric, with 5-50% of
+    their cells (of the upper triangle, when symmetric) set to a nonzero.
+    So many zeros make zero pivots, and so row swaps, common at every
+    step, past the sizes of ``_square_matrices``.  Hypothesis draws the
+    cells and values itself, so a failure shrinks and replays."""
     n = draw(st.integers(9, 24))
-    density = draw(st.floats(0.05, 0.5))
     symmetric = draw(st.booleans())
-    rnd = draw(st.randoms(use_true_random=True))
+    cells = [(i, j) for i in range(n) for j in range(i if symmetric else 0, n)]
+    count = draw(st.integers(len(cells) // 20, len(cells) // 2))
+    kept = draw(st.lists(st.sampled_from(cells), min_size=count,
+                         max_size=count, unique=True))
+    values = draw(st.lists(_WEIGHTS, min_size=count, max_size=count))
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i if symmetric else 0, n):
-            if rnd.random() < density:
-                rows[i][j] = rnd.choice((-3, -2, -1, 1, 2, 3))
-                if symmetric:
-                    rows[j][i] = rows[i][j]
+    for (i, j), v in zip(kept, values):
+        rows[i][j] = v
+        if symmetric:
+            rows[j][i] = v
     return rows
 
 
@@ -495,9 +514,6 @@ def test_hub_deleted_determinant_matches_dense_face_zero_minor():
         minor = [row[1:] for row in g[1:]]
         assert goeritz_determinant(diagram) == \
             abs(_bareiss_determinant(minor))
-
-
-_WEIGHTS = st.sampled_from((-3, -2, -1, 1, 2, 3))
 
 
 @st.composite
@@ -551,6 +567,14 @@ def _tree_sum_graphs(draw) -> list[dict[int, int]]:
     return g
 
 
+# A K4 whose core's first row has a 0 on the diagonal: a row swap.
+_ROW_SWAP_K4 = [{0: -6, 1: 2, 2: 2, 3: 2}, {0: 2, 1: 0, 2: -1, 3: -1},
+                {0: 2, 1: -1, 2: -3, 3: 2}, {0: 2, 1: -1, 2: 2, 3: -3}]
+# A K4 with two equal rows: a singular core.
+_SINGULAR_K4 = [{0: -6, 1: 2, 2: 2, 3: 2}, {0: 2, 1: -6, 2: 2, 3: 2},
+                {0: 2, 1: 2, 2: -2, 3: -2}, {0: 2, 1: 2, 2: -2, 3: -2}]
+
+
 @settings(max_examples=400, deadline=None, database=None)
 @given(_tree_sum_graphs())
 # A path of edges 2, 2 beside an edge -1: a parallel t of 0.
@@ -566,6 +590,8 @@ def _tree_sum_graphs(draw) -> list[dict[int, int]]:
 @example([{0: 0, 1: 1, 2: -1}, {0: 1, 1: -1, 3: 1, 4: -1},
           {0: -1, 2: 1, 3: 1, 4: -1}, {1: 1, 2: 1, 3: -2},
           {1: -1, 2: -1, 4: 2}])
+@example(_ROW_SWAP_K4)
+@example(_SINGULAR_K4)
 def test_spanning_tree_sum_matches_bareiss(g):
     """The fold against the dense Bareiss determinant of the first minor
     that deletes row and column 0, sign included."""
@@ -586,6 +612,18 @@ def _recorded_cores():
 
     with mock.patch.object(diagrams, "exact_determinant", record):
         yield cores
+
+
+def test_k4_examples_reach_a_core():
+    """The two K4 examples of the fold test reach ``exact_determinant``:
+    one whose first pivot is 0, and one whose determinant is 0."""
+    with _recorded_cores() as cores:
+        assert spanning_tree_sum([dict(row) for row in _ROW_SWAP_K4]) == 10
+        assert spanning_tree_sum([dict(row) for row in _SINGULAR_K4]) == 0
+    swap, singular = cores
+    assert len(swap) == len(singular) == 3
+    assert dict(swap[0])[0] == 0
+    assert _bareiss_determinant(_dense([dict(row) for row in singular])) == 0
 
 
 @settings(max_examples=100, deadline=None, database=None)
