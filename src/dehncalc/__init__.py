@@ -43,8 +43,8 @@ _EXPORTS = {
                  "montesinos_diagram", "oracle_cross_check",
                  "random_montesinos", "two_bridge_diagram"),
     "parsing": ("ParseError", "parse_link_expr", "parse_manifold_expr"),
-    "reports": ("Report", "RowWriter", "SCHEMA_VERSION", "Status",
-                "combine_status", "emit_report", "exit_code"),
+    "reports": ("RowWriter", "SCHEMA_VERSION", "Status", "combine_status",
+                "emit_report", "exit_code"),
 }
 
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

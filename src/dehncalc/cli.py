@@ -308,7 +308,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         report = args.handler(args, functools.partial(
             RowWriter, " ".join(["dehncalc"] + argv), args.format))
-        text, code = emit_report(report, args.format), exit_code(report.status)
+        text, code = emit_report(report), exit_code(report.status)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except _UsageError as exc:

@@ -144,10 +144,6 @@ def checkerboard(m: CombinatorialMap) -> Checkerboard:
     return Checkerboard(bits, face_of, white_color, starts[white_color])
 
 
-# A square integer matrix as rows of (column, value) pairs, one per nonzero.
-SparseRows = list[list[tuple[int, int]]]
-
-
 def goeritz_matrix(m: CombinatorialMap) -> list[dict[int, int]]:
     """Full Goeritz matrix on the white faces as rows {column: value} of
     its nonzeros; it is symmetric and its rows sum to zero."""
@@ -175,22 +171,18 @@ def goeritz_matrix(m: CombinatorialMap) -> list[dict[int, int]]:
     return g
 
 
-def exact_determinant(rows: SparseRows) -> int:
+def exact_determinant(rows: list[list[int]]) -> int:
     """Exact determinant of a square integer matrix by dense fraction-free
     (Bareiss 1968) elimination, whose cost grows as the cube of its size.
 
-    ``rows`` lists each row's entries as (column, value) pairs; a column
-    left out is 0.  Step k swaps up the first row below with a nonzero in
-    column k when the pivot is 0, flipping the sign, and sets each entry
-    below and right of the pivot to (a * pivot - left * up) / prev, prev
-    being the pivot before.  Entries stay minors of the input (Sylvester's
-    identity), so every division is exact, and the last pivot is the
-    determinant up to the sign."""
-    n = len(rows)
-    a = [[0] * n for _ in rows]
-    for dense, row in zip(a, rows):
-        for j, v in row:
-            dense[j] = v
+    ``rows`` is left as it is: the elimination works on a copy.  Step k
+    swaps up the first row below with a nonzero in column k when the pivot
+    is 0, flipping the sign, and sets each entry below and right of the
+    pivot to (a * pivot - left * up) / prev, prev being the pivot before.
+    Entries stay minors of the input (Sylvester's identity), so every
+    division is exact, and the last pivot is the determinant up to the
+    sign."""
+    n, a = len(rows), [row[:] for row in rows]
     sign = prev = 1
     for k in range(n):
         if not a[k][k]:
@@ -289,9 +281,11 @@ def spanning_tree_sum(g: list[dict[int, int]]) -> int:
             if i == root:
                 root_scale = scale
                 continue
-            row = [(index[i], sum(t * scale // f for _, (t, f) in pairs))]
-            row += [(index[j], -t * scale // f)
-                    for j, (t, f) in pairs if j != root]
+            row = [0] * len(index)
+            row[index[i]] = sum(t * scale // f for _, (t, f) in pairs)
+            for j, (t, f) in pairs:
+                if j != root:
+                    row[index[j]] = -t * scale // f
             rows.append(row)
     return factor * exact_determinant(rows) * root_scale // edges_f
 
@@ -437,9 +431,6 @@ class OracleReport(Value):
                  h1_order: int | None, match: bool) -> None:
         self.__dict__.update(link=link, crossings=crossings, goeritz=goeritz,
                              formula=formula, h1_order=h1_order, match=match)
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def oracle_cross_check(l: Link) -> OracleReport:

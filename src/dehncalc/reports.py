@@ -2,13 +2,11 @@
 
 Every command produces one report: an echo of the command line, an
 overall status, and flat result rows, made by a RowWriter, which encodes
-each row as it is added and keeps only its text (a library Report of
-dict rows goes through the same encoder).  JSON is byte for byte
+each row as it is added and keeps only its text.  JSON is byte for byte
 json.dumps(payload, sort_keys=True, indent=2).  TSV has three comment
 lines ("# schema_version", "# command" and "# status", each with a
-tab-separated value), a header row naming the columns (a Report's in the
-order its rows' keys first appear), and one line per row; empty cells
-stand for missing/null values, booleans are "true"/"false".
+tab-separated value), a header row naming the columns, and one line per
+row; empty cells stand for null values, booleans are "true"/"false".
 """
 
 from __future__ import annotations
@@ -16,10 +14,7 @@ from __future__ import annotations
 import operator
 import sys
 from enum import Enum
-from itertools import chain
 from json.encoder import encode_basestring_ascii
-
-from .value import Value
 
 SCHEMA_VERSION = "1"
 
@@ -44,16 +39,6 @@ STATUS_WORDS = {status: status.value for status in Status}
 
 # Read once: Status.PASS is a lookup through the enum's metaclass.
 _PASS, _FAIL, _UNSURE = Status.PASS, Status.FAIL, Status.INDETERMINATE
-
-
-class Report(Value):
-    """One command's outcome: echo, overall status, and result rows."""
-
-    def __init__(self, command: str, status: Status,
-                 results: tuple[dict, ...]) -> None:
-        if not isinstance(status, Status):
-            raise TypeError(f"report status must be a Status, got {status!r}")
-        self.__dict__.update(command=command, status=status, results=results)
 
 
 def combine_status(statuses) -> Status:
@@ -85,11 +70,13 @@ _TSV_OF = {str: str, int: int.__repr__, bool: _BOOL,
 
 class RowWriter:
     """A report made row by row: ``add`` encodes one row's cells, given in
-    the order of ``columns``, keeps only its text, folds its status into
-    ``status`` (the worst so far) and returns the writer.  A JSON row is
-    one str.format of a template laid out once with sorted keys (JSON
-    escapes every control character, so no cell breaks the layout); a TSV
-    row is one join, and the TSV header is checked as a row is."""
+    the order of ``columns`` (str, int, bool or None; any other cell, and
+    a tab or newline in a TSV cell, raises ValueError), keeps only its
+    text, folds its status into ``status`` (the worst so far) and returns
+    the writer.  A JSON row is one str.format of a template laid out once
+    with sorted keys (JSON escapes every control character, so no cell
+    breaks the layout); a TSV row is one join, and the TSV header is
+    checked as a row is."""
 
     def __init__(self, command: str, fmt: str, columns: tuple[str, ...]) -> None:
         if fmt not in FORMATS:
@@ -110,7 +97,7 @@ class RowWriter:
             if "\n" in self.header or self.header.count("\t") != self._tabs:
                 self.add(columns)  # raises, naming the column as it would a cell
 
-    def add(self, cells, status: Status = _PASS) -> None:
+    def add(self, cells, status: Status = _PASS) -> RowWriter:
         if len(cells) != self._width:
             raise ValueError(f"{len(cells)} cells for {self._width} columns")
         fill = self._fill
@@ -135,41 +122,21 @@ class RowWriter:
             bad = next(c for c in cells if isinstance(c, str)
                        and ("\t" in c or "\n" in c))
             raise ValueError(f"value not representable in TSV: {bad!r}")
-        self.rows.append(text)
         if status is not _PASS:
             self.status = combine_status((self.status, status))
+        self.rows.append(text)
         return self
 
 
-def _written(report: Report, fmt: str) -> RowWriter:
-    """A Report through row writers sharing one row list: in TSV one for
-    the union of the rows' keys, in JSON one per key tuple."""
-    columns = tuple(dict.fromkeys(chain.from_iterable(report.results)))
-    writer = RowWriter(report.command, fmt, columns if fmt == "tsv" else ())
-    writer.status, writers = report.status, {writer.columns: writer}
-    for row in report.results:
-        keys = writer.columns if fmt == "tsv" else tuple(row)
-        if keys not in writers:
-            writers[keys] = RowWriter(report.command, fmt, keys)
-            writers[keys].rows = writer.rows
-        writers[keys].add(tuple(map(row.get, keys)))
-    return writer
+def emit_report(report: RowWriter) -> str:
+    """Render a report in its writer's format as text (newline-terminated).
 
-
-def emit_report(report: RowWriter | Report, fmt: str) -> str:
-    """Render a report as JSON or TSV text (newline-terminated).
-
-    JSON is byte for byte json.dumps(payload, sort_keys=True, indent=2).
-    Rows are flat records of str, int, bool and None under str keys; any
-    other key or value, and a tab or newline in a TSV cell, raises
-    ValueError.  The rows' text is copied once, by one join."""
-    if isinstance(report, Report):
-        report = _written(report, fmt)
-    elif report.fmt != fmt:
-        raise ValueError(f"a {report.fmt} report emitted as {fmt}")
+    JSON is byte for byte json.dumps(payload, sort_keys=True, indent=2);
+    in TSV a tab or newline in the command raises ValueError.  The rows'
+    text is copied once, by one join."""
     status = "ok" if report.status is _PASS else STATUS_WORDS[report.status]
-    if fmt == "tsv":
-        command = RowWriter("", fmt, ("", "")).add(("# command", report.command))
+    if report.fmt == "tsv":
+        command = RowWriter("", "tsv", ("", "")).add(("# command", report.command))
         return "\n".join([f"# schema_version\t{SCHEMA_VERSION}", *command.rows,
                           f"# status\t{status}", report.header,
                           *report.rows, ""])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -9,8 +10,8 @@ from dehncalc.cli import _build_parser, main
 from dehncalc.families import family_catalog
 from dehncalc.manifolds import Lens, connected_sum
 from dehncalc.parsing import parse_manifold_expr
-from dehncalc.reports import (Report, SCHEMA_VERSION, Status, combine_status,
-                              emit_report, exit_code)
+from dehncalc.reports import (SCHEMA_VERSION, RowWriter, Status,
+                              combine_status, emit_report, exit_code)
 from dehncalc.slopes import format_slope
 
 
@@ -25,20 +26,21 @@ def _run(capsys, argv):
 
 
 def test_emit_json_stable_key_order():
-    a = Report("cmd", Status.PASS, ({"b": 1, "a": 2},))
-    b = Report("cmd", Status.PASS, ({"a": 2, "b": 1},))
-    assert emit_report(a, "json") == emit_report(b, "json")
-    payload = json.loads(emit_report(a, "json"))
+    a = RowWriter("cmd", "json", ("b", "a")).add((1, 2))
+    b = RowWriter("cmd", "json", ("a", "b")).add((2, 1))
+    assert emit_report(a) == emit_report(b)
+    payload = json.loads(emit_report(a))
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["status"] == "ok"
     assert payload["results"] == [{"a": 2, "b": 1}]
 
 
 def test_emit_tsv_layout():
-    rep = Report("cmd", Status.PASS,
-                 ({"x": 1, "y": None, "z": True}, {"x": 2, "y": "s", "z": False},
-                  {"w": 3, "x": 4}))
-    lines = emit_report(rep, "tsv").splitlines()
+    rep = RowWriter("cmd", "tsv", ("x", "y", "z", "w"))
+    for cells in ((1, None, True, None), (2, "s", False, None),
+                  (4, None, None, 3)):
+        rep.add(cells)
+    lines = emit_report(rep).splitlines()
     assert lines[0] == "# schema_version\t1"
     assert lines[1] == "# command\tcmd"
     assert lines[2] == "# status\tok"
@@ -59,13 +61,12 @@ def test_exit_code_partition():
     assert combine_status([]) is Status.PASS
     with pytest.raises(ValueError):
         combine_status([Status.PASS, "ok"])
-    with pytest.raises(TypeError):
-        Report("cmd", "ok", ())
     for status, word in ((Status.PASS, "ok"), (Status.FAIL, "fail"),
                          (Status.INDETERMINATE, "indeterminate")):
-        rep = Report("cmd", status, ({"x": 1},))
-        assert json.loads(emit_report(rep, "json"))["status"] == word
-        assert emit_report(rep, "tsv").splitlines()[2] == f"# status\t{word}"
+        rep = RowWriter("cmd", "json", ("x",)).add((1,), status)
+        assert json.loads(emit_report(rep))["status"] == word
+        rep = RowWriter("cmd", "tsv", ("x",)).add((1,), status)
+        assert emit_report(rep).splitlines()[2] == f"# status\t{word}"
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +235,48 @@ _TSV_HEADERS = [
 ]
 
 
+# The sha256 of each argv's whole stdout in JSON and in TSV.
+_STDOUT_SHA256 = {
+    "distance": (
+        "897131fa9a9606b1e89a55f4391e453592abbb57b7119e69c1456bb01e5d0677",
+        "66c730559b3755e2518c92e8c0f772cea3b8a9f1f5b6d5978c0ca24a4aeab825"),
+    "classify": (
+        "a1b17b3a401b3e7de0a22746e9f29afdb71f0fa9cda7adaa5648adcbe2f29651",
+        "421ef2eaaddb15cc35cb40cb66b80978bc87d6f5cf117a18e91a72f1c728a254"),
+    "cover": (
+        "b912130f11fad060df6a55cef5710ae1e1e677d7158e85cab3648a3d13c64169",
+        "8b48635429a5990866165046ffa6f9a76a46c9f617b5c091b7a342f0b64e1563"),
+    "cable": (
+        "b7b5ce48f3280e27375741b64e7066a1cd7fa140fee540c36c59260b4082a20c",
+        "cefe4aaa4e2bb7d1ba38e9a5bef50ab8dc35bc11b89b2543212ffe2978d6ecf6"),
+    "family-list": (
+        "96dce07da36af3f343ff80d9b4828ee54dbf166003aa798ed014c958a2d6a215",
+        "64325df4b1133df4b8a71addc87aa99e018b1ba16b0c142f251ebceb9befa23b"),
+    "family-fill": (
+        "a59cf86e9766aaa0868675f57a189ccf8ece2e18dfb2b6d5e9b51e8a6088ff13",
+        "17b06a03338dcc7362324f1cc8cd069e8fb1f1353e752d63f830e230a8f555c7"),
+    "family-verify": (
+        "8fc3ff28097b1795567cf5d8181ea3c3736a85f54eaceb6629dcecc4794617d4",
+        "0013eedd1f077afeb752d103166e40b02f05c97e0a5d691a973f9fdc58a8506d"),
+    "family-sweep": (
+        "346fde914c8ecea8fb16d5808fb7c605ef75b1e362b47138ea0287def209c4c1",
+        "104dabdf3f3318f9524187fe838313981deb32471a2ab8b871d51bbb8ce388c8"),
+    "oracle": (
+        "afec2fdc41c47cfc9eb8a5d57492803b642214211a322be094de640e4cd7a67e",
+        "8e7e08a7ae2197c77894257c3a5454c53a6271c996e021fc9797b60a03166305"),
+}
+
+
 @pytest.mark.parametrize("argv, header", _TSV_HEADERS,
                          ids=[argv[0] for argv, _ in _TSV_HEADERS])
 def test_tsv_header_per_verb(capsys, argv, header):
     code, out, _ = _run(capsys, argv + ["--format", "tsv"])
     assert code == 0
     assert out.splitlines()[3] == header
+    for fmt, digest in zip(("json", "tsv"), _STDOUT_SHA256[argv[0]]):
+        code, out, _ = _run(capsys, argv + ["--format", fmt])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
 
 
 def test_oracle_verb(capsys):

@@ -27,7 +27,6 @@ from dehncalc.diagrams import (build_standard_diagram, checkerboard,
 from dehncalc.families import FAMILIES, sweep_verify, verify_family
 from dehncalc.links import (MontesinosLink, TwoBridge, Unknot, Unlink,
                             link_connected_sum)
-from dehncalc.reports import Report, Status
 from dehncalc.slopes import Slope
 from dehncalc.value import Value
 from test_compare_laws import _build, _sums
@@ -138,7 +137,6 @@ def _corpus():
              MontesinosLink(-1, (Slope(1, 2), Slope(1, 3), Slope(1, 5))),
              link_connected_sum(TwoBridge(3, 1), TwoBridge(5, 2))]
     shapes += links + [Slope(3, 4), Slope(1, 0), Slope(-2)]
-    shapes += [Report("c", Status.PASS, ({"a": 1},)), Report("c", Status.FAIL, ())]
     for spec in FAMILIES.values():
         shapes += [spec, *spec.claims, *spec.checks, *spec.edges]
     cyclic = {"p": 2, "q": 4}
@@ -159,8 +157,8 @@ def test_every_value_class_has_a_twin_and_a_corpus_entry():
         "H1Result", "S3", "S1xS2", "SolidTorus", "T2xI", "ZxS1", "Lens",
         "SfsS2", "SfsOrdersOnly", "CableSpace", "OpaqueTag", "ConnSum",
         "TorusUnion", "Unknot", "Unlink", "TwoBridge", "MontesinosLink",
-        "ConnSumLink", "Slope", "Report", "Claim", "Check", "Edge",
-        "FamilySpec", "CheckResult", "VerificationReport", "SweepReport",
+        "ConnSumLink", "Slope", "Claim", "Check", "Edge", "FamilySpec",
+        "CheckResult", "VerificationReport", "SweepReport",
         "CombinatorialMap", "Checkerboard", "OracleReport"}
     assert {type(v) for v in _CORPUS} == set(_TWIN_OF)
 
