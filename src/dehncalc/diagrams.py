@@ -337,10 +337,8 @@ def _add_bottom(m: CombinatorialMap, sw: int, se: int,
     are sw and se: each crossing's NE and NW darts join the SE and SW
     darts of the one before it.  Returns the new south darts, the last
     crossing's SW and SE entries, which are placeholders until they are
-    joined."""
+    joined.  A bottom batch is never empty: see _rational_tangle."""
     n = abs(count)
-    if not n:
-        return sw, se
     first = len(m.pairing)
     m.crossings.extend([_flag(_OVER_BOTTOM, count)] * n)
     for c in range(first, first + 4 * n, 4):
@@ -359,10 +357,13 @@ def _rational_tangle(m: CombinatorialMap,
     and right steps so that step k is a right batch exactly when k is
     odd; the running tangle fraction picks up each term in continued
     fraction position.  Every term must be >= 1 except a1, which may be
-    0 (used for tangles with fraction in (0, 1)).
+    0 (used for tangles with fraction in (0, 1)), and with two or more
+    terms the last must be >= 2, as in every canonical continued
+    fraction, so that each bottom batch has a crossing.
     """
     n = len(terms)
-    if n == 0 or any(a < 1 for a in terms[1:]) or terms[0] < 0 or terms[-1] < 1:
+    if (n == 0 or any(a < 1 for a in terms[1:]) or terms[0] < 0
+            or terms[-1] < 1 + (n > 1)):
         raise ValueError(f"unsupported twist sequence {terms}")
     # The a_n batch starts from one crossing, its four darts dangling, and
     # twists on the rest.

@@ -78,8 +78,8 @@ class Edge(Value):
 
     ``slope_text`` names the filling slope the edge lives at, when there
     is one; it is text because some edges use a symbolic slope ("1/q").
-    Slopes named here count as rows of the family's table, so checks may
-    refer to them.
+    It is not a row of the family's table: only a distance check, which
+    builds nothing, may name a slope that no claim has.
     """
 
     def __init__(self, target: str, note: str,
@@ -93,10 +93,10 @@ class FamilySpec(Value):
     Each claim's formula is read into ``builders[i]``, a function of the
     parameters by name; a formula outside the grammar, a parameter not in
     ``param_names`` or trailing text raises ``ValueError`` here.  A claim
-    whose formula reads no parameter is built here, once, unless building
-    it raises; then every point builds it.  Every check that reads only
-    claims built here is settled here too, as a distance check, which
-    reads none, always is.
+    whose formula reads no parameter is built here, once, so one that
+    does not build refuses the table with its constructor's error.  Every
+    check that reads only claims built here is settled here too, as a
+    distance check, which reads none, always is.
     """
 
     def __init__(self, name: str, description: str,
@@ -116,7 +116,7 @@ class FamilySpec(Value):
         # compile to equal plans; see _compile_check.
         compiled = [_builder(c.formula, param_names) for c in claims]
         fields["builders"] = tuple(build for build, _ in compiled)
-        fields["built"] = tuple(None if reads else _built_once(build)
+        fields["built"] = tuple(None if reads else build()
                                 for build, reads in compiled)
         fields["plan"] = tuple((check.when, *_compile_check(self, check))
                                for check in checks)
@@ -278,14 +278,6 @@ _FINITE_TYPE_WORDS = {t: t.value for t in FiniteType}
 _COMPARISON_WORDS = {c: c.value for c in Comparison}
 _UNKNOWN = FiniteType.UNKNOWN
 _DISTINCT_ANSWERS = {Comparison.DISTINCT: True, Comparison.EQUAL: False}
-
-
-def _built_once(build: Callable[[], Manifold]) -> Manifold | None:
-    """The filling of a builder that reads no parameter, if it builds."""
-    try:
-        return build()
-    except Exception:  # raised again, and reported, at every point
-        return None
 
 
 def _wellformed(fill, args):

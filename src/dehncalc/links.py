@@ -20,14 +20,13 @@ from .value import Value
 class Link(Value):
     """Base class for link descriptions, each an immutable value.  Each
     shape declares the facts annotated here in its own class: as a class
-    attribute when the fact is fixed for the shape, or as a property when
-    it depends on its fields."""
+    attribute when the fact is fixed for the shape, as a property when it
+    depends on its fields, or, for a Montesinos link's cover, as the value
+    its ``__init__`` normalises through.  A sum of links is flat, so it is
+    never a summand and has no ``sort_key``."""
 
     cover: Manifold  # the double cover of S^3 branched over the link
     sort_key: tuple  # orders the parts of a sum
-
-    def __str__(self) -> str:  # pragma: no cover - overridden everywhere
-        return type(self).__name__
 
 
 class Unknot(Link):
@@ -98,30 +97,27 @@ class MontesinosLink(Link):
     Branches are stored as slopes normalized into (0, 1): integer parts
     are folded into e, and at least three genuine branches are required
     (with fewer the link is 2-bridge and should be written that way).
+    The normal form is that of the cover SFS(e; beta1/alpha1, ...),
+    which ``__init__`` builds once and keeps as ``cover``.
     """
 
     def __init__(self, e: int, branches: tuple[Slope, ...]) -> None:
-        normalized = []
         for r in branches:
             if r.is_infinite:
                 raise IllFormedClaimError("montesinos branch must be finite")
-            e += r.p // r.q
-            beta = r.p % r.q
-            if beta == 0:
+            if r.q == 1:
                 raise IllFormedClaimError(
                     f"montesinos branch {r} is an integer; fold it into e"
                 )
-            normalized.append(Slope(beta, r.q))
-        if len(normalized) < 3:
+        if len(branches) < 3:
             raise IllFormedClaimError(
                 "montesinos needs >= 3 branches; with fewer the link is 2-bridge"
             )
-        normalized.sort(key=lambda r: (r.q, r.p))
-        self.__dict__.update(e=e, branches=tuple(normalized))
+        cover = SfsS2(e, tuple((r.q, r.p) for r in branches))
+        self.__dict__.update(e=cover.e, branches=tuple(
+            Slope(beta, alpha) for alpha, beta in cover.fibers), cover=cover)
 
-    # The branches as Seifert fibers (alpha, beta), already in SfsS2 order.
-    fibers = property(lambda self: tuple((r.q, r.p) for r in self.branches))
-    cover = property(lambda self: SfsS2(self.e, self.fibers))
+    fibers = property(lambda self: self.cover.fibers)
     sort_key = property(lambda self: ("Montesinos", (self.e,) + self.fibers))
 
     def __str__(self) -> str:
@@ -146,8 +142,6 @@ class ConnSumLink(Link):
 
     cover = property(
         lambda self: connected_sum(*(l.cover for l in self.summands)))
-    sort_key = property(
-        lambda self: ("ConnSum", tuple(l.sort_key for l in self.summands)))
 
     def __str__(self) -> str:
         return " + ".join(str(l) for l in self.summands)

@@ -152,9 +152,6 @@ class Manifold(Value):
         orientation is its own mirror."""
         return self
 
-    def __str__(self) -> str:  # pragma: no cover - overridden everywhere
-        return type(self).__name__
-
 
 SHAPE_FACTS = tuple(Manifold.__annotations__)
 _sort_key = attrgetter("sort_key")
@@ -258,8 +255,7 @@ class Lens(Manifold, closed=True, reducible=False, prime=True, toroidal=False,
 def lens_space(p: int, q: int) -> Manifold:
     """L(p, q) with the degenerate cases folded in: L(0, 1) = S1xS2, L(+-1, q) = S3."""
     if abs(p) >= 2:
-        p, q = normalize_lens_pair(p, q, "L", "lens_space")
-        return _normal_form(Lens, p=p, q=q)
+        return Lens(p, q)
     if gcd(p, q) != 1:
         raise IllFormedClaimError(f"L({p},{q}) needs gcd(p, q) = 1")
     return S3() if p else S1xS2()

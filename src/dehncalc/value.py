@@ -13,8 +13,6 @@ restore the ``__dict__``.  A field may hold a list that its owner
 extends in place.
 """
 
-from operator import attrgetter
-
 
 class Value:
     __slots__ = ()
@@ -22,11 +20,7 @@ class Value:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         code = getattr(cls.__init__, "__code__", None)
-        cls._fields = fields = code.co_varnames[1:code.co_argcount] if code else ()
-        # The fields as one tuple, by one C call where there are two or more.
-        values = attrgetter(*fields) if len(fields) > 1 else (
-            lambda self: tuple([getattr(self, name) for name in fields]))
-        cls.__hash__ = lambda self: hash(values(self))
+        cls._fields = code.co_varnames[1:code.co_argcount] if code else ()
 
     def __eq__(self, other):
         # One C comparison: the __dict__ holds the fields, and anything
@@ -35,6 +29,9 @@ class Value:
         if type(other) is type(self):
             return self.__dict__ == other.__dict__
         return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, name) for name in self._fields]))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"

@@ -220,7 +220,10 @@ def test_build_standard_diagram_dispatch():
     (lambda: two_bridge_diagram(3, 3), "need 0 < q < p, got (3, 3)"),
     (lambda: montesinos_diagram(0, ()),
      "montesinos diagram needs at least one branch"),
-], ids=["infinite-branch", "q-not-below-p", "no-branch"])
+    # A last term of 1 after others would leave an empty bottom batch.
+    (lambda: diagrams._rational_tangle(CombinatorialMap([], []), (2, 1)),
+     "unsupported twist sequence (2, 1)"),
+], ids=["infinite-branch", "q-not-below-p", "no-branch", "last-term-one"])
 def test_builders_reject_what_they_cannot_draw(build, message):
     with pytest.raises(ValueError) as info:
         build()

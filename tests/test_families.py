@@ -336,11 +336,11 @@ def test_result_records_keep_their_fields_and_are_immutable():
 
 
 def test_run_check_reports_failures(monkeypatch):
-    monkeypatch.setitem(FAMILIES, "hand",
-                        _table({Slope(0): "L(4,2)"}, Check("wellformed")))
-    (result,) = verify_family("hand", {}).checks
+    monkeypatch.setitem(FAMILIES, "hand", _table(
+        {Slope(0): "L(2p,2)"}, Check("wellformed"), params=("p",)))
+    (result,) = verify_family("hand", {"p": 2}).checks
     assert result.status is Status.FAIL
-    assert "gcd" in result.observed
+    assert result.observed == "L(4,2) needs gcd(p, q) = 1"
 
 
 def test_run_check_indeterminate_finite_type(monkeypatch):
@@ -399,9 +399,10 @@ def test_verify_family_builds_each_claim_once(monkeypatch):
 
 def test_ill_formed_claim_raises_from_later_checks(monkeypatch):
     monkeypatch.setitem(FAMILIES, "hand", _table(
-        {Slope(0): "L(4,2)"}, Check("wellformed"), Check("reducible", (Slope(0),))))
+        {Slope(0): "L(2p,2)"}, Check("wellformed"),
+        Check("reducible", (Slope(0),)), params=("p",)))
     with pytest.raises(IllFormedClaimError):
-        verify_family("hand", {})
+        verify_family("hand", {"p": 2})
 
 
 # Small windows of every family.  _PIN_SHA256 is the sha256 of the
@@ -520,23 +521,28 @@ def test_parameter_free_claims_are_built_once_per_family(monkeypatch):
                      "octahedral_aux_Np": [], "icosahedral_lee": ["-1/2", "inf"]}
 
 
-def _one_parameter_spec(*checks: Check) -> FamilySpec:
-    return _table({Slope(0): "L(p,1)", INFINITY: "L(4,2)"}, *checks,
+def _one_parameter_spec(*checks: Check, infinity: str = "L(2p,2)") -> FamilySpec:
+    return _table({Slope(0): "L(p,1)", INFINITY: infinity}, *checks,
                   params=("p",))
 
 
 def test_ill_formed_parameter_free_claim_fails_at_every_point(monkeypatch):
-    # A claim that raises when built is not settled: each point builds it.
+    # A parameter-free claim that does not build refuses its table.
+    with pytest.raises(IllFormedClaimError,
+                       match=re.escape("L(4,2) needs gcd(p, q) = 1")):
+        _one_parameter_spec(Check("wellformed"), infinity="L(4,2)")
+    # A claim that reads a parameter fails at every point where it does
+    # not build, and L(2p,2) builds at none.
     broken = _one_parameter_spec(Check("wellformed"),
                                  Check("reducible", (Slope(0),)))
-    assert broken.built[1] is None
+    assert broken.built == (None, None)
     monkeypatch.setitem(FAMILIES, "hand", broken)
     reports = list(sweep_point_reports("hand", {"p": (2, 6)}))
     assert len(reports) == 5
-    for report in reports:
+    for p, report in enumerate(reports, start=2):
         wellformed, reducible = report.checks
         assert wellformed.status is Status.FAIL
-        assert wellformed.observed == "L(4,2) needs gcd(p, q) = 1"
+        assert wellformed.observed == f"L({2 * p},2) needs gcd(p, q) = 1"
         assert reducible.status is Status.FAIL
     monkeypatch.setitem(FAMILIES, "hand", _one_parameter_spec(
         Check("wellformed"), Check("finite_type", (INFINITY,), FiniteType.CYCLIC)))

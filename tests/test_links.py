@@ -3,12 +3,15 @@ from itertools import permutations
 from math import gcd, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dehncalc.links import (ConnSumLink, TwoBridge, Unknot,
                             Unlink, link_connected_sum, link_determinant,
                             montesinos, numerator_closure, two_bridge, unlink)
 from dehncalc.cover import double_branched_cover
-from dehncalc.manifolds import IllFormedClaimError, connected_sum, lens_space
+from dehncalc.manifolds import (IllFormedClaimError, SfsS2, connected_sum,
+                                lens_space)
 from dehncalc.slopes import INFINITY, Slope
 
 
@@ -68,12 +71,39 @@ def test_montesinos_normalization():
     assert m.branches == (Slope(1, 2), Slope(1, 3), Slope(1, 5))
     n = montesinos(-1, [Slope(1, 5), Slope(1, 2), Slope(1, 3)])
     assert n.branches == (Slope(1, 2), Slope(1, 3), Slope(1, 5))
-    with pytest.raises(IllFormedClaimError):
+    with pytest.raises(IllFormedClaimError,
+                       match=r"^montesinos branch 2 is an integer; fold it into e$"):
         montesinos(0, [Slope(2), Slope(1, 3), Slope(1, 5)])
-    with pytest.raises(IllFormedClaimError):
+    with pytest.raises(IllFormedClaimError,
+                       match=r"^montesinos branch must be finite$"):
         montesinos(0, [INFINITY, Slope(1, 3), Slope(1, 5)])
-    with pytest.raises(IllFormedClaimError):
+    with pytest.raises(IllFormedClaimError, match=(
+            r"^montesinos needs >= 3 branches; with fewer the link is 2-bridge$")):
         montesinos(0, [Slope(1, 2), Slope(1, 3)])
+
+
+def _fold_branches(e, branches):
+    """The per-branch rule the Montesinos normal form replaced, kept as
+    the reference: integer parts into e, branches into (0, 1), sorted by
+    (denominator, numerator)."""
+    normalized = []
+    for r in branches:
+        e += r.p // r.q
+        normalized.append(Slope(r.p % r.q, r.q))
+    normalized.sort(key=lambda r: (r.q, r.p))
+    return e, tuple(normalized)
+
+
+# Finite, non-integer slopes, negative and improper ones included.
+_BRANCH = st.builds(Slope, st.integers(-60, 60), st.integers(2, 12)).filter(
+    lambda r: r.q > 1)
+
+
+@given(st.integers(-20, 20), st.lists(_BRANCH, min_size=3, max_size=5))
+def test_montesinos_normal_form_is_its_covers(e, branches):
+    link = montesinos(e, branches)
+    assert (link.e, link.branches) == _fold_branches(e, branches)
+    assert link.cover == SfsS2(link.e, link.fibers)
 
 
 def test_link_connected_sum():

@@ -188,6 +188,8 @@ def test_sfs_orders_factory_degenerate_rewrites():
     assert sfs_orders(BASE_S2, (-2, 3, -5)) == SfsOrdersOnly(BASE_S2, (2, 3, 5))
     with pytest.raises(IllFormedClaimError):
         sfs_orders(BASE_S2, (2, 0, 5))
+    with pytest.raises(IllFormedClaimError, match="^unknown base 'RP2'$"):
+        sfs_orders("RP2", (2, 3, 5))
 
 
 # ---------------------------------------------------------------------------
