@@ -16,9 +16,9 @@ only what does not fold reaches a dense Bareiss elimination.
 Conventions (pinned by the b(p, q) determinant suite):
   * the strand through NE and SW (darts 4k and 4k+2) is the overstrand
     when over = 0, the strand through NW and SE when over = 1;
-  * positive twists use over = 0 for both horizontal (right) and
-    vertical (bottom) batches, which yields the alternating 4-plats; a
-    negative twist count flips the flag.
+  * every crossing has over = 0, which yields the alternating 4-plats,
+    except in a right batch of negative count, where over = 1; only the
+    right batch that carries a Montesinos twist e can have one.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ from .links import ConnSumLink, Link, MontesinosLink, TwoBridge, montesinos
 from .manifolds import h1
 from .slopes import Slope, continued_fraction
 from .value import Value
-
-_OVER_RIGHT = 0
-_OVER_BOTTOM = 0
 
 
 class CombinatorialMap(Value):
@@ -309,21 +306,18 @@ def _join(m: CombinatorialMap, d1: int, d2: int) -> None:
     m.pairing[d2] = d1
 
 
-def _flag(base: int, count: int) -> int:
-    return base if count >= 0 else 1 - base
-
-
 def _add_right(m: CombinatorialMap, ne: int, se: int,
                count: int) -> tuple[int, int]:
     """Twist |count| crossings onto the east side, whose dangling darts are
     ne and se: each crossing's NW and SW darts join the NE and SE darts of
-    the one before it.  Returns the new east darts, the last crossing's NE
-    and SE entries, which are placeholders until they are joined."""
+    the one before it, and its flag is 1 exactly when count < 0.  Returns
+    the new east darts, the last crossing's NE and SE entries, which are
+    placeholders until they are joined."""
     n = abs(count)
     if not n:
         return ne, se
     first = len(m.pairing)
-    m.crossings.extend([_flag(_OVER_RIGHT, count)] * n)
+    m.crossings.extend([int(count < 0)] * n)
     for c in range(first, first + 4 * n, 4):
         m.pairing.extend((c + 5, c - 4, c - 1, c + 6))
     _join(m, ne, first + 1)
@@ -332,15 +326,14 @@ def _add_right(m: CombinatorialMap, ne: int, se: int,
 
 
 def _add_bottom(m: CombinatorialMap, sw: int, se: int,
-                count: int) -> tuple[int, int]:
-    """Twist |count| crossings onto the south side, whose dangling darts
-    are sw and se: each crossing's NE and NW darts join the SE and SW
-    darts of the one before it.  Returns the new south darts, the last
-    crossing's SW and SE entries, which are placeholders until they are
-    joined.  A bottom batch is never empty: see _rational_tangle."""
-    n = abs(count)
+                n: int) -> tuple[int, int]:
+    """Twist n >= 1 crossings of flag 0 (see _rational_tangle) onto the
+    south side, whose dangling darts are sw and se: each crossing's NE
+    and NW darts join the SE and SW darts of the one before it.  Returns
+    the new south darts, the last crossing's SW and SE entries, which
+    are placeholders until they are joined."""
     first = len(m.pairing)
-    m.crossings.extend([_flag(_OVER_BOTTOM, count)] * n)
+    m.crossings.extend([0] * n)
     for c in range(first, first + 4 * n, 4):
         m.pairing.extend((c - 1, c - 2, c + 5, c + 4))
     _join(m, se, first)
@@ -370,7 +363,7 @@ def _rational_tangle(m: CombinatorialMap,
     right = n % 2 == 1
     ne = len(m.pairing)
     nw, sw, se = ne + 1, ne + 2, ne + 3
-    m.crossings.append(_OVER_RIGHT if right else _OVER_BOTTOM)
+    m.crossings.append(0)
     m.pairing.extend((-1, -1, -1, -1))
     if right:
         ne, se = _add_right(m, ne, se, terms[-1] - 1)

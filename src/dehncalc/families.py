@@ -62,13 +62,14 @@ class Check(Value):
     """A verifiable assertion about a family's claims.
 
     Kinds: "wellformed", "distance", "reducible", "finite_type",
-    "distinct".  ``when`` restricts a check to part of the domain; a
-    check whose predicate rejects the parameters is simply not run.
+    "distinct".  ``when``, if given, lists the parameter points the check
+    runs at, each a tuple of values in ``param_names`` order; at any
+    other point it is simply not run.
     """
 
     def __init__(self, kind: str, slopes: tuple[Slope, ...] = (),
                  expected: object = None,
-                 when: Callable[[dict], bool] | None = None) -> None:
+                 when: frozenset[tuple[int, ...]] | None = None) -> None:
         self.__dict__.update(kind=kind, slopes=slopes, expected=expected,
                              when=when)
 
@@ -538,10 +539,6 @@ _OCTAHEDRAL_AUX = FamilySpec(
 )
 
 
-_LEE_FINITE_AT_0 = frozenset({(3, -1), (-4, -1)})
-_LEE_FINITE_AT_MINUS_1 = frozenset({(-3, 1), (4, 1)})
-
-
 _ICOSAHEDRAL_LEE = FamilySpec(
     name="icosahedral_lee",
     description="Two-parameter family with an S1xS2 filling at -1/2 and "
@@ -562,9 +559,9 @@ _ICOSAHEDRAL_LEE = FamilySpec(
         Check("distance", (Slope(-1, 2), INFINITY), 2),
         Check("reducible", (Slope(-1, 2),)),
         Check("finite_type", (Slope(0),), FiniteType.ICOSAHEDRAL,
-              when=lambda ps: (ps["p"], ps["q"]) in _LEE_FINITE_AT_0),
+              when=frozenset({(3, -1), (-4, -1)})),
         Check("finite_type", (Slope(-1),), FiniteType.ICOSAHEDRAL,
-              when=lambda ps: (ps["p"], ps["q"]) in _LEE_FINITE_AT_MINUS_1),
+              when=frozenset({(-3, 1), (4, 1)})),
     ),
     designated_pair=(Slope(-1, 2), Slope(0)),
 )
@@ -621,19 +618,21 @@ def _check_names(spec: FamilySpec, names) -> None:
         )
 
 
-def _check_params(spec: FamilySpec, params: dict) -> None:
+def _check_params(name: str, params: dict) -> FamilySpec:
+    """The family named, once its parameters are checked."""
+    spec = get_family(name)
     _check_names(spec, params)
     if not spec.in_domain(**params):
         raise DomainError(
             f"parameters {params} are outside the domain of {spec.name} "
             f"({spec.domain_doc})"
         )
+    return spec
 
 
 def evaluate_filling(name: str, params: dict, r: Slope) -> Manifold:
     """The closed-form filling of a family member at a claimed slope."""
-    spec = get_family(name)
-    _check_params(spec, params)
+    spec = _check_params(name, params)
     return spec.builders[spec.slot(r)](**params)
 
 
@@ -644,8 +643,7 @@ def verify_family(name: str, params: dict) -> VerificationReport:
     claim is built on first use and memoized by position, and one that
     fails to build is not memoized, so every check needing it raises.
     """
-    spec = get_family(name)
-    _check_params(spec, params)
+    spec = _check_params(name, params)
     builders = spec.builders
     built: list[Manifold | None] = list(spec.built)
 
@@ -656,7 +654,8 @@ def verify_family(name: str, params: dict) -> VerificationReport:
         return m
 
     results = tuple([run(fill, args) for when, run, args in spec.plan
-                     if when is None or when(params)])
+                     if when is None
+                     or tuple(map(params.__getitem__, spec.param_names)) in when])
     return VerificationReport(spec.name, dict(params),
                               combine_status([r.status for r in results]),
                               results)
@@ -700,7 +699,6 @@ def sweep_point_reports(
 
 def sweep_verify(name: str, ranges: dict[str, tuple[int, int]]) -> SweepReport:
     """Verify a family over an inclusive integer grid, aggregated."""
-    spec = get_family(name)
     points = dict.fromkeys(Status, 0)
     failures = []
     for report in sweep_point_reports(name, ranges):
@@ -708,7 +706,7 @@ def sweep_verify(name: str, ranges: dict[str, tuple[int, int]]) -> SweepReport:
         failures.extend({"params": report.params, "detail": c.detail,
                          "status": STATUS_WORDS[c.status], "observed": c.observed}
                         for c in report.checks if c.status is not Status.PASS)
-    return SweepReport(spec.name, {k: tuple(v) for k, v in ranges.items()},
+    return SweepReport(name, {k: tuple(v) for k, v in ranges.items()},
                        sum(points.values()), points[Status.PASS],
                        points[Status.FAIL], points[Status.INDETERMINATE],
                        tuple(failures))

@@ -163,18 +163,13 @@ def _manifold_atom(s: _Scanner) -> Manifold:
     head = s.next()
     if head in _FIXED_MANIFOLDS:
         return _FIXED_MANIFOLDS[head]()
-    if head == "L":
+    if head in ("L", "C"):
         args = _int_args(s)
         if len(args) != 2:
-            raise s.error("L takes exactly two parameters", at)
-        return lens_space(args[0], args[1])
+            raise s.error(f"{head} takes exactly two parameters", at)
+        return (lens_space if head == "L" else CableSpace)(*args)
     if head in (BASE_S2, BASE_D2, BASE_M2):
         return sfs_orders(head, _int_args(s))
-    if head == "C":
-        args = _int_args(s)
-        if len(args) != 2:
-            raise s.error("C takes exactly two parameters", at)
-        return CableSpace(args[0], args[1])
     if head == "SFS":
         e, fibers = _seifert_args(s)
         return SfsS2(e, tuple((f.q, f.p) for f in fibers))

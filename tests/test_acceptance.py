@@ -74,8 +74,7 @@ def test_criterion_2_icosahedral_parameter_pairs():
     with _criterion(2, "icosahedral parameter pairs are exactly four",
                     budget=1.0):
         hits = scan_icosahedral_pairs(10)
-        assert hits["0"] == ((-4, -1), (3, -1))
-        assert hits["-1"] == ((-3, 1), (4, 1))
+        assert hits == {"0": ((-4, -1), (3, -1)), "-1": ((-3, 1), (4, 1))}
 
 
 def test_criterion_3_distance_suite():
@@ -97,7 +96,8 @@ def test_criterion_4_cyclic_wellformedness_sweep():
     with _criterion(4, "cyclic sweep over 783 points, zero failures",
                     budget=5.0):
         report = sweep_verify("cyclic", {"p": (2, 30), "q": (4, 30)})
-        assert report.points == 783
+        assert report.points == 29 * 27 == 783
+        assert report.passed == 783
         assert report.failed == 0
         assert report.indeterminate == 0
         assert report.failures == ()

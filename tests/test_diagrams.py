@@ -208,6 +208,17 @@ def test_montesinos_diagram_crossing_count_and_determinant():
     assert goeritz_determinant(m) == 1
 
 
+@pytest.mark.parametrize("e", [-2, 2])
+def test_only_a_negative_twist_batch_flips_its_flags(e):
+    # |det| cannot see a flip of every flag, since the mirror diagram has
+    # the same determinant, so the flags are read directly.  The |e|
+    # crossings of the twist batch are built last.
+    flags = montesinos_diagram(e, (Slope(1, 2), Slope(2, 3),
+                                   Slope(3, 7))).crossings
+    assert flags[-abs(e):] == [int(e < 0)] * abs(e)
+    assert flags[:-abs(e)] == [0] * (len(flags) - abs(e))
+
+
 def test_build_standard_diagram_dispatch():
     assert len(build_standard_diagram(two_bridge(5, 2)).crossings) > 0
     with pytest.raises(ValueError):

@@ -119,14 +119,6 @@ def test_icosahedral_lee_spot_values():
     assert fill(5, 2, Slope(0)) == sfs_orders(BASE_S2, (4, 3, 11))
 
 
-def test_designated_pairs_have_distance_one():
-    for spec in family_catalog():
-        if spec.designated_pair is None:
-            continue
-        reducible_slope, finite_slope = spec.designated_pair
-        assert distance(reducible_slope, finite_slope) == 1, spec.name
-
-
 def test_verify_family_all_pass():
     for name, params in (("cyclic", {"p": 2, "q": 4}),
                          ("ew_prior", {"p": 2}),
@@ -148,15 +140,25 @@ def test_verify_icosahedral_lee_conditional_checks():
     generic = verify_family("icosahedral_lee", {"p": 5, "q": 2})
     assert all(c.kind != "finite_type" for c in generic.checks)
     assert generic.status is Status.PASS
+    # A point is read in param_names order, (p, q), not in the dict's.
+    swapped = verify_family("icosahedral_lee", {"q": -1, "p": 3})
+    assert [c.detail for c in swapped.checks if c.kind == "finite_type"] == \
+        ["classify(filling(0)) = icosahedral"]
 
 
-def test_sweep_cyclic_grid():
-    report = sweep_verify("cyclic", {"p": (2, 30), "q": (4, 30)})
-    assert report.points == 29 * 27 == 783
-    assert report.failed == 0
-    assert report.indeterminate == 0
-    assert report.passed == 783
-    assert report.failures == ()
+def test_icosahedral_lee_conditional_checks_are_their_point_sets():
+    # A check that lists its points equals, and hashes as, one rebuilt
+    # from the same points, so equal tables state equal checks.
+    conditional = [c for c in get_family("icosahedral_lee").checks
+                   if c.when is not None]
+    rebuilt = [
+        Check("finite_type", (Slope(0),), FiniteType.ICOSAHEDRAL,
+              when=frozenset({(3, -1), (-4, -1)})),
+        Check("finite_type", (Slope(-1),), FiniteType.ICOSAHEDRAL,
+              when=frozenset({(-3, 1), (4, 1)})),
+    ]
+    assert conditional == rebuilt
+    assert list(map(hash, conditional)) == list(map(hash, rebuilt))
 
 
 def test_sweep_skips_out_of_domain_points():
@@ -277,8 +279,8 @@ def test_sweep_verify_records_every_check_that_does_not_pass(monkeypatch):
     # undecided, p = 3 passes.
     monkeypatch.setitem(FAMILIES, "hand", _table(
         {Slope(0): "L(5,1)", INFINITY: "tag(toroidal)"}, Check("wellformed"),
-        Check("reducible", (Slope(0),), when=lambda ps: ps["p"] == 1),
-        Check("reducible", (INFINITY,), when=lambda ps: ps["p"] <= 2),
+        Check("reducible", (Slope(0),), when=frozenset({(1,)})),
+        Check("reducible", (INFINITY,), when=frozenset({(1,), (2,)})),
         params=("p",)))
     report = sweep_verify("hand", {"p": (1, 3)})
     assert (report.points, report.passed, report.failed,
@@ -292,17 +294,13 @@ def test_sweep_verify_records_every_check_that_does_not_pass(monkeypatch):
         {"params": {"p": 2}, **undecided})
 
 
-def test_icosahedral_pair_scan_is_exact():
-    hits = scan_icosahedral_pairs(10)
-    assert hits == {"0": ((-4, -1), (3, -1)), "-1": ((-3, 1), (4, 1))}
-
-
 def test_icosahedral_lee_checks_finite_type_at_the_scanned_pairs():
-    # The when sets of the two finite_type checks are the pairs the scan
+    # The point sets of the two finite_type checks are the pairs the scan
     # finds, so a changed pair there fails here.
     hits = scan_icosahedral_pairs()
-    assert families._LEE_FINITE_AT_0 == frozenset(hits["0"])
-    assert families._LEE_FINITE_AT_MINUS_1 == frozenset(hits["-1"])
+    when = {format_slope(c.slopes[0]): c.when
+            for c in get_family("icosahedral_lee").checks if c.when is not None}
+    assert when == {slope: frozenset(pairs) for slope, pairs in hits.items()}
 
 
 def test_result_records_keep_their_fields_and_are_immutable():
@@ -491,7 +489,8 @@ def test_settled_checks_equal_checks_made_at_each_point():
             report = verify_family(spec.name, params)
             expected = [_check_from_scratch(spec, check, params)
                         for check in spec.checks
-                        if check.when is None or check.when(params)]
+                        if check.when is None or tuple(
+                            params[n] for n in spec.param_names) in check.when]
             assert [(c.kind, c.detail, c.status, c.observed)
                     for c in report.checks] == expected, (spec.name, params)
             assert report.status is combine_status(e[2] for e in expected)
