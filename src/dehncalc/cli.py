@@ -153,7 +153,7 @@ def _cmd_family_list(args, new_report) -> RowWriter:
                          "designated_pair", "edges", "description"))
     for spec in _lib("families").family_catalog():
         report.add((
-            spec.name, ",".join(spec.param_names), spec.domain_doc,
+            spec.name, ",".join(spec.param_names), spec.domain,
             ", ".join(format_slope(c.slope) for c in spec.claims),
             "" if spec.designated_pair is None else
             ",".join(format_slope(r) for r in spec.designated_pair),

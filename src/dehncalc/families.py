@@ -26,6 +26,14 @@ juxtaposition ("3p", "2pq", "(3p+2)q"):
 
 Whitespace between tokens is insignificant.  A claim whose formula
 reads no parameter is built once per family, when its table is made.
+
+A domain, the text that ``family-list`` and ``DomainError`` print, is
+read into the predicate of a point; ',' is "and", "+-c" matches |x| = c:
+
+  domain  := cond (',' cond)*
+  cond    := num ('>=' | '!=') num   (a num that does not open with '(')
+           | '(' num (',' num)* ')' 'not' 'in' '{' point (',' point)* '}'
+  point   := '(' '+-'? num (',' '+-'? num)* ')'
 """
 
 from __future__ import annotations
@@ -61,10 +69,9 @@ class Claim(Value):
 class Check(Value):
     """A verifiable assertion about a family's claims.
 
-    Kinds: "wellformed", "distance", "reducible", "finite_type",
-    "distinct".  ``when``, if given, lists the parameter points the check
-    runs at, each a tuple of values in ``param_names`` order; at any
-    other point it is simply not run.
+    Kinds: "wellformed" (run first by every plan, so no table lists it),
+    "distance", "reducible", "finite_type", "distinct".  ``when``, if given,
+    lists the only points it runs at: domain tuples in ``param_names`` order.
     """
 
     def __init__(self, kind: str, slopes: tuple[Slope, ...] = (),
@@ -92,35 +99,37 @@ class FamilySpec(Value):
     """A family's claim table, compiled once when it is made.
 
     Each claim's formula is read into ``builders[i]``, a function of the
-    parameters by name; a formula outside the grammar, a parameter not in
-    ``param_names`` or trailing text raises ``ValueError`` here.  A claim
-    whose formula reads no parameter is built here, once, so one that
-    does not build refuses the table with its constructor's error.  Every
-    check that reads only claims built here is settled here too, as a
-    distance check, which reads none, always is.
+    parameters by name, and the domain into ``in_domain``; text outside
+    the grammar raises ``ValueError`` here.  A claim whose formula reads
+    no parameter is built here, once, so one that does not build refuses
+    the table.  The plan runs the wellformed check, then ``checks``; one
+    that reads only claims built here (none, for distance) is settled
+    here.  ``designated_pair`` is the slopes of the first reducible check
+    and the first finite_type check expecting a finite type, or None.
     """
 
     def __init__(self, name: str, description: str,
-                 param_names: tuple[str, ...], domain_doc: str,
-                 in_domain: Callable[..., bool], claims: tuple[Claim, ...],
-                 checks: tuple[Check, ...],
-                 designated_pair: tuple[Slope, Slope] | None = None,
+                 param_names: tuple[str, ...], domain: str,
+                 claims: tuple[Claim, ...], checks: tuple[Check, ...],
                  edges: tuple[Edge, ...] = ()) -> None:
         fields = self.__dict__
-        fields.update(name=name, description=description,
-                      param_names=param_names, domain_doc=domain_doc,
-                      in_domain=in_domain, claims=claims, checks=checks,
-                      designated_pair=designated_pair, edges=edges)
+        fields.update(name=name, description=description, param_names=param_names,
+                      domain=domain, claims=claims, checks=checks, edges=edges)
         # Not fields: each claim's builder, the fillings built once (None
-        # where each point builds its own), and the checks compiled into
-        # (when, run, args) triples, which are data, so equal tables
-        # compile to equal plans; see _compile_check.
+        # where each point builds its own), the domain's predicate and the
+        # plan, data that equal tables compile equal; see _compile_check.
         compiled = [_builder(c.formula, param_names) for c in claims]
         fields["builders"] = tuple(build for build, _ in compiled)
         fields["built"] = tuple(None if reads else build()
                                 for build, reads in compiled)
+        fields["in_domain"] = (_builder(domain, param_names, True)[0]
+                               if param_names else _everywhere)
         fields["plan"] = tuple((check.when, *_compile_check(self, check))
-                               for check in checks)
+                               for check in (Check("wellformed"), *checks))
+        pair = [next((c.slopes[0] for c in checks if c.kind == kind
+                      and c.expected not in (FiniteType.NOT_FINITE, _UNKNOWN)), None)
+                for kind in ("reducible", "finite_type")]
+        fields["designated_pair"] = None if None in pair else tuple(pair)
 
     def slot(self, r: Slope) -> int:
         """The position of the claim at slope r in ``claims``,
@@ -135,24 +144,24 @@ class FamilySpec(Value):
         )
 
 
-# A formula token: a multi-letter atom, a tag with its label, digits, or
-# any other one non-space character.
+# A formula token: a multi-letter atom, a tag with its label, digits, a
+# domain's operator or word, or any other one non-space character.
 _FORMULA_TOKEN = re.compile(
-    r"S1xS2|ZxS1|ST|S2|D2|tag\([A-Za-z][A-Za-z0-9_-]*\)|[0-9]+|\S")
+    r"S1xS2|ZxS1|ST|S2|D2|tag\([A-Za-z][A-Za-z0-9_-]*\)|[0-9]+|>=|!=|not|in|\S")
 _FIXED_ATOMS = {"S1xS2": "S1xS2()", "ZxS1": "ZxS1()", "ST": "SolidTorus()"}
 
 
 class _FormulaReader:
-    """Reads a claim formula, by recursive descent, into the text of one
-    Python expression that calls the constructors; ``reads`` records
+    """Reads a claim formula or a domain, as ``what`` says, by recursive
+    descent into the text of one Python expression; ``reads`` records
     whether it names a parameter."""
 
-    def __init__(self, formula: str, names: tuple[str, ...]) -> None:
-        self.formula, self.names, self.reads = formula, names, False
+    def __init__(self, formula: str, names: tuple[str, ...], what: str) -> None:
+        self.formula, self.names, self.what, self.reads = formula, names, what, False
         self.tokens, self.i = _FORMULA_TOKEN.findall(formula) + [""], 0
 
     def error(self, message: str) -> ValueError:
-        return ValueError(f"claim formula {self.formula!r}: {message}")
+        return ValueError(f"{self.what} {self.formula!r}: {message}")
 
     def take(self, expected: str | None = None) -> str:
         token = self.tokens[self.i]
@@ -170,6 +179,12 @@ class _FormulaReader:
             items.append(read())
         return items
 
+    def enclosed(self, read, brackets: str) -> list[str]:
+        self.take(brackets[0])
+        items = self.separated(read, ",")
+        self.take(brackets[1])
+        return items
+
     def manifold(self) -> str:
         parts = self.separated(self.atom, "#")
         return parts[0] if len(parts) == 1 else f"connected_sum({', '.join(parts)})"
@@ -182,9 +197,8 @@ class _FormulaReader:
             return f"OpaqueTag({head[4:-1]!r})"
         if head not in ("U", "S2", "D2", "L", "C"):
             raise self.error(f"unknown atom {head!r}")
-        self.take("[" if head == "U" else "(")
-        args = self.separated(self.manifold if head == "U" else self.number, ",")
-        self.take("]" if head == "U" else ")")
+        args = (self.enclosed(self.manifold, "[]") if head == "U"
+                else self.enclosed(self.number, "()"))
         if head == "U":
             return f"torus_union({', '.join(args)})"
         if head in ("S2", "D2"):
@@ -222,23 +236,47 @@ class _FormulaReader:
             raise self.error(f"undeclared parameter {token!r}")
         raise self.error(f"expected an integer argument, got {token!r}")
 
+    def condition(self) -> str:
+        if self.tokens[self.i] != "(":
+            left = self.number()
+            op = self.take("!=" if self.tokens[self.i] == "!=" else ">=")
+            return f"{left} {op} {self.number()}"
+        params = self.enclosed(self.number, "()")
+        self.take("not")
+        self.take("in")
+        points = self.enclosed(lambda: self.enclosed(self.coordinate, "()"), "{}")
+        if any(len(point) != len(params) for point in points):
+            raise self.error(f"expected points of {len(params)} values")
+        return "not (" + " or ".join(" and ".join(map(str.format, point, params))
+                                     for point in points) + ")"
+
+    def coordinate(self) -> str:  # a test with {} for its parameter
+        either_sign = self.tokens[self.i:self.i + 2] == ["+", "-"]
+        self.i += 2 * either_sign
+        return ("abs({})" if either_sign else "{}") + " == " + self.number()
+
 
 @functools.cache
-def _builder(formula: str,
-             names: tuple[str, ...]) -> tuple[Callable[..., Manifold], bool]:
-    """The one function that builds a claim formula's filling from the
-    parameters by name, and whether the formula reads any of them (if
-    not, the function takes no argument but ``**_``).  It is compiled in
-    this module's namespace, once per formula and names."""
-    reader = _FormulaReader(formula, names)
-    body = reader.manifold()
+def _builder(formula: str, names: tuple[str, ...],
+             domain: bool = False) -> tuple[Callable[..., object], bool]:
+    """The one function that builds a claim formula's filling, or tests a
+    point of a domain, from the parameters by name, and whether the text
+    reads any of them (if not, the function takes no argument but
+    ``**_``).  It is compiled in this module's namespace, once per text."""
+    reader = _FormulaReader(formula, names, "domain" if domain else "claim formula")
+    body = (" and ".join(reader.separated(reader.condition, ",")) if domain
+            else reader.manifold())
     if reader.tokens[reader.i]:
         raise reader.error(f"trailing text from {reader.tokens[reader.i]!r}")
     signature = ", ".join(names) if reader.reads else "**_"
     namespace: dict = {}
     exec(compile(f"def build({signature}):\n    return {body}\n",
-                 f"<claim {formula}>", "exec"), globals(), namespace)
+                 f"<{reader.what} {formula}>", "exec"), globals(), namespace)
     return namespace["build"], reader.reads
+
+
+def _everywhere() -> bool:  # the domain of a family without parameters
+    return True
 
 
 class CheckResult(Value):
@@ -335,6 +373,11 @@ def _compile_check(spec: FamilySpec, check: Check):
     """
     slot = spec.slot
     kind = check.kind
+    for point in check.when or ():
+        if type(point) is not tuple or len(point) != len(spec.param_names) \
+                or not spec.in_domain(**dict(zip(spec.param_names, point))):
+            raise ValueError(f"family {spec.name}: {kind} check point {point!r} "
+                             f"is not a point of its domain ({spec.domain})")
     if kind == "wellformed":
         slots = tuple(i for i, m in enumerate(spec.built) if m is None)
         run, args = _wellformed, (slots, CheckResult(
@@ -375,21 +418,18 @@ _CYCLIC = FamilySpec(
     description="Twist family whose 0-filling is a lens sum and whose "
                 "infinity-filling is a large lens space",
     param_names=("p", "q"),
-    domain_doc="p >= 2, q >= 4",
-    in_domain=lambda p, q: p >= 2 and q >= 4,
+    domain="p >= 2, q >= 4",
     claims=(
         Claim(Slope(0), "L(p,1) # L(q-2,1)"),
         Claim(INFINITY, "L((3p+2)(-2q+1)+6, (3p+2)q-3)"),
         Claim(Slope(-1), "tag(toroidal_irreducible_nonSFS)"),
     ),
     checks=(
-        Check("wellformed"),
         Check("distance", (Slope(0), INFINITY), 1),
         Check("reducible", (Slope(0),)),
         Check("finite_type", (INFINITY,), FiniteType.CYCLIC),
         Check("distinct", (INFINITY, Slope(-1))),
     ),
-    designated_pair=(Slope(0), INFINITY),
 )
 
 _EW_PRIOR = FamilySpec(
@@ -397,19 +437,16 @@ _EW_PRIOR = FamilySpec(
     description="One-parameter family with cyclic 0-filling and reducible "
                 "1/3-filling",
     param_names=("p",),
-    domain_doc="p >= 2",
-    in_domain=lambda p: p >= 2,
+    domain="p >= 2",
     claims=(
         Claim(Slope(0), "L((p-1)(p+3)+1, p+3)"),
         Claim(Slope(1, 3), "L(3,1) # L(2,1)"),
     ),
     checks=(
-        Check("wellformed"),
         Check("distance", (Slope(1, 3), Slope(0)), 1),
         Check("reducible", (Slope(1, 3),)),
         Check("finite_type", (Slope(0),), FiniteType.CYCLIC),
     ),
-    designated_pair=(Slope(1, 3), Slope(0)),
     edges=(Edge("bz_w6", "at p = 2 the 0-filling L(6,5) is the same lens "
                          "space as the infinity-filling L(6,1) there"),),
 )
@@ -419,19 +456,16 @@ _BZ_W6 = FamilySpec(
     description="A single knot exterior with reducible 1-filling and lens "
                 "infinity-filling",
     param_names=(),
-    domain_doc="no parameters",
-    in_domain=lambda: True,
+    domain="no parameters",
     claims=(
         Claim(Slope(1), "L(3,1) # L(2,1)"),
         Claim(INFINITY, "L(6,1)"),
     ),
     checks=(
-        Check("wellformed"),
         Check("distance", (Slope(1), INFINITY), 1),
         Check("reducible", (Slope(1),)),
         Check("finite_type", (INFINITY,), FiniteType.CYCLIC),
     ),
-    designated_pair=(Slope(1), INFINITY),
 )
 
 _DIHEDRAL = FamilySpec(
@@ -439,19 +473,16 @@ _DIHEDRAL = FamilySpec(
     description="Two-parameter family pairing a reducible 0-filling with a "
                 "prism infinity-filling",
     param_names=("p", "q"),
-    domain_doc="p >= 3, q >= 3",
-    in_domain=lambda p, q: p >= 3 and q >= 3,
+    domain="p >= 3, q >= 3",
     claims=(
         Claim(Slope(0), "L(p,1) # L(2q+1,1)"),
         Claim(INFINITY, "S2(2,2,2pq-p-2)"),
     ),
     checks=(
-        Check("wellformed"),
         Check("distance", (Slope(0), INFINITY), 1),
         Check("reducible", (Slope(0),)),
         Check("finite_type", (INFINITY,), FiniteType.DIHEDRAL),
     ),
-    designated_pair=(Slope(0), INFINITY),
 )
 
 _DIHEDRAL_AUX = FamilySpec(
@@ -459,8 +490,7 @@ _DIHEDRAL_AUX = FamilySpec(
     description="Tangle-exterior family behind the dihedral one; its 1/q "
                 "fillings are the closed dihedral members",
     param_names=("p",),
-    domain_doc="p >= 3",
-    in_domain=lambda p: p >= 3,
+    domain="p >= 3",
     claims=(
         Claim(INFINITY, "D2(2,p+2)"),
         Claim(Slope(0), "U[C(1,2), D2(2,p)]"),
@@ -468,7 +498,6 @@ _DIHEDRAL_AUX = FamilySpec(
         Claim(Slope(2), "ZxS1"),
     ),
     checks=(
-        Check("wellformed"),
         Check("distinct", (INFINITY, Slope(1))),
         Check("distance", (Slope(0), Slope(2)), 2),
     ),
@@ -481,22 +510,19 @@ _TETRAHEDRAL = FamilySpec(
     description="A filling triple realizing the tetrahedral type next to a "
                 "reducible and a dihedral filling",
     param_names=(),
-    domain_doc="no parameters",
-    in_domain=lambda: True,
+    domain="no parameters",
     claims=(
         Claim(Slope(0), "L(3,1) # L(3,1)"),
         Claim(INFINITY, "S2(2,3,3)"),
         Claim(Slope(1), "S2(2,2,7)"),
     ),
     checks=(
-        Check("wellformed"),
         Check("distance", (Slope(0), INFINITY), 1),
         Check("reducible", (Slope(0),)),
         Check("finite_type", (INFINITY,), FiniteType.TETRAHEDRAL),
         Check("finite_type", (Slope(1),), FiniteType.DIHEDRAL),
         Check("distinct", (INFINITY, Slope(1))),
     ),
-    designated_pair=(Slope(0), INFINITY),
 )
 
 _OCTAHEDRAL = FamilySpec(
@@ -504,19 +530,16 @@ _OCTAHEDRAL = FamilySpec(
     description="One-parameter family pairing a reducible 0-filling with "
                 "the octahedral infinity-filling",
     param_names=("p",),
-    domain_doc="p >= 3",
-    in_domain=lambda p: p >= 3,
+    domain="p >= 3",
     claims=(
         Claim(Slope(0), "L(2,1) # S2(4,p,2p+1)"),
         Claim(INFINITY, "S2(2,3,4)"),
     ),
     checks=(
-        Check("wellformed"),
         Check("distance", (Slope(0), INFINITY), 1),
         Check("reducible", (Slope(0),)),
         Check("finite_type", (INFINITY,), FiniteType.OCTAHEDRAL),
     ),
-    designated_pair=(Slope(0), INFINITY),
 )
 
 _OCTAHEDRAL_AUX = FamilySpec(
@@ -524,13 +547,11 @@ _OCTAHEDRAL_AUX = FamilySpec(
     description="Tangle-exterior family behind the octahedral one; its "
                 "slope-4 filling is the closed member",
     param_names=("p",),
-    domain_doc="p >= 3",
-    in_domain=lambda p: p >= 3,
+    domain="p >= 3",
     claims=(
         Claim(Slope(0), "L(2,1) # D2(p,2p+1)"),
     ),
     checks=(
-        Check("wellformed"),
         Check("distance", (Slope(0), Slope(4)), 4),
         Check("reducible", (Slope(0),)),
     ),
@@ -544,8 +565,7 @@ _ICOSAHEDRAL_LEE = FamilySpec(
     description="Two-parameter family with an S1xS2 filling at -1/2 and "
                 "icosahedral fillings at four exceptional parameter pairs",
     param_names=("p", "q"),
-    domain_doc="|p| >= 2, q != 0, (p, q) not in {(+-2, +-1)}",
-    in_domain=lambda p, q: abs(p) >= 2 and q != 0 and (abs(p), abs(q)) != (2, 1),
+    domain="|p| >= 2, q != 0, (p, q) not in {(+-2, +-1)}",
     claims=(
         Claim(Slope(-1, 2), "S1xS2"),
         Claim(Slope(0), "S2(|p-1|, |2q-1|, |pq+q-1|)"),
@@ -553,7 +573,6 @@ _ICOSAHEDRAL_LEE = FamilySpec(
         Claim(INFINITY, "tag(toroidal)"),
     ),
     checks=(
-        Check("wellformed"),
         Check("distance", (Slope(0), Slope(-1, 2)), 1),
         Check("distance", (Slope(-1), Slope(-1, 2)), 1),
         Check("distance", (Slope(-1, 2), INFINITY), 2),
@@ -563,7 +582,6 @@ _ICOSAHEDRAL_LEE = FamilySpec(
         Check("finite_type", (Slope(-1),), FiniteType.ICOSAHEDRAL,
               when=frozenset({(-3, 1), (4, 1)})),
     ),
-    designated_pair=(Slope(-1, 2), Slope(0)),
 )
 
 _ICOSAHEDRAL_SECOND = FamilySpec(
@@ -571,22 +589,19 @@ _ICOSAHEDRAL_SECOND = FamilySpec(
     description="A filling triple realizing the icosahedral type next to a "
                 "reducible filling and a non-finite Seifert filling",
     param_names=(),
-    domain_doc="no parameters",
-    in_domain=lambda: True,
+    domain="no parameters",
     claims=(
         Claim(Slope(0), "L(3,1) # L(4,1)"),
         Claim(INFINITY, "S2(2,3,5)"),
         Claim(Slope(1), "S2(2,3,7)"),
     ),
     checks=(
-        Check("wellformed"),
         Check("distance", (Slope(0), INFINITY), 1),
         Check("reducible", (Slope(0),)),
         Check("finite_type", (INFINITY,), FiniteType.ICOSAHEDRAL),
         Check("finite_type", (Slope(1),), FiniteType.NOT_FINITE),
         Check("distinct", (INFINITY, Slope(1))),
     ),
-    designated_pair=(Slope(0), INFINITY),
 )
 
 
@@ -625,7 +640,7 @@ def _check_params(name: str, params: dict) -> FamilySpec:
     if not spec.in_domain(**params):
         raise DomainError(
             f"parameters {params} are outside the domain of {spec.name} "
-            f"({spec.domain_doc})"
+            f"({spec.domain})"
         )
     return spec
 

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import io
+import itertools
 import pickle
 import re
 import tracemalloc
@@ -68,6 +69,72 @@ def test_domain_rejections():
         verify_family("cyclic", {"p": 2})
     with pytest.raises(ValueError):
         evaluate_filling("cyclic", {"p": 2, "q": 4}, Slope(17))
+
+
+# The domains as the tables stated them in code before they were text.
+_REFERENCE_DOMAINS = {
+    "cyclic": lambda p, q: p >= 2 and q >= 4,
+    "ew_prior": lambda p: p >= 2,
+    "dihedral": lambda p, q: p >= 3 and q >= 3,
+    "dihedral_aux_Np": lambda p: p >= 3,
+    "octahedral": lambda p: p >= 3,
+    "octahedral_aux_Np": lambda p: p >= 3,
+    "icosahedral_lee":
+        lambda p, q: abs(p) >= 2 and q != 0 and (abs(p), abs(q)) != (2, 1),
+}
+
+
+def _domain_agrees(name: str, point: tuple) -> None:
+    spec = get_family(name)
+    params = dict(zip(spec.param_names, point))
+    assert spec.in_domain(**params) is _REFERENCE_DOMAINS[name](**params), \
+        (name, params)
+
+
+def test_compiled_domains_match_the_references_on_a_dense_window():
+    assert sorted(_REFERENCE_DOMAINS) == sorted(
+        spec.name for spec in family_catalog() if spec.param_names)
+    for name in _REFERENCE_DOMAINS:
+        arity = len(get_family(name).param_names)
+        for point in itertools.product(range(-12, 13), repeat=arity):
+            _domain_agrees(name, point)
+    # A family without parameters has one point, in its domain.
+    for spec in family_catalog():
+        if not spec.param_names:
+            assert spec.in_domain() is True
+            assert list(grid_points(spec, {})) == [{}]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_REFERENCE_DOMAINS)),
+       p=st.integers(-10**9, 10**9), q=st.integers(-10**9, 10**9))
+def test_compiled_domains_match_the_references(name, p, q):
+    _domain_agrees(name, (p, q)[:len(get_family(name).param_names)])
+
+
+def test_domain_error_prints_the_domain_text():
+    with pytest.raises(DomainError, match=re.escape(
+            "parameters {'p': 2, 'q': 1} are outside the domain of "
+            "icosahedral_lee (|p| >= 2, q != 0, (p, q) not in {(+-2, +-1)})")):
+        verify_family("icosahedral_lee", {"p": 2, "q": 1})
+
+
+@pytest.mark.parametrize("domain, message", [
+    ("p > 2", "expected >=, got '>'"),
+    ("p >= 2,", "expected more, got the end"),
+    ("r >= 2", "undeclared parameter 'r'"),
+    ("(p, q) in {(2, 1)}", "expected not, got 'in'"),
+    ("(p, q) not in {(2,)}", "expected an integer argument, got ')'"),
+    ("(p, q) not in {(2)}", "expected points of 2 values"),
+    ("(p, q) not in {(2, 1), (2, 1, 0)}", "expected points of 2 values"),
+    ("(p, r) not in {(2, 1)}", "undeclared parameter 'r'"),
+    ("p >= 2 >= q", "trailing text from '>='"),
+])
+def test_spec_rejects_domain_outside_the_grammar(domain, message):
+    # The reader names the text as a domain, not as a claim formula.
+    with pytest.raises(ValueError, match=re.escape(
+            f"domain {domain!r}: {message}")):
+        FamilySpec("hand", "", ("p", "q"), domain, (), ())
 
 
 def test_cyclic_spot_values():
@@ -266,19 +333,59 @@ def test_family_verbs_keep_only_row_text(verb, fmt, bound):
 
 
 def _table(claims: dict, *checks: Check, params: tuple = ()) -> FamilySpec:
-    """A hand-built family "hand" over ``params``, every point in its
-    domain, with claims from a {slope: formula} dict."""
+    """A hand-built family "hand" over ``params``, whose domain holds at
+    every point the tests use, with claims from a {slope: formula} dict."""
     return FamilySpec(
-        name="hand", description="", param_names=params, domain_doc="",
-        in_domain=lambda **_: True, checks=checks,
+        name="hand", description="", param_names=params,
+        domain=", ".join(f"{name} >= -99" for name in params) or "no parameters",
+        checks=checks,
         claims=tuple(Claim(r, formula) for r, formula in claims.items()))
+
+
+@pytest.mark.parametrize("when", [
+    frozenset({1, (1, 2)}),  # a bare value, and a point of two values
+    frozenset({(1,), (1, 2)}),
+    frozenset({(-100,)}),  # outside the domain p >= -99
+])
+def test_spec_rejects_a_when_point_off_its_domain(monkeypatch, when):
+    # Such a point never matches, so the check would run nowhere.
+    with pytest.raises(ValueError, match=(
+            r"^family hand: reducible check point (1|\(1, 2\)|\(-100,\)) "
+            r"is not a point of its domain \(p >= -99\)$")):
+        _table({Slope(0): "L(5,1)"},
+               Check("reducible", (Slope(0),), when=when), params=("p",))
+    # With a point of the domain the check runs there, and fails.
+    monkeypatch.setitem(FAMILIES, "hand", _table(
+        {Slope(0): "L(5,1)"},
+        Check("reducible", (Slope(0),), when=frozenset({(1,)})), params=("p",)))
+    assert verify_family("hand", {"p": 1}).status is Status.FAIL
+
+
+def test_designated_pairs_are_read_off_the_checks():
+    pairs = {spec.name: spec.designated_pair for spec in family_catalog()}
+    assert {name: pair and ",".join(map(format_slope, pair))
+            for name, pair in pairs.items()} == {
+        "cyclic": "0,inf", "ew_prior": "1/3,0", "bz_w6": "1,inf",
+        "dihedral": "0,inf", "dihedral_aux_Np": None, "tetrahedral": "0,inf",
+        "octahedral": "0,inf", "octahedral_aux_Np": None,
+        "icosahedral_lee": "-1/2,0", "icosahedral_second": "0,inf"}
+    claims = {Slope(0): "L(2,1) # L(3,1)", INFINITY: "S2(2,3,5)",
+              Slope(1): "S2(2,3,7)"}
+    reducible = Check("reducible", (Slope(0),))
+    finite = Check("finite_type", (INFINITY,), FiniteType.ICOSAHEDRAL)
+    not_finite = Check("finite_type", (Slope(1),), FiniteType.NOT_FINITE)
+    assert _table(claims, reducible).designated_pair is None
+    assert _table(claims, finite).designated_pair is None
+    assert _table(claims, reducible, not_finite).designated_pair is None
+    assert _table(claims, not_finite, finite, reducible).designated_pair == \
+        (Slope(0), INFINITY)
 
 
 def test_sweep_verify_records_every_check_that_does_not_pass(monkeypatch):
     # p = 1 fails one check and leaves one undecided, p = 2 leaves one
     # undecided, p = 3 passes.
     monkeypatch.setitem(FAMILIES, "hand", _table(
-        {Slope(0): "L(5,1)", INFINITY: "tag(toroidal)"}, Check("wellformed"),
+        {Slope(0): "L(5,1)", INFINITY: "tag(toroidal)"},
         Check("reducible", (Slope(0),), when=frozenset({(1,)})),
         Check("reducible", (INFINITY,), when=frozenset({(1,), (2,)})),
         params=("p",)))
@@ -335,7 +442,7 @@ def test_result_records_keep_their_fields_and_are_immutable():
 
 def test_run_check_reports_failures(monkeypatch):
     monkeypatch.setitem(FAMILIES, "hand", _table(
-        {Slope(0): "L(2p,2)"}, Check("wellformed"), params=("p",)))
+        {Slope(0): "L(2p,2)"}, params=("p",)))
     (result,) = verify_family("hand", {"p": 2}).checks
     assert result.status is Status.FAIL
     assert result.observed == "L(4,2) needs gcd(p, q) = 1"
@@ -345,7 +452,8 @@ def test_run_check_indeterminate_finite_type(monkeypatch):
     monkeypatch.setitem(FAMILIES, "hand", _table(
         {Slope(0): "tag(lens-type)"},
         Check("finite_type", (Slope(0),), FiniteType.CYCLIC)))
-    (result,) = verify_family("hand", {}).checks
+    wellformed, result = verify_family("hand", {}).checks
+    assert wellformed.status is Status.PASS
     assert result.status is Status.INDETERMINATE
 
 
@@ -355,12 +463,13 @@ def test_run_check_indeterminate_reducible(monkeypatch):
         {Slope(0): "tag(lens-type)", INFINITY: "U[ST, ST]"},
         Check("reducible", (Slope(0),)), Check("reducible", (INFINITY,))))
     report = verify_family("hand", {})
-    assert [c.status for c in report.checks] == [Status.INDETERMINATE] * 2
+    assert [c.status for c in report.checks] == \
+        [Status.PASS] + [Status.INDETERMINATE] * 2
     assert report.status is Status.INDETERMINATE
 
 
 def _spec_with(check: Check) -> FamilySpec:
-    return _table({Slope(0): "L(2,1)"}, Check("wellformed"), check)
+    return _table({Slope(0): "L(2,1)"}, check)
 
 
 def test_spec_rejects_unknown_check_kind():
@@ -382,7 +491,7 @@ def test_verify_family_builds_each_claim_once(monkeypatch):
     # lens_space calls and one connected_sum call in all.
     monkeypatch.setitem(FAMILIES, "hand", _table(
         {Slope(0): "L(2,1) # L(p,1)", INFINITY: "L(2p,1)"},
-        Check("wellformed"), Check("reducible", (Slope(0),)),
+        Check("reducible", (Slope(0),)),
         Check("finite_type", (INFINITY,), FiniteType.CYCLIC),
         Check("distinct", (Slope(0), INFINITY)), params=("p",)))
     calls = Counter()
@@ -397,7 +506,7 @@ def test_verify_family_builds_each_claim_once(monkeypatch):
 
 def test_ill_formed_claim_raises_from_later_checks(monkeypatch):
     monkeypatch.setitem(FAMILIES, "hand", _table(
-        {Slope(0): "L(2p,2)"}, Check("wellformed"),
+        {Slope(0): "L(2p,2)"},
         Check("reducible", (Slope(0),)), params=("p",)))
     with pytest.raises(IllFormedClaimError):
         verify_family("hand", {"p": 2})
@@ -488,7 +597,7 @@ def test_settled_checks_equal_checks_made_at_each_point():
             points += 1
             report = verify_family(spec.name, params)
             expected = [_check_from_scratch(spec, check, params)
-                        for check in spec.checks
+                        for check in (Check("wellformed"), *spec.checks)
                         if check.when is None or tuple(
                             params[n] for n in spec.param_names) in check.when]
             assert [(c.kind, c.detail, c.status, c.observed)
@@ -529,11 +638,10 @@ def test_ill_formed_parameter_free_claim_fails_at_every_point(monkeypatch):
     # A parameter-free claim that does not build refuses its table.
     with pytest.raises(IllFormedClaimError,
                        match=re.escape("L(4,2) needs gcd(p, q) = 1")):
-        _one_parameter_spec(Check("wellformed"), infinity="L(4,2)")
+        _one_parameter_spec(infinity="L(4,2)")
     # A claim that reads a parameter fails at every point where it does
     # not build, and L(2p,2) builds at none.
-    broken = _one_parameter_spec(Check("wellformed"),
-                                 Check("reducible", (Slope(0),)))
+    broken = _one_parameter_spec(Check("reducible", (Slope(0),)))
     assert broken.built == (None, None)
     monkeypatch.setitem(FAMILIES, "hand", broken)
     reports = list(sweep_point_reports("hand", {"p": (2, 6)}))
@@ -544,7 +652,7 @@ def test_ill_formed_parameter_free_claim_fails_at_every_point(monkeypatch):
         assert wellformed.observed == f"L({2 * p},2) needs gcd(p, q) = 1"
         assert reducible.status is Status.FAIL
     monkeypatch.setitem(FAMILIES, "hand", _one_parameter_spec(
-        Check("wellformed"), Check("finite_type", (INFINITY,), FiniteType.CYCLIC)))
+        Check("finite_type", (INFINITY,), FiniteType.CYCLIC)))
     for p in (2, 3):
         with pytest.raises(IllFormedClaimError, match="gcd"):
             verify_family("hand", {"p": p})

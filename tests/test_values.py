@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from dehncalc import cli
 from dehncalc.diagrams import (build_standard_diagram, checkerboard,
                                oracle_cross_check)
-from dehncalc.families import FAMILIES, sweep_verify, verify_family
+from dehncalc.families import FAMILIES, Check, sweep_verify, verify_family
 from dehncalc.links import (MontesinosLink, TwoBridge, Unknot, Unlink,
                             link_connected_sum)
 from dehncalc.slopes import Slope
@@ -138,7 +138,9 @@ def _corpus():
              link_connected_sum(TwoBridge(3, 1), TwoBridge(5, 2))]
     shapes += links + [Slope(3, 4), Slope(1, 0), Slope(-2)]
     for spec in FAMILIES.values():
-        shapes += [spec, *spec.claims, *spec.checks, *spec.edges]
+        # Each plan runs the wellformed check first, though no table lists it.
+        shapes += [spec, *spec.claims, Check("wellformed"), *spec.checks,
+                   *spec.edges]
     cyclic = {"p": 2, "q": 4}
     report = verify_family("cyclic", cyclic)
     shapes += [report, *report.checks,
