@@ -97,7 +97,8 @@ def _family_points(args) -> tuple:
             raise _UsageError(f"family {spec.name} takes no parameter {name}")
     slot = spec.slot(parse_slope(args.slope)) if "slope" in args else None
     if next(families.grid_points(spec, ranges), None) is None:
-        raise _UsageError("no in-domain parameter points in the given ranges")
+        raise _UsageError("no in-domain parameter points in the given ranges "
+                          f"(domain of {spec.name}: {spec.domain})")
     return spec, slot, ranges
 
 

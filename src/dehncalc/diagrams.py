@@ -8,21 +8,25 @@ next dart of the same crossing is arithmetic: rho(d) = d - d % 4 +
 are recovered purely combinatorially as orbits of rho composed with the
 pairing, so nothing here trusts the tangle calculus: the standard
 diagrams are rebuilt from continued fractions crossing by crossing and
-checkerboard colored.  Their Goeritz matrix is the Laplacian of the
-white-face (Tait) graph, so its first minor is a weighted spanning-tree
-sum, folded over leaves, series and parallel edges in exact integers;
-only what does not fold reaches a dense Bareiss elimination.
+checkerboard colored.  The white-face (Tait) graph is read straight off
+the colouring, and its spanning-tree sum, which is every first minor of
+the Goeritz matrix (its Laplacian), is folded over leaves, series and
+parallel edges in exact integers; only what does not fold reaches a
+dense Bareiss elimination.
 
 Conventions (pinned by the b(p, q) determinant suite):
   * the strand through NE and SW (darts 4k and 4k+2) is the overstrand
     when over = 0, the strand through NW and SE when over = 1;
   * every crossing has over = 0, which yields the alternating 4-plats,
-    except in a right batch of negative count, where over = 1; only the
-    right batch that carries a Montesinos twist e can have one.
+    except the |e| twist crossings of a Montesinos link with e < 0,
+    where over = 1.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import islice
 from math import gcd, prod
 
 from .cover import double_branched_cover
@@ -35,9 +39,11 @@ from .value import Value
 class CombinatorialMap(Value):
     """A link diagram: ``crossings[k]`` is the over flag of crossing k,
     which owns darts 4k..4k+3, and ``pairing[d]`` is the dart joined to
-    dart d.  The builders below extend both lists in place."""
+    dart d.  The builders below make ``pairing`` an ``array('i')``, 4
+    bytes a dart; any sequence of ints will do."""
 
-    def __init__(self, crossings: list[int], pairing: list[int]) -> None:
+    def __init__(self, crossings: list[int],
+                 pairing: array | list[int]) -> None:
         self.__dict__.update(crossings=crossings, pairing=pairing)
 
     def validate(self) -> None:
@@ -109,62 +115,130 @@ class Checkerboard(Value):
 
 
 def checkerboard(m: CombinatorialMap) -> Checkerboard:
+    """Walk the face orbits in order of their lowest darts.  A face
+    takes its colour from the bit of its first dart's crossing, and
+    every next dart of the face, across an edge from the one before, has
+    that colour too (the faces at the two ends of an edge differ): that
+    sets the bit of each crossing the face reaches and checks any bit
+    already set.  A crossing that no face has reached yet when a face
+    starts there takes its bit from ``_seed_bit``.  Each colour class
+    keeps its faces' lowest darts in an ``array('i')``, 4 bytes a face,
+    and only the white one becomes a list."""
     pairing = m.pairing
+    n = len(pairing)
+    step = _face_steps(pairing)
     # bits[k] stays 2 until a face reaches crossing k.
     bits = bytearray(b"\2") * len(m.crossings)
-    face_of = [-1] * len(pairing)
-    starts: tuple[list[int], list[int]] = ([], [])
-    for start in range(len(pairing)):
+    face_of = [-1] * n
+    starts = (array("i"), array("i"))
+    for start in range(n):
         if face_of[start] >= 0:
             continue
-        if bits[start >> 2] == 2:  # crossing 0, or a new component
-            bits[start >> 2] = 0
-        color = bits[start >> 2] ^ (start & 1)
-        index = len(starts[color])
-        starts[color].append(start)
-        other = color ^ 1
+        bit = bits[start >> 2]
+        if bit == 2:  # dart 0's crossing takes bit 0
+            bit = bits[start >> 2] = (
+                start and _seed_bit(pairing, bits, start >> 2))
+        color = bit ^ (start & 1)
+        face_starts = starts[color]
+        index = len(face_starts)
+        face_starts.append(start)
         d = start
         while face_of[d] < 0:
             face_of[d] = index
-            e = pairing[d]
-            # The face at e, across the edge (d, e), has the other colour.
-            want = other ^ (e & 1)
-            bit = bits[e >> 2]
+            d = step[d]
+            # The next dart of the face has its colour.
+            want = color ^ (d & 1)
+            bit = bits[d >> 2]
             if bit != want:
                 if bit != 2:
                     raise ValueError(
                         "diagram faces are not checkerboard colorable")
-                bits[e >> 2] = want
-            d = e + 1 if e & 3 != 3 else e - 3  # rho(e)
+                bits[d >> 2] = want
     # Dart 0's face has colour bits[0] = 0.
     white_color = 0 if len(starts[0]) <= len(starts[1]) else 1
-    return Checkerboard(bits, face_of, white_color, starts[white_color])
+    return Checkerboard(bits, face_of, white_color,
+                        starts[white_color].tolist())
+
+
+# rho on the lowest byte of a dart in an array('i'): its two low bits,
+# the corner, step on by one mod 4 and the other bits stay.
+_RHO_LOW_BYTE = bytes(b & 0xFC | (b + 1) & 3 for b in range(256))
+_WIDTH = array("i").itemsize
+_LOW = 0 if sys.byteorder == "little" else _WIDTH - 1
+
+
+def _face_steps(pairing: array | list[int]) -> array:
+    """rho(pairing[d]) for every dart d, the next dart of d's face, made
+    at C speed: the darts' bytes, with each lowest byte translated."""
+    raw = bytearray(array("i", pairing))
+    raw[_LOW::_WIDTH] = raw[_LOW::_WIDTH].translate(_RHO_LOW_BYTE)
+    return array("i", raw)
+
+
+def _seed_bit(pairing: array | list[int], bits: bytearray, k: int) -> int:
+    """The bit of crossing k, which no face has reached: the edge rule,
+    bits[e >> 2] = bits[d >> 2] ^ ((d ^ e ^ 1) & 1) for every edge
+    (d, e), read along a path to the first coloured crossing that a
+    search over the edges from k finds; 0 if it finds none, as for
+    crossing 0 or a crossing of a new component.  Standard diagrams,
+    walked from their lowest darts, never need one."""
+    # relative[j] is bits[j] ^ bits[k], for each crossing j found.
+    relative = {k: 0}
+    frontier = [k]
+    while frontier:
+        j = frontier.pop()
+        for d in range(4 * j, 4 * j + 4):
+            e = pairing[d]
+            rel = relative[j] ^ ((d ^ e ^ 1) & 1)
+            if bits[e >> 2] != 2:
+                return bits[e >> 2] ^ rel
+            if e >> 2 not in relative:
+                relative[e >> 2] = rel
+                frontier.append(e >> 2)
+    return 0
+
+
+def tait_graph(m: CombinatorialMap) -> list[dict[int, int]]:
+    """The white-face (Tait) graph of the checkerboard, as rows {j: w}
+    over the white faces: each crossing that joins two white faces adds
+    its sign to the weight w of their edge, so parallel edges are summed,
+    and an edge whose weights sum to 0 is dropped.  A crossing whose
+    white corners lie in one face adds no loop.  The graph is symmetric
+    and its Laplacian is the Goeritz matrix."""
+    board = checkerboard(m)
+    face_of, white_color = board.face_of, board.white_color
+    g: list[dict[int, int]] = [{} for _ in board.white]
+    # The white corners are NE and SW when the NE corner is white, else
+    # NW and SE, where the sign flips.
+    for ne, nw, sw, se, over, bit in zip(
+            islice(face_of, 0, None, 4), islice(face_of, 1, None, 4),
+            islice(face_of, 2, None, 4), islice(face_of, 3, None, 4),
+            m.crossings, board.bits):
+        if bit == white_color:
+            wi, wj, w = ne, sw, 1 - 2 * over
+        else:
+            wi, wj, w = nw, se, 2 * over - 1
+        if wi != wj:
+            ri, rj = g[wi], g[wj]
+            ri[wj] = ri.get(wj, 0) + w
+            rj[wi] = rj.get(wi, 0) + w
+    for i, row in enumerate(g):
+        if 0 in row.values():
+            g[i] = {j: w for j, w in row.items() if w}
+    return g
 
 
 def goeritz_matrix(m: CombinatorialMap) -> list[dict[int, int]]:
     """Full Goeritz matrix on the white faces as rows {column: value} of
-    its nonzeros; it is symmetric and its rows sum to zero."""
-    board = checkerboard(m)
-    face_of, white_color = board.face_of, board.white_color
-    g: list[dict[int, int]] = [{} for _ in board.white]
-    for d, over, bit in zip(range(0, len(face_of), 4), m.crossings,
-                            board.bits):
-        # The white corners are NE and SW (darts d, d + 2) when the NE
-        # corner is white, else NW and SE, where the sign flips.
-        flip = bit ^ white_color
-        wi, wj = face_of[d + flip], face_of[d + 2 + flip]
-        if wi != wj:
-            x = 2 * (over ^ flip) - 1  # -eta, the off-diagonal entry
-            ri, rj = g[wi], g[wj]
-            ri[wj] = ri.get(wj, 0) + x
-            rj[wi] = rj.get(wi, 0) + x
-    # Rows sum to zero, which fixes the diagonal.
-    for i, row in enumerate(g):
-        if 0 in row.values():
-            row = g[i] = {j: v for j, v in row.items() if v}
-        diagonal = sum(row.values())
-        if diagonal:
-            row[i] = -diagonal
+    its nonzeros: the Laplacian of ``tait_graph``, so it is symmetric and
+    its rows sum to zero."""
+    g = []
+    for i, row in enumerate(tait_graph(m)):
+        degree = sum(row.values())
+        row = {j: -w for j, w in row.items()}
+        if degree:
+            row[i] = degree
+        g.append(row)
     return g
 
 
@@ -197,16 +271,15 @@ def exact_determinant(rows: list[list[int]]) -> int:
 
 
 def spanning_tree_sum(g: list[dict[int, int]]) -> int:
-    """The first minor of a symmetric matrix with zero row sums, given as
-    rows {column: value}; ``g`` is consumed.
+    """The sum over spanning trees T of the product of their edge
+    weights, for the graph whose rows ``g[i]`` are {j: w}, an edge of
+    weight w between i and j, stored in both rows (no loops); by
+    Kirchhoff, any first minor of its Laplacian.  ``g`` is consumed.
 
-    Such a matrix is the Laplacian of the graph on its rows with an edge
-    of weight -g[i][j] between i and j, so every first minor is the sum
-    over spanning trees T of the product of their weights (Kirchhoff).
     Each edge carries an integer pair (t, f), the conductance t / f,
-    which starts as (-g[i][j], 1), and the sum is kept as factor * S,
-    S being the sum over spanning trees T of prod(t, e in T) *
-    prod(f, e not in T).  Vertices of degree at most 2 fold away:
+    which starts as (w, 1), and the sum is kept as factor * S, S being
+    the sum over spanning trees T of prod(t, e in T) * prod(f, e not in
+    T).  Vertices of degree at most 2 fold away:
       * a leaf's edge is in every tree, so the factor takes its t;
       * a vertex on edges (ta, fa) and (tb, fb) becomes one edge
         (ta * tb, ta * fb + fa * tb) between its neighbours, which merges
@@ -222,11 +295,9 @@ def spanning_tree_sum(g: list[dict[int, int]]) -> int:
     determinant times the deleted row's scale over the product of every
     core edge's f, an exact division.
 
-    An edge is stored as the entry g[i][j] itself until a fold replaces
-    it by its pair, which saves building a pair for every entry.
+    An edge is stored as its weight w itself until a fold replaces it by
+    its pair, which saves building a pair for every edge.
     """
-    for i, row in enumerate(g):
-        row.pop(i, None)
     factor, left = 1, len(g)
     work = [*range(left)]
     while left > 1 and work:
@@ -235,9 +306,12 @@ def spanning_tree_sum(g: list[dict[int, int]]) -> int:
         if nbrs is None or len(nbrs) > 2:
             continue
         if len(nbrs) == 2:
-            (a, ea), (b, eb) = nbrs.items()
-            ta, fa = ea if type(ea) is tuple else (-ea, 1)
-            tb, fb = eb if type(eb) is tuple else (-eb, 1)
+            (a, ta), (b, tb) = nbrs.items()
+            fa = fb = 1
+            if type(ta) is tuple:
+                ta, fa = ta
+            if type(tb) is tuple:
+                tb, fb = tb
             f = ta * fb + fa * tb
             if not f:
                 continue
@@ -246,8 +320,11 @@ def spanning_tree_sum(g: list[dict[int, int]]) -> int:
             del ra[v], rb[v]
             d = ra.get(b)
             if d is not None:
-                td, fd = d if type(d) is tuple else (-d, 1)
-                t, f = t * fd + f * td, f * fd
+                if type(d) is tuple:
+                    td, fd = d
+                    t, f = t * fd + f * td, f * fd
+                else:
+                    t += f * d
             ra[b] = rb[a] = (t, f)
             if len(ra) <= 2:
                 work.append(a)
@@ -255,7 +332,7 @@ def spanning_tree_sum(g: list[dict[int, int]]) -> int:
                 work.append(b)
         elif nbrs:
             (u, e), = nbrs.items()
-            factor *= e[0] if type(e) is tuple else -e
+            factor *= e[0] if type(e) is tuple else e
             ru = g[u]
             del ru[v]
             if len(ru) <= 2:
@@ -271,7 +348,7 @@ def spanning_tree_sum(g: list[dict[int, int]]) -> int:
         root = max(core, key=lambda i: len(g[i]))
         index = {i: k for k, i in enumerate(i for i in core if i != root)}
         for i in core:
-            pairs = [(j, e if type(e) is tuple else (-e, 1))
+            pairs = [(j, e if type(e) is tuple else (e, 1))
                      for j, e in g[i].items()]
             edges_f *= prod(f for j, (_, f) in pairs if j > i)
             scale = prod(f for _, (_, f) in pairs)
@@ -290,91 +367,28 @@ def spanning_tree_sum(g: list[dict[int, int]]) -> int:
 def goeritz_determinant(m: CombinatorialMap) -> int:
     """|det| of the Goeritz matrix with one row and column deleted.
 
-    The matrix is symmetric with zero row sums, so every first minor has
-    the same |det|: a sum over spanning trees of the white-face (Tait)
-    graph, which ``spanning_tree_sum`` folds in exact integers.
+    The matrix is the Laplacian of the white-face (Tait) graph, so every
+    first minor has the same |det|: the sum over its spanning trees,
+    which ``spanning_tree_sum`` folds in exact integers straight from
+    ``tait_graph``.
     """
-    return abs(spanning_tree_sum(goeritz_matrix(m)))
+    return abs(spanning_tree_sum(tait_graph(m)))
 
 
 # ---------------------------------------------------------------------------
 # Standard diagrams from continued fractions
 
 
-def _join(m: CombinatorialMap, d1: int, d2: int) -> None:
-    m.pairing[d1] = d2
-    m.pairing[d2] = d1
-
-
-def _add_right(m: CombinatorialMap, ne: int, se: int,
-               count: int) -> tuple[int, int]:
-    """Twist |count| crossings onto the east side, whose dangling darts are
-    ne and se: each crossing's NW and SW darts join the NE and SE darts of
-    the one before it, and its flag is 1 exactly when count < 0.  Returns
-    the new east darts, the last crossing's NE and SE entries, which are
-    placeholders until they are joined."""
-    n = abs(count)
-    if not n:
-        return ne, se
-    first = len(m.pairing)
-    m.crossings.extend([int(count < 0)] * n)
-    for c in range(first, first + 4 * n, 4):
-        m.pairing.extend((c + 5, c - 4, c - 1, c + 6))
-    _join(m, ne, first + 1)
-    _join(m, se, first + 2)
-    return len(m.pairing) - 4, len(m.pairing) - 1
-
-
-def _add_bottom(m: CombinatorialMap, sw: int, se: int,
-                n: int) -> tuple[int, int]:
-    """Twist n >= 1 crossings of flag 0 (see _rational_tangle) onto the
-    south side, whose dangling darts are sw and se: each crossing's NE
-    and NW darts join the SE and SW darts of the one before it.  Returns
-    the new south darts, the last crossing's SW and SE entries, which
-    are placeholders until they are joined."""
-    first = len(m.pairing)
-    m.crossings.extend([0] * n)
-    for c in range(first, first + 4 * n, 4):
-        m.pairing.extend((c - 1, c - 2, c + 5, c + 4))
-    _join(m, se, first)
-    _join(m, sw, first + 1)
-    return len(m.pairing) - 2, len(m.pairing) - 1
-
-
-def _rational_tangle(m: CombinatorialMap,
-                     terms: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """Build the rational tangle of the continued fraction [a1, ..., an]
-    and return its dangling boundary darts (nw, ne, sw, se).
-
-    Twist batches are applied from a_n down to a_1, alternating bottom
-    and right steps so that step k is a right batch exactly when k is
-    odd; the running tangle fraction picks up each term in continued
-    fraction position.  Every term must be >= 1 except a1, which may be
-    0 (used for tangles with fraction in (0, 1)), and with two or more
-    terms the last must be >= 2, as in every canonical continued
-    fraction, so that each bottom batch has a crossing.
-    """
+def _twist_terms(terms: tuple[int, ...]) -> tuple[int, ...]:
+    """The continued fraction [a1, ..., an] of a branch, if the builder
+    can draw it: every term must be >= 1 except a1, which may be 0 (a
+    tangle with fraction in (0, 1)), and with two or more terms the last
+    must be >= 2, as in every canonical continued fraction."""
     n = len(terms)
     if (n == 0 or any(a < 1 for a in terms[1:]) or terms[0] < 0
             or terms[-1] < 1 + (n > 1)):
         raise ValueError(f"unsupported twist sequence {terms}")
-    # The a_n batch starts from one crossing, its four darts dangling, and
-    # twists on the rest.
-    right = n % 2 == 1
-    ne = len(m.pairing)
-    nw, sw, se = ne + 1, ne + 2, ne + 3
-    m.crossings.append(0)
-    m.pairing.extend((-1, -1, -1, -1))
-    if right:
-        ne, se = _add_right(m, ne, se, terms[-1] - 1)
-    else:
-        sw, se = _add_bottom(m, sw, se, terms[-1] - 1)
-    for k in range(n - 1, 0, -1):
-        if k % 2 == 1:
-            ne, se = _add_right(m, ne, se, terms[k - 1])
-        else:
-            sw, se = _add_bottom(m, sw, se, terms[k - 1])
-    return nw, ne, sw, se
+    return terms
 
 
 def two_bridge_diagram(p: int, q: int) -> CombinatorialMap:
@@ -385,20 +399,56 @@ def two_bridge_diagram(p: int, q: int) -> CombinatorialMap:
 
 
 def montesinos_diagram(e: int, branches: tuple[Slope, ...]) -> CombinatorialMap:
-    """Numerator closure of the branch tangles side by side plus e twists."""
+    """Numerator closure of the branch tangles side by side plus e twists.
+
+    The crossings are counted first, the sum of every branch's twist
+    terms plus |e|, and then added one at a time by two step rules on
+    the dangling darts:
+      * a right step joins the new crossing's NW and SW darts to the
+        east darts (ne, se) and exposes its NE and SE darts as new ones;
+      * a bottom step joins its NE and NW darts to the south darts
+        (se, sw) and exposes its SW and SE darts.
+    A branch's tangle starts from one crossing, its four darts dangling,
+    and adds its terms a_n down to a_1, a_i by right steps when i is
+    odd and by bottom steps when i is even, the first crossing counting
+    toward a_n; its running fraction picks up each term in continued
+    fraction position.  The |e| twists continue the last branch's a_1
+    right steps, with flag 1 exactly when e < 0.  Last, each branch's
+    west darts (nw, sw) join the east darts of the branch before it, and
+    the first branch's those of the last, which closes the diagram.
+    """
     if not branches:
         raise ValueError("montesinos diagram needs at least one branch")
-    m = CombinatorialMap([], [])
-    nw, ne, sw, se = _rational_tangle(m, continued_fraction(branches[0]))
-    for r in branches[1:]:
-        b_nw, b_ne, b_sw, b_se = _rational_tangle(m, continued_fraction(r))
-        _join(m, ne, b_nw)
-        _join(m, se, b_sw)
-        ne, se = b_ne, b_se
-    ne, se = _add_right(m, ne, se, e)
-    _join(m, nw, ne)
-    _join(m, sw, se)
-    return m
+    tangles = [_twist_terms(continued_fraction(r)) for r in branches]
+    twists = abs(e)
+    a1, *rest = tangles[-1]
+    tangles[-1] = (a1 + twists, *rest)
+    n = sum(map(sum, tangles))
+    crossings = [0] * n
+    crossings[n - twists:] = [int(e < 0)] * twists
+    pairing = array("i", [0]) * (4 * n)
+    d, sides = 0, []
+    for terms in tangles:
+        ne, nw, sw, se = d, d + 1, d + 2, d + 3
+        first = d + 4  # the first crossing starts the a_n batch
+        for i in range(len(terms) - 1, -1, -1):
+            d += 4 * terms[i]
+            if i % 2:  # a bottom step at each crossing c
+                for c in range(first, d, 4):
+                    pairing[se], pairing[c] = c, se
+                    pairing[sw], pairing[c + 1] = c + 1, sw
+                    sw, se = c + 2, c + 3
+            else:  # a right step
+                for c in range(first, d, 4):
+                    pairing[ne], pairing[c + 1] = c + 1, ne
+                    pairing[se], pairing[c + 2] = c + 2, se
+                    ne, se = c, c + 3
+            first = d
+        sides.append((nw, sw, ne, se))
+    for (_, _, ne, se), (nw, sw, _, _) in zip(sides, sides[1:] + sides[:1]):
+        pairing[ne], pairing[nw] = nw, ne
+        pairing[se], pairing[sw] = sw, se
+    return CombinatorialMap(crossings, pairing)
 
 
 def build_standard_diagram(l: Link) -> CombinatorialMap:

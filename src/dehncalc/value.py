@@ -9,8 +9,8 @@ to read, which suits records that are read once.)  The base gives the
 rest: ``==`` between instances of one class, ``hash`` of the tuple of
 fields, a ``Name(field=value, ...)`` repr, and assignment and deletion
 that raise ``AttributeError``.  Copy and pickle are the defaults, which
-restore the ``__dict__``.  A field may hold a list that its owner
-extends in place.
+restore the ``__dict__``.  A field may hold a mutable sequence, such
+as a diagram's dart array.
 """
 
 

@@ -448,6 +448,23 @@ def test_usage_errors_exit_two(capsys):
         assert err
 
 
+@pytest.mark.parametrize("argv, domain", [
+    (["family-verify", "icosahedral_lee", "--p", "2", "--q", "1"],
+     "icosahedral_lee: |p| >= 2, q != 0, (p, q) not in {(+-2, +-1)}"),
+    (["family-sweep", "cyclic", "--p", "0..1", "--q", "4"],
+     "cyclic: p >= 2, q >= 4"),
+], ids=["one-point", "range"])
+def test_empty_grid_usage_error_names_the_domain(capsys, argv, domain):
+    # The domain is the text that family-list prints.
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == ("usage error: no in-domain parameter points in the given "
+                   f"ranges (domain of {domain})\n")
+    _, listed, _ = _run(capsys, ["family-list", "--format", "tsv"])
+    rows = [line.split("\t") for line in listed.splitlines()]
+    assert domain in [f"{row[0]}: {row[2]}" for row in rows if len(row) > 2]
+
+
 def test_overlong_integer_option_names_its_length(capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
     if not limit:

@@ -16,11 +16,13 @@ from dehncalc.diagrams import (CombinatorialMap, OracleReport,
                                exact_determinant, faces, goeritz_determinant,
                                goeritz_matrix, montesinos_diagram,
                                oracle_cross_check, random_montesinos,
-                               spanning_tree_sum, two_bridge_diagram)
-from dehncalc.links import (Unknot, link_connected_sum, link_determinant,
-                            montesinos, two_bridge)
+                               spanning_tree_sum, tait_graph,
+                               two_bridge_diagram)
+from dehncalc.links import (TwoBridge, Unknot, link_connected_sum,
+                            link_determinant, montesinos, two_bridge)
 from dehncalc.manifolds import Lens, connected_sum
-from dehncalc.slopes import INFINITY, Slope, from_continued_fraction
+from dehncalc.slopes import (INFINITY, Slope, continued_fraction,
+                             from_continued_fraction)
 
 
 def _bareiss_determinant(rows: list[list[int]]) -> int:
@@ -55,6 +57,14 @@ def _dense(rows: list[dict[int, int]]) -> list[list[int]]:
         for j, v in row.items():
             out[i][j] = v
     return out
+
+
+def _graph(laplacian) -> list[dict[int, int]]:
+    """The graph rows {j: w} that ``spanning_tree_sum`` takes, from
+    Laplacian rows (dicts or (column, value) pairs): the diagonal is
+    dropped and every other entry negated."""
+    return [{j: -v for j, v in dict(row).items() if j != i}
+            for i, row in enumerate(laplacian)]
 
 
 def _reference_checkerboard(m: CombinatorialMap, larger: bool = False):
@@ -231,8 +241,8 @@ def test_build_standard_diagram_dispatch():
     (lambda: two_bridge_diagram(3, 3), "need 0 < q < p, got (3, 3)"),
     (lambda: montesinos_diagram(0, ()),
      "montesinos diagram needs at least one branch"),
-    # A last term of 1 after others would leave an empty bottom batch.
-    (lambda: diagrams._rational_tangle(CombinatorialMap([], []), (2, 1)),
+    # A last term of 1 after others: no canonical continued fraction.
+    (lambda: diagrams._twist_terms((2, 1)),
      "unsupported twist sequence (2, 1)"),
 ], ids=["infinite-branch", "q-not-below-p", "no-branch", "last-term-one"])
 def test_builders_reject_what_they_cannot_draw(build, message):
@@ -312,6 +322,95 @@ def _links(draw):
     return montesinos(draw(st.integers(-4, 4)), branches)
 
 
+def _batch_montesinos_diagram(e: int, branches) -> CombinatorialMap:
+    """The batch builder that ``montesinos_diagram`` replaced, kept as its
+    reference.  It grows both lists a twist batch at a time: a right
+    batch joins each crossing's NW and SW darts to the NE and SE darts
+    of the one before it, a bottom batch its NE and NW darts to the SE
+    and SW darts, and the last crossing's open darts hold placeholders
+    until they are joined."""
+    crossings: list[int] = []
+    pairing: list[int] = []
+
+    def join(a, b):
+        pairing[a], pairing[b] = b, a
+
+    def add_right(ne, se, count):
+        if not count:
+            return ne, se
+        first = len(pairing)
+        crossings.extend([int(count < 0)] * abs(count))
+        for c in range(first, first + 4 * abs(count), 4):
+            pairing.extend((c + 5, c - 4, c - 1, c + 6))
+        join(ne, first + 1)
+        join(se, first + 2)
+        return len(pairing) - 4, len(pairing) - 1
+
+    def add_bottom(sw, se, count):
+        first = len(pairing)
+        crossings.extend([0] * count)
+        for c in range(first, first + 4 * count, 4):
+            pairing.extend((c - 1, c - 2, c + 5, c + 4))
+        join(se, first)
+        join(sw, first + 1)
+        return len(pairing) - 2, len(pairing) - 1
+
+    def tangle(terms):
+        ne = len(pairing)
+        nw, sw, se = ne + 1, ne + 2, ne + 3
+        crossings.append(0)
+        pairing.extend((-1, -1, -1, -1))
+        if len(terms) % 2:
+            ne, se = add_right(ne, se, terms[-1] - 1)
+        else:
+            sw, se = add_bottom(sw, se, terms[-1] - 1)
+        for k in range(len(terms) - 1, 0, -1):
+            if k % 2:
+                ne, se = add_right(ne, se, terms[k - 1])
+            else:
+                sw, se = add_bottom(sw, se, terms[k - 1])
+        return nw, ne, sw, se
+
+    nw, ne, sw, se = tangle(continued_fraction(branches[0]))
+    for r in branches[1:]:
+        b_nw, b_ne, b_sw, b_se = tangle(continued_fraction(r))
+        join(ne, b_nw)
+        join(se, b_sw)
+        ne, se = b_ne, b_se
+    ne, se = add_right(ne, se, e)
+    join(nw, ne)
+    join(sw, se)
+    return CombinatorialMap(crossings, pairing)
+
+
+def _assert_same_as_batch_builder(e: int, branches) -> None:
+    m = montesinos_diagram(e, branches)
+    reference = _batch_montesinos_diagram(e, branches)
+    assert list(m.pairing) == reference.pairing
+    assert m.crossings == reference.crossings
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_links())
+def test_step_builder_matches_the_batch_builder(link):
+    if isinstance(link, TwoBridge):
+        _assert_same_as_batch_builder(0, (Slope(link.p, link.q),))
+    else:
+        _assert_same_as_batch_builder(link.e, link.branches)
+
+
+@pytest.mark.parametrize("e", range(-5, 6))
+@pytest.mark.parametrize("branches", [
+    (Slope(5, 1),),  # a single term
+    (Slope(1, 3),),  # a1 = 0
+    (Slope(2, 1), Slope(1, 1)),  # single terms side by side
+    (Slope(1, 2), Slope(7, 3), Slope(3, 8), Slope(1, 5)),  # 4 branches
+    (Slope(3, 10), Slope(1, 7), Slope(12, 5), Slope(1, 1)),
+], ids=["one-term", "a1-zero", "two-one-term", "four", "four-mixed"])
+def test_step_builder_matches_the_batch_builder_at_edge_cases(e, branches):
+    _assert_same_as_batch_builder(e, branches)
+
+
 def _quarter_turn(m: CombinatorialMap, turned: set[int]) -> CombinatorialMap:
     """The same diagram with each crossing in ``turned`` relabelled a
     quarter turn (its old NW dart becomes its NE dart) and its over flag
@@ -358,6 +457,82 @@ def test_diagram_laws(link, rnd):
     assert goeritz_determinant(turned) == link_determinant(link)
 
 
+def _renumber(m: CombinatorialMap, order: list[int],
+              turns: list[int]) -> CombinatorialMap:
+    """The same diagram with crossing k renumbered order[k] and turned
+    turns[k] quarter turns, as ``_quarter_turn`` turns it once: dart i
+    of the crossing becomes dart i - turns[k] (mod 4), and each turn
+    flips its over flag."""
+    def new(d):
+        k = d >> 2
+        return 4 * order[k] + (d - turns[k]) % 4
+
+    pairing = [0] * len(m.pairing)
+    for d, e in enumerate(m.pairing):
+        pairing[new(d)] = new(e)
+    crossings = [0] * len(m.crossings)
+    for k, over in enumerate(m.crossings):
+        crossings[order[k]] = over ^ (turns[k] & 1)
+    return CombinatorialMap(crossings, pairing)
+
+
+@st.composite
+def _renumbered_links(draw):
+    """A link of ``_links()`` with its standard diagram, crossings
+    renumbered and quarter-turned at random."""
+    link = draw(_links())
+    m = build_standard_diagram(link)
+    k = len(m.crossings)
+    order = draw(st.permutations(range(k)))
+    turns = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    return link, _renumber(m, order, turns)
+
+
+# b(10/3) with its crossings renumbered and quarter-turned: the walk from
+# dart 0 reaches no dart of crossing 5 before its faces start there.
+_RENUMBERED_B10_3 = CombinatorialMap(
+    [1, 0, 1, 0, 0, 0],
+    [20, 19, 18, 21, 13, 9, 8, 14, 6, 5, 16, 23, 17, 4, 7, 22, 10, 12, 2, 1,
+     0, 3, 15, 11])
+
+
+def test_checkerboard_colours_an_unreached_crossing_by_the_edge_rule():
+    """A face that starts at a crossing no earlier face reached takes its
+    colour through the edge rule, not colour 0."""
+    m = _RENUMBERED_B10_3
+    m.validate()
+    with mock.patch.object(diagrams, "_seed_bit",
+                           wraps=diagrams._seed_bit) as seeds:
+        assert goeritz_determinant(m) == 10
+    assert seeds.called
+    _assert_checkerboard_laws(m)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_renumbered_links())
+def test_renumbered_diagrams_keep_their_determinant(case):
+    """Renumbering and turning crossings changes the order of the face
+    walk, and so which crossings a face starts at, but not the link."""
+    link, m = case
+    m.validate()
+    _assert_checkerboard_laws(m)
+    assert goeritz_determinant(m) == link_determinant(link)
+
+
+def test_standard_diagrams_need_no_seed_search():
+    """Walked from their lowest darts, the standard diagrams reach every
+    crossing from an earlier face, so ``_seed_bit`` never runs."""
+    rng = random.Random(5)
+    links = [random_montesinos(rng, 13) for _ in range(100)]
+    links += [two_bridge(p, q) for p in range(2, 40) for q in range(1, p)
+              if gcd(p, q) == 1]
+    with mock.patch.object(diagrams, "_seed_bit",
+                           side_effect=AssertionError("seed search")):
+        for link in links:
+            assert goeritz_determinant(build_standard_diagram(link)) == \
+                link_determinant(link)
+
+
 def _assert_checkerboard_laws(m: CombinatorialMap) -> None:
     """The board and the Goeritz matrix against the face-search reference
     and the laws they obey on a sphere diagram."""
@@ -391,6 +566,7 @@ def _assert_checkerboard_laws(m: CombinatorialMap) -> None:
         assert sum(row.values()) == 0
         for j, v in row.items():
             assert rows[j][i] == v
+    assert tait_graph(m) == _graph(rows)
 
 
 def test_goeritz_matrix_symmetric_zero_row_sums():
@@ -608,8 +784,7 @@ def test_spanning_tree_sum_matches_bareiss(g):
     """The fold against the dense Bareiss determinant of the first minor
     that deletes row and column 0, sign included."""
     minor = [[row.get(j, 0) for j in range(1, len(g))] for row in g[1:]]
-    assert spanning_tree_sum([dict(row) for row in g]) == \
-        _bareiss_determinant(minor)
+    assert spanning_tree_sum(_graph(g)) == _bareiss_determinant(minor)
 
 
 @contextmanager
@@ -630,8 +805,8 @@ def test_k4_examples_reach_a_core():
     """The two K4 examples of the fold test reach ``exact_determinant``:
     one whose first pivot is 0, and one whose determinant is 0."""
     with _recorded_cores() as cores:
-        assert spanning_tree_sum([dict(row) for row in _ROW_SWAP_K4]) == 10
-        assert spanning_tree_sum([dict(row) for row in _SINGULAR_K4]) == 0
+        assert spanning_tree_sum(_graph(_ROW_SWAP_K4)) == 10
+        assert spanning_tree_sum(_graph(_SINGULAR_K4)) == 0
     swap, singular = cores
     assert len(swap) == len(singular) == 3
     assert swap[0][0] == 0
@@ -705,7 +880,7 @@ def test_reidemeister_two_bigons(base, moves, det, core):
     assert goeritz_determinant(m) == det
     with _recorded_cores() as cores:
         for larger in (False, True):
-            g = [dict(row) for row in _reference_goeritz(m, larger)]
+            g = _graph(_reference_goeritz(m, larger))
             assert abs(spanning_tree_sum(g)) == det
     assert any(cores) == core
 
