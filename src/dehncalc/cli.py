@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:  # ParseError, DomainError, ...
+    except (OSError, OverflowError, ValueError) as exc:  # ParseError, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -58,11 +58,14 @@ class CombinatorialMap(Value):
         for d, e in enumerate(pairing):
             if not 0 <= e < n or e == d or pairing[e] != d:
                 raise ValueError("pairing is not a free involution")
+        # rho(d) is step[pairing[d]], so the face steps and the pairing
+        # reach the darts that rho and the pairing do.
+        step = _face_steps(pairing)
         reached = bytearray(n)
         frontier = [0] if n else []
         while frontier:
             d = frontier.pop()
-            for nxt in (d - d % 4 + (d + 1) % 4, pairing[d]):
+            for nxt in (step[d], pairing[d]):
                 if not reached[nxt]:
                     reached[nxt] = 1
                     frontier.append(nxt)
@@ -83,10 +86,10 @@ def faces(m: CombinatorialMap) -> list[tuple[int, ...]]:
     The corner between consecutive darts (d_i, d_{i+1}) of a crossing
     belongs to the face whose orbit contains d_{i+1}.
     """
-    pairing = m.pairing
-    visited = bytearray(len(pairing))
+    step = _face_steps(m.pairing)
+    visited = bytearray(len(step))
     out = []
-    for start in range(len(pairing)):
+    for start in range(len(step)):
         if visited[start]:
             continue
         cycle = []
@@ -94,8 +97,7 @@ def faces(m: CombinatorialMap) -> list[tuple[int, ...]]:
         while not visited[d]:
             visited[d] = 1
             cycle.append(d)
-            e = pairing[d]
-            d = e - e % 4 + (e + 1) % 4
+            d = step[d]
         out.append(tuple(cycle))
     return out
 
@@ -286,8 +288,9 @@ def spanning_tree_sum(g: list[dict[int, int]]) -> int:
         with an edge (td, fd) already there as (t * fd + f * td, f * fd);
       * a vertex left with no edge while others remain means no tree,
         so 0.
-    A series step whose f would be 0 is skipped.  What is left when more
-    than one vertex is, a core of vertices of degree 3 or more and of
+    A series step whose f would be 0 is skipped.  When one vertex is
+    left, S is 1 and the sum is the factor.  What is left when more than
+    one vertex is, a core of vertices of degree 3 or more and of
     skipped series steps (standard 2-bridge and Montesinos diagrams leave
     none), goes to ``exact_determinant``: its Laplacian in conductances,
     each row scaled to integers by the product of its edges' f, with the
@@ -341,26 +344,27 @@ def spanning_tree_sum(g: list[dict[int, int]]) -> int:
             return 0
         g[v] = None
         left -= 1
+    if left <= 1:
+        return factor
+    core = [i for i, nbrs in enumerate(g) if nbrs is not None]
+    root = max(core, key=lambda i: len(g[i]))
+    index = {i: k for k, i in enumerate(i for i in core if i != root)}
     rows = []
-    root_scale = edges_f = 1
-    if left > 1:
-        core = [i for i, nbrs in enumerate(g) if nbrs is not None]
-        root = max(core, key=lambda i: len(g[i]))
-        index = {i: k for k, i in enumerate(i for i in core if i != root)}
-        for i in core:
-            pairs = [(j, e if type(e) is tuple else (e, 1))
-                     for j, e in g[i].items()]
-            edges_f *= prod(f for j, (_, f) in pairs if j > i)
-            scale = prod(f for _, (_, f) in pairs)
-            if i == root:
-                root_scale = scale
-                continue
-            row = [0] * len(index)
-            row[index[i]] = sum(t * scale // f for _, (t, f) in pairs)
-            for j, (t, f) in pairs:
-                if j != root:
-                    row[index[j]] = -t * scale // f
-            rows.append(row)
+    edges_f = 1
+    for i in core:
+        pairs = [(j, e if type(e) is tuple else (e, 1))
+                 for j, e in g[i].items()]
+        edges_f *= prod(f for j, (_, f) in pairs if j > i)
+        scale = prod(f for _, (_, f) in pairs)
+        if i == root:
+            root_scale = scale
+            continue
+        row = [0] * len(index)
+        row[index[i]] = sum(t * scale // f for _, (t, f) in pairs)
+        for j, (t, f) in pairs:
+            if j != root:
+                row[index[j]] = -t * scale // f
+        rows.append(row)
     return factor * exact_determinant(rows) * root_scale // edges_f
 
 

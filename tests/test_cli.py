@@ -114,6 +114,11 @@ def test_cover_verb_round_trips(capsys):
     expected = double_branched_cover(parse_link_expr(row["link"]))
     assert parse_manifold_expr(row["manifold"]) == expected
     assert row["h1_order"] == 1
+    # An improper and a negative branch, folded by the cover's rule.
+    code, out, _ = _run(capsys, ["cover", "mont(0; 5/2, 1/3, -1/5)"])
+    assert code == 0
+    assert json.loads(out)["results"][0]["manifold"] == \
+        "SFS(1; 1/2, 1/3, 4/5)"
 
 
 def test_cable_verb(capsys):
@@ -293,6 +298,31 @@ def test_oracle_verb(capsys):
     results = [json.loads(out)["results"] for out in (default, seeded, other)]
     assert len(results[0]) == 3
     assert results[0] == results[1] != results[2]
+
+
+_MONT_2000 = "mont(1; " + ", ".join(f"{k % 4 + 1}/{k % 4 + 2}"
+                                    for k in range(2000)) + ")"
+
+
+@pytest.mark.parametrize("links, batch, rows", [
+    (["--sample", "300", "--seed", "5"], None, 300),
+    # A negative twist e, whose crossings are the only ones with flag 1.
+    (["mont(-3; 1/2, 2/3, 3/7)"], None, 1),
+    # One diagram of 20,001 crossings.
+    (["b(20001/1)"], None, 1),
+    # One batch line of a Montesinos link with 2,000 branches, whose
+    # white-face graph folds to one face.
+    ([], _MONT_2000 + "\n", 1),
+], ids=["sample-300", "negative-twist", "20001-crossings", "2000-branches"])
+def test_oracle_rows_match(tmp_path, capsys, links, batch, rows):
+    if batch is not None:
+        path = tmp_path / "links.txt"
+        path.write_text(batch)
+        links = links + ["--batch", str(path)]
+    code, out, _ = _run(capsys, ["oracle", *links, "--format", "tsv"])
+    assert code == 0
+    matches = [line.split("\t")[5] for line in out.splitlines()[4:]]
+    assert matches == ["true"] * rows
 
 
 def test_oracle_negative_sample_is_a_usage_error(capsys):
@@ -523,6 +553,23 @@ def test_first_of_several_faults_is_reported(capsys):
              "usage error: expected N or A..B, got 'x'")):
         code, out, err = _run(capsys, argv)
         assert (code, out, err) == (2, "", message + "\n"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--sample", "1" + "0" * 30],
+    ["oracle", "b(1" + "0" * 21 + "1/1)"],
+], ids=["sample", "crossings"])
+def test_count_past_the_index_size_exits_two(capsys, argv):
+    # Each count fails where it becomes a C index, before any work.
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_syntax_error_names_its_position(capsys):
+    code, out, err = _run(capsys, ["classify", "L(3,1) # $"])
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character '$' (at position 9)\n"
 
 
 def test_deep_nesting_exits_two(capsys):

@@ -71,10 +71,11 @@ def _reference_checkerboard(m: CombinatorialMap, larger: bool = False):
     """The face-search colouring, the reference for ``checkerboard``.
 
     Faces come from ``faces``, colours from a search over the faces from
-    face 0 (a face it never reaches keeps colour 0), and white is the
-    smaller class, ties going to face 0's, or with ``larger`` the other
-    class.  Returns the face colours, the white faces and one (wi, wj,
-    eta) incidence per crossing, wi and wj indexing the white faces.
+    each face, in order, that no earlier search reached, which takes
+    colour 0, and white is the smaller class, ties going to face 0's, or
+    with ``larger`` the other class.  Returns the face colours, the white
+    faces and one (wi, wj, eta) incidence per crossing, wi and wj
+    indexing the white faces.
     """
     face_list = faces(m)
     face_of = [0] * len(m.pairing)
@@ -82,19 +83,22 @@ def _reference_checkerboard(m: CombinatorialMap, larger: bool = False):
         for d in cycle:
             face_of[d] = idx
     colors = [-1] * len(face_list)
-    colors[0] = 0
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        other = 1 - colors[i]
-        for d in face_list[i]:
-            j = face_of[m.pairing[d]]
-            if colors[j] < 0:
-                colors[j] = other
-                queue.append(j)
-            elif colors[j] != other:
-                raise ValueError("diagram faces are not checkerboard colorable")
-    colors = [c if c >= 0 else 0 for c in colors]
+    for seed in range(len(face_list)):
+        if colors[seed] >= 0:
+            continue
+        colors[seed] = 0
+        queue = [seed]
+        while queue:
+            i = queue.pop()
+            other = 1 - colors[i]
+            for d in face_list[i]:
+                j = face_of[m.pairing[d]]
+                if colors[j] < 0:
+                    colors[j] = other
+                    queue.append(j)
+                elif colors[j] != other:
+                    raise ValueError(
+                        "diagram faces are not checkerboard colorable")
     white_color = (colors.count(0) > colors.count(1)) ^ larger
     white = [i for i, c in enumerate(colors) if c == white_color]
     white_index = {f: k for k, f in enumerate(white)}
@@ -260,7 +264,6 @@ def test_validate_rejects_broken_maps():
         ([0], [1, 0, 3, -1], "free involution"),  # a dangling dart
         ([0], [1, 0, 5, 4], "free involution"),  # past the last dart
         ([0], [1, 2, 3, 0], "free involution"),  # not an involution
-        ([0, 0], [1, 0, 3, 2, 5, 4, 7, 6], "not connected"),  # two kinks
         ([0], [2, 3, 0, 1], "not a sphere"),  # one face: a torus
     ]
     for crossings, pairing, reason in broken:
@@ -506,6 +509,35 @@ def test_checkerboard_colours_an_unreached_crossing_by_the_edge_rule():
         assert goeritz_determinant(m) == 10
     assert seeds.called
     _assert_checkerboard_laws(m)
+
+
+def _side_by_side(*parts: CombinatorialMap) -> CombinatorialMap:
+    """The split diagram of ``parts``, each after the one before it."""
+    crossings, pairing = [], []
+    for part in parts:
+        pairing += [e + 4 * len(crossings) for e in part.pairing]
+        crossings += part.crossings
+    return CombinatorialMap(crossings, pairing)
+
+
+@pytest.mark.parametrize("m, second", [
+    (CombinatorialMap([0, 0], [1, 0, 3, 2, 5, 4, 7, 6]), 1),
+    (_side_by_side(two_bridge_diagram(3, 1), two_bridge_diagram(3, 1)), 3),
+], ids=["two-kinks", "two-trefoils"])
+def test_split_map_colours_its_second_component_afresh(m, second):
+    """The second component's first crossing is reached by no earlier
+    face, and no search from it finds a coloured crossing, so it takes
+    bit 0.  A split link has a disconnected Tait graph: no spanning
+    tree, so determinant 0."""
+    with pytest.raises(ValueError, match="not connected"):
+        m.validate()
+    with mock.patch.object(diagrams, "_seed_bit",
+                           wraps=diagrams._seed_bit) as seeds:
+        board = checkerboard(m)
+    assert [k for (_, _, k), _ in seeds.call_args_list] == [second]
+    assert board.bits[second] == 0
+    _assert_checkerboard_laws(m)
+    assert goeritz_determinant(m) == 0
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -817,12 +849,12 @@ def test_k4_examples_reach_a_core():
 @given(st.lists(_links(), min_size=1, max_size=3))
 def test_standard_diagrams_fold_to_an_empty_core(parts):
     """The Tait graphs of standard 2-bridge and Montesinos diagrams are
-    series-parallel, so the fold leaves ``exact_determinant`` nothing,
-    in every part of a sum too."""
+    series-parallel, so the fold leaves one face and no elimination
+    runs, in every part of a sum too."""
     with _recorded_cores() as cores:
         report = oracle_cross_check(link_connected_sum(*parts))
     assert report.match
-    assert cores == [[]] * len(parts)
+    assert cores == []
 
 
 def _finger(m: CombinatorialMap, a: int, b: int) -> CombinatorialMap:

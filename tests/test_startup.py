@@ -11,7 +11,9 @@ import pytest
 
 import dehncalc
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# The directory holding the package the suite imported: src/ in the
+# source layout, site-packages once the package is installed.
+ROOT = Path(dehncalc.__file__).resolve().parents[1]
 
 # Runs the CLI and prints its exit code and the modules loaded.
 _CHILD = ("import sys\n"
@@ -24,8 +26,9 @@ _BASE = {"dehncalc", "dehncalc.cli", "dehncalc.reports", "dehncalc.slopes",
 
 
 def _all_loaded(argv: list[str]) -> tuple[int, set[str]]:
-    """Exit code and loaded modules of one fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    """Exit code and loaded modules of one fresh interpreter, which
+    imports the package from ``ROOT`` only."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT))
     proc = subprocess.run([sys.executable, "-S", "-c", _CHILD, *argv],
                           env=env, capture_output=True, text=True,
                           timeout=60)
@@ -49,24 +52,27 @@ def test_cheap_entries_load_only_the_cli_core(argv, code):
     assert _loaded(argv) == (code, _BASE)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--help"],
-    ["distance"],
-    ["distance", "1/2", "3/4"],
-    ["classify", "L(6,5) # S2(2,2,3)"],
-    ["cover", "b(3/1) + mont(-1; 1/2, 1/3, 1/5)"],
-    ["cable", "--s", "1", "--t", "2", "--gamma", "0", "3"],
-    ["family-list"],
-    ["family-fill", "cyclic", "--p", "2", "--q", "4", "0"],
-    ["family-verify", "octahedral", "--p", "3..5"],
-    ["family-sweep", "dihedral", "--p", "3..4", "--q", "3..4"],
-    ["oracle", "b(7/3)", "mont(-1; 1/2, 1/3, 1/5)", "b(3/1) + b(4/1)"],
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["distance"], 2),
+    (["distance", "1/2", "3/4"], 0),
+    (["classify", "L(6,5) # S2(2,2,3)"], 0),
+    (["cover", "b(3/1) + mont(-1; 1/2, 1/3, 1/5)"], 0),
+    (["cable", "--s", "1", "--t", "2", "--gamma", "0", "3"], 0),
+    (["family-list"], 0),
+    (["family-fill", "cyclic", "--p", "2", "--q", "4", "0"], 0),
+    (["family-verify", "octahedral", "--p", "3..5"], 0),
+    (["family-sweep", "dihedral", "--p", "3..4", "--q", "3..4"], 0),
+    (["oracle", "b(7/3)", "mont(-1; 1/2, 1/3, 1/5)", "b(3/1) + b(4/1)"], 0),
 ], ids=["help", "usage-error", "distance", "classify", "cover", "cable",
         "family-list", "family-fill", "family-verify", "family-sweep",
         "oracle"])
-def test_no_verb_loads_dataclasses(argv):
-    # dataclasses alone would import inspect, ast and dis.
-    _, modules = _all_loaded(argv)
+def test_no_verb_loads_dataclasses(argv, code):
+    # dataclasses alone would import inspect, ast and dis.  Each verb
+    # runs in a process of its own, so a verb that misses an import fails
+    # here even where an in-process test loaded the module first.
+    exit_code, modules = _all_loaded(argv)
+    assert exit_code == code
     assert not modules & {"dataclasses", "inspect"}
 
 
